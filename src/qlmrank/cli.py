@@ -109,8 +109,8 @@ def run_search(index_path: str, queries_path: str, out_path: str, ranker: str,
 
 
 def _build_provider(provider: str, endpoint: str | None, auth_token: str | None,
-                    docs: list[corpus.Document], attempts: int = 3,
-                    backoff: float = 0.5) -> likelihood.Provider:
+                    docs: list[corpus.Document], max_workers: int,
+                    attempts: int = 3, backoff: float = 0.5) -> likelihood.Provider:
     if provider == "bigram":
         texts = [f"{d.title} {d.body}" if d.title else d.body for d in docs]
         return likelihood.BigramLm.train(texts)
@@ -122,7 +122,8 @@ def _build_provider(provider: str, endpoint: str | None, auth_token: str | None,
                 f"remote provider needs --endpoint or ${ENDPOINT_ENV}"
             )
         return likelihood.RemoteProvider(endpoint, auth_token=auth_token,
-                                         attempts=attempts, backoff=backoff)
+                                         attempts=attempts, backoff=backoff,
+                                         pool_size=max_workers)
     raise UsageError(f"unknown provider {provider!r}")
 
 
@@ -133,6 +134,8 @@ def run_rerank(run_path: str, corpus_path: str, queries_path: str, out_path: str
                max_workers: int, tag: str, stats_out: str | None = None) -> None:
     if depth < 1:
         raise UsageError(f"--depth must be >= 1, got {depth}")
+    if max_workers < 1:
+        raise UsageError(f"--max-workers must be >= 1, got {max_workers}")
     docs = corpus.load_corpus(_require_file(corpus_path, "corpus"))
     queries = corpus.load_queries(_require_file(queries_path, "queries"))
     first_stage = corpus.read_run(_require_file(run_path, "candidate run"))
@@ -143,7 +146,10 @@ def run_rerank(run_path: str, corpus_path: str, queries_path: str, out_path: str
     logger.info("prompt: %s/%s, %s", model_family, dataset,
                 "fewshot" if triples else "zeroshot")
 
-    provider_fn = _build_provider(provider, endpoint, auth_token, docs)
+    provider_fn = _build_provider(provider, endpoint, auth_token, docs, max_workers)
+    # the bigram model is pure Python: threads would only contend for the GIL
+    if provider == "bigram":
+        max_workers = 1
     doc_lookup = {d.id: d for d in docs}
     stats = ProviderStats()
     cache: dict = {}
@@ -295,6 +301,8 @@ class PipelineConfig:
             raise UsageError(f"provider must be bigram or remote, got {self.provider!r}")
         if self.depth < 1:
             raise UsageError(f"depth must be >= 1, got {self.depth}")
+        if self.max_workers < 1:
+            raise UsageError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.eval_k < 1:
             raise UsageError(f"eval_k must be >= 1, got {self.eval_k}")
 
@@ -399,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc-max-chars", type=int, default=prompts.DEFAULT_DOC_MAX_CHARS)
     p.add_argument("--fewshot", action="store_true")
     p.add_argument("--on-error", choices=["fail", "floor"], default="fail")
-    p.add_argument("--max-workers", type=int, default=likelihood.DEFAULT_MAX_WORKERS)
+    p.add_argument("--max-workers", type=int, default=likelihood.DEFAULT_MAX_WORKERS,
+                   help="concurrent requests to the remote provider "
+                        "(the bigram provider always scores serially)")
     p.add_argument("--tag", default="qlm")
     p.add_argument("--stats-out", help="write provider request stats JSON here")
 

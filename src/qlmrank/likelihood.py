@@ -12,6 +12,7 @@ a deterministic add-one-smoothed bigram model for offline use and testing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -19,11 +20,12 @@ import re
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, MutableMapping
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .corpus import Document, Query, Run
 from .prompts import (
@@ -129,6 +131,10 @@ class RemoteProvider:
     and expect {"tokens": [...], "logprobs": [...]}. Transient failures
     (connection errors, 5xx, 429) are retried with exponential backoff;
     other non-200 answers and malformed payloads fail immediately.
+
+    Without a `session`, the provider opens one whose connection pool per
+    host holds `pool_size` connections: set it to the number of threads
+    that share the provider, or the surplus ones reconnect on every call.
     """
 
     def __init__(
@@ -140,16 +146,24 @@ class RemoteProvider:
         timeout: float = 30.0,
         logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
         session: requests.Session | None = None,
+        pool_size: int = DEFAULT_MAX_WORKERS,
     ):
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
+        if pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
         self.url = endpoint.rstrip("/") + "/v1/loglikelihood"
         self.auth_token = auth_token
         self.attempts = attempts
         self.backoff = backoff
         self.timeout = timeout
         self.logprob_floor = logprob_floor
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            for prefix in ("https://", "http://"):
+                session.mount(prefix, HTTPAdapter(pool_connections=pool_size,
+                                                  pool_maxsize=pool_size))
+        self.session = session
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
         headers = {"Content-Type": "application/json"}
@@ -205,6 +219,25 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+def _last_word(text: str) -> str | None:
+    """The last of _words(text), or None if it has none, lowercasing only as
+    much of the end of the text as it needs.
+
+    str.lower maps each character on its own (final sigma aside, which never
+    yields [a-z0-9]), so the last word of a tail is the last word of the text
+    unless it starts right at the tail's start; then the tail doubles.
+    """
+    size = 64
+    while True:
+        start = max(0, len(text) - size)
+        last = None
+        for last in _WORD_RE.finditer(text[start:].lower()):
+            pass
+        if start == 0 or (last is not None and last.start() > 0):
+            return last.group() if last is not None else None
+        size *= 2
+
+
 class BigramLm:
     """Add-one-smoothed word bigram model: a deterministic offline provider.
 
@@ -253,8 +286,7 @@ class BigramLm:
         tokens = _words(request.continuation)
         if not tokens:
             raise ValueError("continuation has no word tokens")
-        context_words = _words(request.context)
-        prev = context_words[-1] if context_words else None
+        prev = _last_word(request.context)
         logprobs = []
         for token in tokens:
             logprobs.append(self.logprob(token, prev))
@@ -314,65 +346,15 @@ def rerank(
     query: Query,
     candidates: list[tuple[str, float]],
     doc_lookup: dict[str, Document],
-    doc_max_chars: int = DEFAULT_DOC_MAX_CHARS,
-    fewshot: list[FewShotExample] | None = None,
-    cache: ScoreCache | None = None,
-    stats: ProviderStats | None = None,
-    max_workers: int = DEFAULT_MAX_WORKERS,
-    on_error: str = "fail",
-    logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
-    tag: str = "qlm",
+    **kwargs,
 ) -> Run:
     """Re-score one query's candidates by query likelihood.
 
     The output run holds exactly the input candidate set, re-sorted by mean
-    query-token logprob; results do not depend on request scheduling order.
-    on_error="fail" propagates the first provider failure, on_error="floor"
-    scores the failing document at the logprob floor instead.
+    query-token logprob. This is rerank_run's scheduler on a single query;
+    keyword arguments are as there.
     """
-    if on_error not in ("fail", "floor"):
-        raise ValueError(f"on_error must be 'fail' or 'floor', got {on_error!r}")
-    docs = []
-    for did, _ in candidates:
-        if did not in doc_lookup:
-            raise KeyError(f"candidate doc id {did!r} not in the document lookup")
-        docs.append(doc_lookup[did])
-
-    fingerprint = template_fingerprint(template, fewshot, doc_max_chars)
-
-    def score_doc(doc: Document) -> float:
-        key = (fingerprint, doc.id, query.id)
-        if cache is not None and key in cache:
-            if stats is not None:
-                stats.add_cache_hit()
-            return cache[key]
-        if fewshot is not None:
-            prompt = render_fewshot(template, fewshot, doc, doc_max_chars)
-        else:
-            prompt = render_prompt(template, doc, doc_max_chars)
-        request = make_request(prompt, query.text)
-        try:
-            result = provider(request)
-            score = score_query_likelihood(result)
-        except ProviderError:
-            if on_error == "fail":
-                raise
-            logger.warning("provider failed on doc %s, query %s; scoring at floor %g",
-                           doc.id, query.id, logprob_floor)
-            score = logprob_floor
-        if stats is not None:
-            stats.add_request()
-        if cache is not None:
-            cache[key] = score
-        return score
-
-    if max_workers > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            scores = list(pool.map(score_doc, docs))
-    else:
-        scores = [score_doc(doc) for doc in docs]
-
-    return Run({query.id: list(zip((d.id for d in docs), scores))}, tag=tag)
+    return _rerank(provider, template, [(query, candidates)], doc_lookup, **kwargs)
 
 
 def rerank_run(
@@ -386,16 +368,104 @@ def rerank_run(
 ) -> Run:
     """Re-rank the top `depth` candidates of every query in a run.
 
-    Queries without first-stage candidates are omitted; extra keyword
-    arguments pass through to rerank().
+    All (query, doc) pairs of the run form one work list, scored serially
+    when max_workers is 1 and otherwise on one pool of max_workers threads;
+    results do not depend on request scheduling order. Each document's
+    prompt is rendered once, whatever the number of queries it serves.
+
+    Keyword arguments: doc_max_chars, fewshot (guidance triples, or None
+    for zero-shot), cache and stats (see ScoreCache and ProviderStats),
+    max_workers, logprob_floor, tag, and on_error: "fail" propagates the
+    first provider failure and submits no further pairs, "floor" scores
+    each failing pair at the logprob floor instead. Queries without
+    first-stage candidates are omitted.
     """
-    tag = kwargs.pop("tag", "qlm")
-    merged: dict[str, list[tuple[str, float]]] = {}
-    for query in queries:
-        candidates = first_stage.entries.get(query.id, [])[:depth]
-        if not candidates:
-            continue
-        single = rerank(provider, template, query, candidates, doc_lookup,
-                        tag=tag, **kwargs)
-        merged[query.id] = single.entries[query.id]
-    return Run(merged, tag=tag)
+    work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
+    return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
+
+
+def _rerank(
+    provider: Provider,
+    template: PromptTemplate,
+    work: list[tuple[Query, list[tuple[str, float]]]],
+    doc_lookup: dict[str, Document],
+    doc_max_chars: int = DEFAULT_DOC_MAX_CHARS,
+    fewshot: list[FewShotExample] | None = None,
+    cache: ScoreCache | None = None,
+    stats: ProviderStats | None = None,
+    max_workers: int = DEFAULT_MAX_WORKERS,
+    on_error: str = "fail",
+    logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
+    tag: str = "qlm",
+) -> Run:
+    if on_error not in ("fail", "floor"):
+        raise ValueError(f"on_error must be 'fail' or 'floor', got {on_error!r}")
+    fingerprint = template_fingerprint(template, fewshot, doc_max_chars)
+    # the prompt depends on the document only, never on the query
+    prompts: dict[str, str] = {}
+    pairs: list[tuple[Query, Document]] = []
+    for query, candidates in work:
+        for did, _ in candidates:
+            if did not in doc_lookup:
+                raise KeyError(f"candidate doc id {did!r} not in the document lookup")
+            doc = doc_lookup[did]
+            if did not in prompts:
+                prompts[did] = (render_fewshot(template, fewshot, doc, doc_max_chars)
+                                if fewshot is not None
+                                else render_prompt(template, doc, doc_max_chars))
+            pairs.append((query, doc))
+
+    def score_pair(pair: tuple[Query, Document]) -> float:
+        query, doc = pair
+        key = (fingerprint, doc.id, query.id)
+        if cache is not None and key in cache:
+            if stats is not None:
+                stats.add_cache_hit()
+            return cache[key]
+        request = make_request(prompts[doc.id], query.text)
+        try:
+            score = score_query_likelihood(provider(request))
+        except ProviderError:
+            if on_error == "fail":
+                raise
+            logger.warning("provider failed on doc %s, query %s; scoring at floor %g",
+                           doc.id, query.id, logprob_floor)
+            score = logprob_floor
+        if stats is not None:
+            stats.add_request()
+        if cache is not None:
+            cache[key] = score
+        return score
+
+    if max_workers > 1 and len(pairs) > 1:
+        scores = iter(_map_windowed(score_pair, pairs, max_workers))
+    else:
+        scores = iter([score_pair(pair) for pair in pairs])
+    return Run({query.id: [(did, next(scores)) for did, _ in candidates]
+                for query, candidates in work}, tag=tag)
+
+
+def _map_windowed(fn: Callable[[tuple[Query, Document]], float],
+                  items: list[tuple[Query, Document]], max_workers: int) -> list[float]:
+    """[fn(item) for item in items] on one pool of max_workers threads.
+
+    At most two items per thread are submitted ahead of their results, so
+    the first exception, raised here, cancels the few that are queued and
+    leaves the rest of the list unsubmitted.
+    """
+    results: list[float] = [0.0] * len(items)
+    todo = iter(enumerate(items))
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        pending = {pool.submit(fn, item): i
+                   for i, item in itertools.islice(todo, 2 * max_workers)}
+        try:
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    results[pending.pop(future)] = future.result()
+                for i, item in itertools.islice(todo, len(done)):
+                    pending[pool.submit(fn, item)] = i
+        finally:
+            for future in pending:
+                future.cancel()
+    return results

@@ -108,6 +108,31 @@ class TestRerankAndFuse:
         stats = json.loads(stats_path.read_text())
         assert stats["requests"] > 0 and stats["cache_hits"] == 0
 
+    @pytest.mark.parametrize("fewshot", [[], ["--fewshot"]])
+    def test_bigram_output_independent_of_max_workers(self, dataset, fewshot):
+        first = self._first_stage(dataset)
+        outputs = []
+        for workers in (1, 8):
+            out = dataset["dir"] / f"reranked{workers}.trec"
+            assert run_cli("rerank", "--run", first, "--corpus", dataset["corpus"],
+                           "--queries", dataset["queries"], "--out", out,
+                           "--provider", "bigram", "--model-family", "llama",
+                           "--dataset", "trecc", "--max-workers", workers, *fewshot) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_max_workers_below_one_is_usage_error(self, dataset, capsys, workers):
+        first = self._first_stage(dataset)
+        capsys.readouterr()
+        code = run_cli("rerank", "--run", first, "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", dataset["dir"] / "x.trec",
+                       "--provider", "bigram", "--model-family", "llama",
+                       "--dataset", "trecc", "--max-workers", workers)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --max-workers must be >= 1, got {workers}\n"
+        assert not (dataset["dir"] / "x.trec").exists()
+
     def test_unreachable_remote_is_provider_error(self, dataset):
         first = self._first_stage(dataset)
         code = run_cli("rerank", "--run", first, "--corpus", dataset["corpus"],
@@ -246,6 +271,14 @@ class TestPipeline:
         outdir = dataset["dir"] / "out3"
         config = self.make_config(dataset, outdir, nonsense=True)
         assert run_cli("pipeline", "--config", config) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_max_workers_below_one_is_usage_error(self, dataset, capsys, workers):
+        outdir = dataset["dir"] / "out_mw"
+        config = self.make_config(dataset, outdir, max_workers=workers)
+        assert run_cli("pipeline", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: max_workers must be >= 1, got {workers}\n"
+        assert not outdir.exists()
 
     def test_provider_down_exits_3_but_keeps_first_stage(self, dataset):
         outdir = dataset["dir"] / "out4"

@@ -1,8 +1,15 @@
 import math
 import random
+import sys
+import threading
+import time
+import zlib
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import qlmrank.likelihood as likelihood
 from qlmrank.corpus import Document, Query, Run
 from qlmrank.likelihood import (
     BigramLm,
@@ -12,6 +19,8 @@ from qlmrank.likelihood import (
     ProviderError,
     ProviderStats,
     UNK,
+    _last_word,
+    _words,
     floor_logprobs,
     make_request,
     rerank,
@@ -133,6 +142,34 @@ class TestBigramLm:
         lm = BigramLm.train(["a b"])
         with pytest.raises(ValueError):
             lm(LikelihoodRequest(context="a", continuation="..."))
+
+
+# "İ" lowercases to "i" plus a combining dot, and the Kelvin sign to "k"
+_TRICKY = st.sampled_from(list("ab09 .!\nßİ\u212a\u0307Σσ"))
+
+
+class TestLastWord:
+    @given(st.text())
+    @example("İ")
+    @example("aİ")
+    @example("İb")
+    @example("ß")
+    @example("straße")
+    @example("\u212a")
+    @example("end of text!?  \n\t")
+    @example("question 42")
+    @example("abc123")
+    @example("")
+    @example("... !!")
+    def test_equals_last_of_words(self, text):
+        assert _last_word(text) == (_words(text) or [None])[-1]
+
+    @given(st.text(alphabet=_TRICKY, max_size=400))
+    @example("x" * 300)
+    @example("a" + " " * 300)
+    @example("İ" * 100)
+    def test_equals_last_of_words_past_the_first_tail(self, text):
+        assert _last_word(text) == (_words(text) or [None])[-1]
 
 
 class TestRerank:
@@ -275,3 +312,115 @@ class TestRerankRun:
                          [Query("q1", "alpha"), Query("q9", "beta")],
                          first_stage, docs)
         assert out.query_ids() == ["q1"]
+
+
+def pair_provider(calls=None, fail=lambda number, request: False, delay=0.0):
+    """Provider whose score depends on both the prompt and the query.
+
+    Records each request in `calls`, raises ProviderError where
+    fail(call number, request) says so, and sleeps a varying time so
+    threaded runs complete out of order."""
+    calls = [] if calls is None else calls
+    lock = threading.Lock()
+
+    def provide(request):
+        with lock:
+            number = len(calls)
+            calls.append((request.context, request.continuation))
+        if fail(number, request):
+            raise ProviderError("backend down")
+        h = zlib.crc32(f"{request.context}|{request.continuation}".encode())
+        if delay:
+            time.sleep(delay * (h % 3))
+        return LikelihoodResult(tokens=("q",), logprobs=(-(h % 1000) / 100.0,))
+    return provide
+
+
+class TestScheduler:
+    """rerank_run scores one work list of every (query, doc) pair."""
+
+    template = PromptTemplate(body="Question for: {doc}")
+
+    def corpus(self, n_docs=12, n_queries=5, depth=8):
+        docs = {f"d{i:03d}": Document(f"d{i:03d}", "", f"body of document {i}")
+                for i in range(n_docs)}
+        rng = random.Random(3)
+        first_stage = Run({
+            f"q{j}": [(did, rng.random()) for did in rng.sample(sorted(docs), depth)]
+            for j in range(n_queries)
+        }, tag="bm25")
+        queries = [Query(f"q{j}", f"query number {j}") for j in range(n_queries)]
+        return docs, first_stage, queries
+
+    def test_output_independent_of_worker_count(self):
+        docs, first_stage, queries = self.corpus()
+        runs = [rerank_run(pair_provider(delay=0.001), self.template, queries,
+                           first_stage, docs, depth=6, max_workers=workers)
+                for workers in (1, 2, 8)]
+        assert runs[0].entries == runs[1].entries == runs[2].entries
+        assert len(set(s for pairs in runs[0].entries.values() for _, s in pairs)) > 1
+
+    def test_one_provider_call_per_pair(self):
+        docs, first_stage, queries = self.corpus()
+        calls = []
+        rerank_run(pair_provider(calls), self.template, queries, first_stage, docs,
+                   depth=6, max_workers=4)
+        texts = {q.id: q.text for q in queries}
+        want = Counter((did, " " + texts[qid]) for qid, pairs in first_stage.entries.items()
+                       for did, _ in pairs[:6])
+        got = Counter((next(did for did, d in docs.items() if context.endswith(d.body)),
+                       continuation) for context, continuation in calls)
+        assert got == want and max(got.values()) == 1
+
+    def test_stats_and_cache_count_every_pair_under_contention(self):
+        docs, first_stage, queries = self.corpus(n_docs=100, n_queries=5, depth=100)
+        stats, cache = ProviderStats(), {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rerank_run(pair_provider(), self.template, queries, first_stage, docs,
+                       cache=cache, stats=stats, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.requests == len(cache) == 500
+
+    @pytest.mark.parametrize("fewshot", [False, True])
+    def test_each_prompt_rendered_once_per_document(self, monkeypatch, fewshot):
+        from qlmrank.prompts import FewShotExample
+        docs, first_stage, queries = self.corpus(n_docs=6, n_queries=5, depth=4)
+        rendered = Counter()
+        for name in ("render_prompt", "render_fewshot"):
+            original = getattr(likelihood, name)
+
+            def counting(*args, _original=original):
+                rendered[args[-2].id] += 1
+                return _original(*args)
+            monkeypatch.setattr(likelihood, name, counting)
+        triples = [FewShotExample("doc", "good", "bad")] * 3 if fewshot else None
+        rerank_run(pair_provider(), self.template, queries, first_stage, docs,
+                   fewshot=triples, max_workers=2)
+        distinct = {did for pairs in first_stage.entries.values() for did, _ in pairs}
+        assert rendered == Counter(distinct)
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_first_failure_stops_the_run(self, workers):
+        docs, first_stage, queries = self.corpus(n_docs=100, n_queries=5, depth=100)
+        calls = []
+        with pytest.raises(ProviderError):
+            rerank_run(pair_provider(calls, fail=lambda n, r: n == 0, delay=0.001),
+                       self.template, queries, first_stage, docs, max_workers=workers)
+        assert len(calls) <= 2 * workers
+
+    def test_floor_policy_floors_only_failing_pairs(self):
+        docs, first_stage, queries = self.corpus()
+        failing = docs["d003"].body
+        provider = pair_provider(fail=lambda n, r: r.context.endswith(failing))
+        floored = rerank_run(provider, self.template, queries, first_stage, docs,
+                             depth=6, max_workers=4, on_error="floor")
+        reference = rerank_run(pair_provider(), self.template, queries, first_stage,
+                               docs, depth=6, max_workers=1)
+        assert any("d003" in dict(pairs) for pairs in floored.entries.values())
+        for qid, pairs in floored.entries.items():
+            want = dict(reference.entries[qid])
+            for did, score in pairs:
+                assert score == (-100.0 if did == "d003" else want[did])

@@ -4,6 +4,7 @@ against an in-process stub server (see conftest.StubHandler)."""
 import pytest
 
 from conftest import StubHandler
+from qlmrank.cli import _build_provider
 from qlmrank.likelihood import (
     LikelihoodRequest,
     ProtocolError,
@@ -99,3 +100,16 @@ def test_identical_requests_identical_results(stub_server):
     StubHandler.script = [(200, payload), (200, payload)]
     provider = RemoteProvider(stub_server, backoff=0.0)
     assert provider(REQUEST) == provider(REQUEST)
+
+
+def test_connection_pool_sized_to_workers():
+    provider = _build_provider("remote", "http://127.0.0.1:1", None, [], max_workers=16)
+    for url in (provider.url, "https://example.invalid/"):
+        adapter = provider.session.get_adapter(url)
+        assert adapter._pool_connections == 16
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+
+
+def test_pool_size_below_one_rejected():
+    with pytest.raises(ValueError):
+        RemoteProvider("http://127.0.0.1:1", pool_size=0)
