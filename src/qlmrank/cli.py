@@ -2,23 +2,30 @@
 
 Verbs: index, search, rerank, fuse, eval, sigtest, sweep, pipeline. Every
 command is a pure file-to-file transformation: identical inputs and flags
-produce byte-identical outputs. Outputs are staged to a temp file and
-promoted atomically, so interrupted runs never leave truncated files.
+produce byte-identical outputs. Each output is staged to a fresh temp file
+beside it, fsynced and renamed into place, so interrupted or concurrent
+runs never leave truncated files.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport
-error.
+A parameter has one name: its flag's dest, its run_* keyword and its
+config key are the same word; RANGES and CHOICES hold its rules.
+
+Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
+import pathlib
 import sys
-from dataclasses import dataclass, field as dc_field
+import tempfile
+import typing
+from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass
 
-from . import corpus, fusion, likelihood, prompts, ranking
+from . import corpus as corpus_io, fusion, likelihood, prompts, ranking
 from .corpus import FormatError, Run
 from .evaluation import format_report, ndcg_at_k, significance_matrix
 from .likelihood import ProviderError, ProviderStats
@@ -29,9 +36,24 @@ logger = logging.getLogger(__name__)
 ENDPOINT_ENV = "QLMRANK_ENDPOINT"
 AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
 
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_PROVIDER = 3
+EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
+
+# the range rule of each ranged parameter: (test, what the error says)
+RANGES: dict[str, tuple[typing.Callable[[float], bool], str]] = {
+    **{name: (lambda v: v >= 1, "must be >= 1")
+       for name in ("k", "depth", "max_workers", "eval_k", "doc_max_chars")},
+    **{name: (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+       for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level")},
+}
+CHOICES = {"ranker": ("bm25", "dirichlet"), "first_stage": ("bm25", "dirichlet"),
+           "provider": ("bigram", "remote"), "on_error": ("fail", "floor"),
+           "correction": ("bonferroni", "none")}
+# the keys of the config's analyzer section: run_index's analyzer keywords
+ANALYZER_KEYS = ("lowercase", "stopwords", "stem")
+# the config keys `pipeline` also takes as flags
+PIPELINE_FLAGS = ("output_dir", "depth", "provider", "endpoint", "auth_token", "model_family",
+                  "dataset", "rerank_alpha", "hybrid_alpha", "fewshot", "eval_k")
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 class UsageError(Exception):
@@ -45,17 +67,52 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, content: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(content)
-    os.replace(tmp, path)
+def _check_range(name: str, value, spelled: str) -> None:
+    """Apply `name`'s RANGES rule to a value or a list; errors say `spelled`."""
+    if name not in RANGES or value is None:
+        return
+    test, rule = RANGES[name]
+    for v in value if isinstance(value, list) else [value]:
+        if not test(v):
+            raise UsageError(f"{spelled} {rule}, got {v}")
 
 
-def _write_run_atomic(run: Run, path: str) -> None:
-    tmp = f"{path}.tmp"
-    corpus.write_run(run, tmp)
-    os.replace(tmp, path)
+def _params(cls, prefix: str, **values):
+    # a ranking parameter class's ValueError starts with the field's name
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from None
+
+
+# mkstemp makes 0600 files; outputs get the mode open() gives: 0o666 less the umask
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def atomic_write(path: str, write: typing.Callable[[str], object]) -> None:
+    """Produce `path` by write(tmp), where tmp is a fresh temp file in the
+    same directory, then fsync it and rename it over `path`. On any failure
+    the temp file is removed and the old `path` is left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        try:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            write(tmp)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_text(path: str | None, text: str) -> str:
+    """Write `text` atomically to `path`, if one is given; return `text`."""
+    if path:
+        atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
+    return text
 
 
 def _require_file(path: str, what: str) -> str:
@@ -64,173 +121,144 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _load_analyzer(lowercase: bool, stopwords_path: str | None, stem: bool) -> ranking.Analyzer:
-    stopwords: frozenset[str] = frozenset()
-    if stopwords_path:
-        with open(_require_file(stopwords_path, "stopword list"), encoding="utf-8") as f:
-            stopwords = frozenset(w.strip() for w in f if w.strip())
-    return ranking.Analyzer(lowercase=lowercase, stopwords=stopwords, stem=stem)
+# --- Verbs: run_<verb> takes the verb's flags as keywords ---
 
-
-# ---------------------------------------------------------------------------
-# Command implementations (shared by the verb dispatch and `pipeline`)
-# ---------------------------------------------------------------------------
-
-def run_index(corpus_path: str, out_path: str, analyzer: ranking.Analyzer) -> None:
-    docs = corpus.load_corpus(_require_file(corpus_path, "corpus"))
+def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | None = None,
+              stem: bool = False) -> None:
+    words: frozenset[str] = frozenset()
+    if stopwords:
+        with open(_require_file(stopwords, "stopword list"), encoding="utf-8") as f:
+            words = frozenset(w.strip() for w in f if w.strip())
+    analyzer = ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
+    docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     index = ranking.build_index(docs, analyzer)
-    tmp = f"{out_path}.tmp"
-    ranking.save_index(index, tmp)
-    os.replace(tmp, out_path)
-    logger.info("indexed %d documents, %d terms -> %s",
-                index.n_docs, len(index.postings), out_path)
+    atomic_write(out, lambda tmp: ranking.save_index(index, tmp))
+    logger.info("indexed %d documents, %d terms -> %s", index.n_docs, len(index.postings), out)
 
 
-def run_search(index_path: str, queries_path: str, out_path: str, ranker: str,
-               k: int, k1: float, b: float, mu: float, tag: str | None) -> None:
-    if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
-    index = ranking.load_index(_require_file(index_path, "index"))
-    queries = corpus.load_queries(_require_file(queries_path, "queries"))
-    entries = {}
-    if ranker == "bm25":
-        params = ranking.Bm25Params(k1=k1, b=b)
-        for query in queries:
-            entries[query.id] = ranking.bm25_search(index, params, query.text, k=k)
-    elif ranker == "dirichlet":
-        dparams = ranking.DirichletParams(mu=mu)
-        for query in queries:
-            entries[query.id] = ranking.dirichlet_search(index, dparams, query.text, k=k)
-    else:
-        raise UsageError(f"unknown ranker {ranker!r}")
-    run = Run(entries, tag=tag or ranker)
-    _write_run_atomic(run, out_path)
-    logger.info("searched %d queries with %s -> %s", len(queries), ranker, out_path)
+def run_search(index: str, queries: str, out: str, ranker: str, k: int,
+               k1: float, b: float, mu: float, tag: str | None) -> None:
+    # both are built, so a bad --mu fails under bm25 too, before any file is read
+    params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
+              "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
+    inverted = ranking.load_index(_require_file(index, "index"))
+    query_list = corpus_io.load_queries(_require_file(queries, "queries"))
+    search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
+    run = Run({query.id: search(inverted, params, query.text, k=k) for query in query_list},
+              tag=tag or ranker)
+    atomic_write(out, lambda tmp: corpus_io.write_run(run, tmp))
+    logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
 
 
 def _build_provider(provider: str, endpoint: str | None, auth_token: str | None,
-                    docs: list[corpus.Document], max_workers: int,
-                    attempts: int = 3, backoff: float = 0.5) -> likelihood.Provider:
+                    docs: list[corpus_io.Document], max_workers: int) -> likelihood.Provider:
     if provider == "bigram":
-        texts = [f"{d.title} {d.body}" if d.title else d.body for d in docs]
-        return likelihood.BigramLm.train(texts)
-    if provider == "remote":
-        endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
-        auth_token = auth_token or os.environ.get(AUTH_TOKEN_ENV)
-        if not endpoint:
-            raise UsageError(
-                f"remote provider needs --endpoint or ${ENDPOINT_ENV}"
-            )
-        return likelihood.RemoteProvider(endpoint, auth_token=auth_token,
-                                         attempts=attempts, backoff=backoff,
-                                         pool_size=max_workers)
-    raise UsageError(f"unknown provider {provider!r}")
+        return likelihood.BigramLm.train([f"{d.title} {d.body}" if d.title else d.body
+                                          for d in docs])
+    endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
+    if not endpoint:
+        raise UsageError(f"remote provider needs --endpoint or ${ENDPOINT_ENV}")
+    return likelihood.RemoteProvider(endpoint, pool_size=max_workers,
+                                     auth_token=auth_token or os.environ.get(AUTH_TOKEN_ENV))
 
 
-def run_rerank(run_path: str, corpus_path: str, queries_path: str, out_path: str,
-               provider: str, endpoint: str | None, auth_token: str | None,
-               catalog_path: str | None, model_family: str, dataset: str,
-               depth: int, doc_max_chars: int, fewshot: bool, on_error: str,
-               max_workers: int, tag: str, stats_out: str | None = None) -> None:
-    if depth < 1:
-        raise UsageError(f"--depth must be >= 1, got {depth}")
-    if max_workers < 1:
-        raise UsageError(f"--max-workers must be >= 1, got {max_workers}")
-    docs = corpus.load_corpus(_require_file(corpus_path, "corpus"))
-    queries = corpus.load_queries(_require_file(queries_path, "queries"))
-    first_stage = corpus.read_run(_require_file(run_path, "candidate run"))
-    catalog = (prompts.load_catalog(_require_file(catalog_path, "prompt catalog"))
-               if catalog_path else prompts.default_catalog())
-    template = catalog.template(model_family, dataset)
-    triples = catalog.fewshot_for(dataset) if fewshot else None
-    logger.info("prompt: %s/%s, %s", model_family, dataset,
-                "fewshot" if triples else "zeroshot")
+def run_rerank(run: str, corpus: str, queries: str, out: str, provider: str,
+               endpoint: str | None, auth_token: str | None, catalog: str | None,
+               model_family: str, dataset: str, depth: int, doc_max_chars: int,
+               fewshot: bool, on_error: str, max_workers: int, tag: str,
+               stats_out: str | None = None) -> None:
+    docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
+    query_list = corpus_io.load_queries(_require_file(queries, "queries"))
+    first_stage = corpus_io.read_run(_require_file(run, "candidate run"))
+    prompt_catalog = (prompts.load_catalog(_require_file(catalog, "prompt catalog"))
+                      if catalog else prompts.default_catalog())
+    template = prompt_catalog.template(model_family, dataset)
+    triples = prompt_catalog.fewshot_for(dataset) if fewshot else None
+    logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
 
     provider_fn = _build_provider(provider, endpoint, auth_token, docs, max_workers)
-    # the bigram model is pure Python: threads would only contend for the GIL
     if provider == "bigram":
-        max_workers = 1
-    doc_lookup = {d.id: d for d in docs}
+        max_workers = 1  # pure Python: threads would only contend for the GIL
     stats = ProviderStats()
-    cache: dict = {}
     reranked = likelihood.rerank_run(
-        provider_fn, template, queries, first_stage, doc_lookup,
+        provider_fn, template, query_list, first_stage, {d.id: d for d in docs},
         depth=depth, doc_max_chars=doc_max_chars, fewshot=triples,
-        cache=cache, stats=stats, max_workers=max_workers,
-        on_error=on_error, tag=tag,
-    )
-    _write_run_atomic(reranked, out_path)
-    logger.info("reranked %d queries -> %s | provider_requests=%d cache_hits=%d hit_rate=%.3f",
-                len(reranked.entries), out_path, stats.requests, stats.cache_hits,
-                stats.hit_rate())
-    if stats_out:
-        _atomic_write(stats_out, json.dumps(
-            {"requests": stats.requests, "cache_hits": stats.cache_hits,
-             "hit_rate": stats.hit_rate()}, sort_keys=True) + "\n")
+        stats=stats, max_workers=max_workers, on_error=on_error, tag=tag)
+    atomic_write(out, lambda tmp: corpus_io.write_run(reranked, tmp))
+    logger.info("reranked %d queries -> %s | provider_requests=%d",
+                len(reranked.entries), out, stats.requests)
+    _write_text(stats_out, json.dumps({"requests": stats.requests}) + "\n")
 
 
-def run_fuse(run_a_path: str, run_b_path: str, out_path: str, alpha: float,
-             tag: str | None) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"--alpha must be in [0, 1], got {alpha}")
-    run_a = corpus.read_run(_require_file(run_a_path, "run A"))
-    run_b = corpus.read_run(_require_file(run_b_path, "run B"))
-    fused = fusion.interpolate(run_a, run_b, alpha, tag=tag)
-    _write_run_atomic(fused, out_path)
-    logger.info("fused %s + %s at alpha=%g -> %s", run_a.tag, run_b.tag, alpha, out_path)
+def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None) -> None:
+    a = corpus_io.read_run(_require_file(run_a, "run A"))
+    b = corpus_io.read_run(_require_file(run_b, "run B"))
+    fused = fusion.interpolate(a, b, alpha, tag=tag)
+    atomic_write(out, lambda tmp: corpus_io.write_run(fused, tmp))
+    logger.info("fused %s + %s at alpha=%g -> %s", a.tag, b.tag, alpha, out)
 
 
-def run_eval(run_path: str, qrels_path: str, k: int, out_path: str | None) -> str:
-    if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
-    run = corpus.read_run(_require_file(run_path, "run"))
-    qrels = corpus.load_qrels(_require_file(qrels_path, "qrels"))
-    report = ndcg_at_k(run, qrels, k=k)
-    text = format_report(report)
-    if out_path:
-        _atomic_write(out_path, text)
-    logger.info("nDCG@%d = %.4f over %d queries", k, report.mean,
-                report.evaluated_query_count)
+def run_eval(run: str, qrels: str, k: int, out: str | None) -> str:
+    report = ndcg_at_k(corpus_io.read_run(_require_file(run, "run")),
+                       corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
+    text = _write_text(out, format_report(report))
+    logger.info("nDCG@%d = %.4f over %d queries", k, report.mean, report.evaluated_query_count)
     return text
 
 
-def run_sigtest(run_paths: list[str], qrels_path: str, k: int, alpha_level: float,
-                correction: str, out_path: str | None) -> str:
-    if len(run_paths) < 2:
+def run_sigtest(runs: list[str], qrels: str, k: int, alpha_level: float,
+                correction: str, out: str | None) -> str:
+    if len(runs) < 2:
         raise UsageError("sigtest needs at least 2 run files")
-    qrels = corpus.load_qrels(_require_file(qrels_path, "qrels"))
-    named = []
-    for path in run_paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        named.append((name, corpus.read_run(_require_file(path, "run"))))
+    judged = corpus_io.load_qrels(_require_file(qrels, "qrels"))
+    named = [(os.path.splitext(os.path.basename(path))[0],
+              corpus_io.read_run(_require_file(path, "run"))) for path in runs]
     if len({name for name, _ in named}) != len(named):
         raise UsageError("run file basenames must be unique (they name the rows)")
-    matrix = significance_matrix(named, qrels, k=k, alpha_level=alpha_level,
-                                 correction=correction)
-    text = matrix.render()
-    if out_path:
-        _atomic_write(out_path, text)
-    return text
+    return _write_text(out, significance_matrix(named, judged, k=k, alpha_level=alpha_level,
+                                                correction=correction).render())
 
 
-def run_sweep(run_a_path: str, run_b_path: str, qrels_path: str, alphas: list[float],
-              k: int, out_path: str | None) -> str:
-    run_a = corpus.read_run(_require_file(run_a_path, "run A"))
-    run_b = corpus.read_run(_require_file(run_b_path, "run B"))
-    qrels = corpus.load_qrels(_require_file(qrels_path, "qrels"))
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise UsageError(f"alpha values must be in [0, 1], got {alpha}")
-    rows = fusion.sweep_alpha(run_a, run_b, alphas, qrels, k=k)
-    text = fusion.format_sweep(rows)
-    if out_path:
-        _atomic_write(out_path, text)
-    return text
+def run_sweep(run_a: str, run_b: str, qrels: str, alphas: list[float], k: int,
+              out: str | None) -> str:
+    rows = fusion.sweep_alpha(corpus_io.read_run(_require_file(run_a, "run A")),
+                              corpus_io.read_run(_require_file(run_b, "run B")), alphas,
+                              corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
+    return _write_text(out, fusion.format_sweep(rows))
 
 
-# ---------------------------------------------------------------------------
-# Pipeline config
-# ---------------------------------------------------------------------------
+# --- Pipeline config ---
+
+def _base_type(hint):
+    """The type a field holds when it is not None: str for `str | None`."""
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+
+
+def _checked(name: str, value, hint):
+    """A config value after checking its JSON type against the field type
+    `hint` (a bool is not an int), its CHOICES and its RANGES. A section
+    must hold only known keys; bm25 and dirichlet become their classes."""
+    if hint is None:
+        raise UsageError(f"unknown config key {name!r}")
+    kind = _base_type(hint)
+    if value is None and kind is not hint:
+        return None
+    if not (type(value) in (int, float) if kind is float
+            else isinstance(value, dict) if kind is dict or is_dataclass(kind)
+            else type(value) is kind):
+        null = " or null" if kind is not hint else ""
+        raise UsageError(f"{name} must be {_JSON_TYPES.get(kind, 'an object')}{null}, "
+                         f"got {json.dumps(value)}")
+    if isinstance(value, dict):
+        keys = (typing.get_type_hints(kind) if is_dataclass(kind) else
+                {k: v for k, v in typing.get_type_hints(run_index).items() if k in ANALYZER_KEYS})
+        value = {k: _checked(f"{name}.{k}", v, keys.get(k)) for k, v in value.items()}
+        return _params(kind, f"{name}.", **value) if is_dataclass(kind) else value
+    if name in CHOICES and value not in CHOICES[name]:
+        raise UsageError(f"{name} must be one of {', '.join(CHOICES[name])}, got {value!r}")
+    _check_range(name, value, name)
+    return value
+
 
 @dataclass
 class PipelineConfig:
@@ -245,8 +273,8 @@ class PipelineConfig:
     dataset: str
     analyzer: dict = dc_field(default_factory=dict)
     first_stage: str = "bm25"
-    bm25: dict = dc_field(default_factory=dict)
-    dirichlet: dict = dc_field(default_factory=dict)
+    bm25: ranking.Bm25Params = dc_field(default_factory=ranking.Bm25Params)
+    dirichlet: ranking.DirichletParams = dc_field(default_factory=ranking.DirichletParams)
     depth: int = 100
     external_run: str | None = None
     hybrid_alpha: float = fusion.HYBRID_ALPHA
@@ -265,107 +293,84 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str, overrides: dict | None = None) -> PipelineConfig:
+        """Read and check a config, with non-None `overrides` winning; every
+        check runs here, before any stage touches the disk."""
         with open(_require_file(path, "config"), encoding="utf-8") as f:
             try:
                 data = json.load(f)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-        if overrides:
-            data.update({k: v for k, v in overrides.items() if v is not None})
-        missing = {"corpus", "queries", "qrels", "output_dir",
-                   "model_family", "dataset"} - set(data)
+        if not isinstance(data, dict):
+            raise UsageError(f"{path}: config must be a JSON object")
+        data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        checked = {name: _checked(name, value, CONFIG_TYPES.get(name))
+                   for name, value in data.items()}
+        missing = [f.name for f in fields(cls) if f.name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
         if missing:
-            raise UsageError(f"{path}: missing required config keys {sorted(missing)}")
-        config = cls(**data)
-        config.validate()
+            raise UsageError(f"{path}: missing required config keys {missing}")
+        config = cls(**checked)
+        for name in ("corpus", "queries", "qrels", "external_run", "catalog"):
+            if getattr(config, name):
+                _require_file(getattr(config, name), name)
         return config
 
-    def validate(self) -> None:
-        for attr in ("corpus", "queries", "qrels"):
-            _require_file(getattr(self, attr), attr)
-        if self.external_run:
-            _require_file(self.external_run, "external_run")
-        if self.catalog:
-            _require_file(self.catalog, "catalog")
-        for name, alpha in (("rerank_alpha", self.rerank_alpha),
-                            ("hybrid_alpha", self.hybrid_alpha)):
-            if not 0.0 <= alpha <= 1.0:
-                raise UsageError(f"{name} must be in [0, 1], got {alpha}")
-        if self.first_stage not in ("bm25", "dirichlet"):
-            raise UsageError(f"first_stage must be bm25 or dirichlet, got {self.first_stage!r}")
-        if self.provider not in ("bigram", "remote"):
-            raise UsageError(f"provider must be bigram or remote, got {self.provider!r}")
-        if self.depth < 1:
-            raise UsageError(f"depth must be >= 1, got {self.depth}")
-        if self.max_workers < 1:
-            raise UsageError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.eval_k < 1:
-            raise UsageError(f"eval_k must be >= 1, got {self.eval_k}")
+
+CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
-def run_pipeline(config: PipelineConfig) -> None:
+def run_pipeline(config: str, **overrides) -> None:
     """index -> first-stage search -> (hybrid fuse) -> rerank -> interpolate
-    -> evaluate -> significance. Every intermediate run is persisted so any
+    -> evaluate -> significance, from the config file at `config` and the
+    config keys in `overrides`. Every intermediate run is persisted so any
     stage can be audited or re-fused afterwards."""
-    os.makedirs(config.output_dir, exist_ok=True)
+    cfg = PipelineConfig.load(config, overrides)
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     def out(name: str) -> str:
-        return os.path.join(config.output_dir, name)
+        return os.path.join(cfg.output_dir, name)
 
-    analyzer = _load_analyzer(
-        lowercase=config.analyzer.get("lowercase", True),
-        stopwords_path=config.analyzer.get("stopwords"),
-        stem=config.analyzer.get("stem", False),
-    )
-    run_index(config.corpus, out("index.json"), analyzer)
-    run_search(
-        out("index.json"), config.queries, out("first_stage.trec"),
-        ranker=config.first_stage, k=config.depth,
-        k1=config.bm25.get("k1", 0.9), b=config.bm25.get("b", 0.4),
-        mu=config.dirichlet.get("mu", 1000.0), tag=None,
-    )
+    run_index(cfg.corpus, out("index.json"), **cfg.analyzer)
+    run_search(out("index.json"), cfg.queries, out("first_stage.trec"),
+               ranker=cfg.first_stage, k=cfg.depth, k1=cfg.bm25.k1, b=cfg.bm25.b,
+               mu=cfg.dirichlet.mu, tag=None)
 
-    candidates_path = out("first_stage.trec")
-    if config.external_run:
+    candidates = out("first_stage.trec")
+    if cfg.external_run:
         # rerank takes the top `depth` of the hybrid run via its own depth cut
-        run_fuse(out("first_stage.trec"), config.external_run, out("hybrid.trec"),
-                 alpha=config.hybrid_alpha, tag="hybrid")
-        candidates_path = out("hybrid.trec")
+        run_fuse(out("first_stage.trec"), cfg.external_run, out("hybrid.trec"),
+                 alpha=cfg.hybrid_alpha, tag="hybrid")
+        candidates = out("hybrid.trec")
 
-    run_rerank(
-        candidates_path, config.corpus, config.queries, out("reranked.trec"),
-        provider=config.provider, endpoint=config.endpoint,
-        auth_token=config.auth_token, catalog_path=config.catalog,
-        model_family=config.model_family, dataset=config.dataset,
-        depth=config.depth, doc_max_chars=config.doc_max_chars,
-        fewshot=config.fewshot, on_error=config.on_error,
-        max_workers=config.max_workers, tag="qlm",
-        stats_out=out("provider_stats.json"),
-    )
-    run_fuse(candidates_path, out("reranked.trec"), out("fused.trec"),
-             alpha=config.rerank_alpha, tag=None)
-    run_eval(out("fused.trec"), config.qrels, k=config.eval_k, out_path=out("eval.tsv"))
-
-    stage_runs = [candidates_path, out("reranked.trec"), out("fused.trec")]
-    run_sigtest(stage_runs, config.qrels, k=config.eval_k,
-                alpha_level=config.alpha_level, correction=config.correction,
-                out_path=out("significance.txt"))
-    logger.info("pipeline complete -> %s", config.output_dir)
+    # every other keyword of run_rerank is the config key of the same name
+    keys = [k for k in inspect.signature(run_rerank).parameters if k in CONFIG_TYPES]
+    run_rerank(candidates, out=out("reranked.trec"), tag="qlm",
+               stats_out=out("provider_stats.json"), **{k: getattr(cfg, k) for k in keys})
+    run_fuse(candidates, out("reranked.trec"), out("fused.trec"),
+             alpha=cfg.rerank_alpha, tag=None)
+    run_eval(out("fused.trec"), cfg.qrels, k=cfg.eval_k, out=out("eval.tsv"))
+    run_sigtest([candidates, out("reranked.trec"), out("fused.trec")], cfg.qrels,
+                k=cfg.eval_k, alpha_level=cfg.alpha_level, correction=cfg.correction,
+                out=out("significance.txt"))
+    logger.info("pipeline complete -> %s", cfg.output_dir)
 
 
-# ---------------------------------------------------------------------------
-# Argument parsing and dispatch
-# ---------------------------------------------------------------------------
+# --- Argument parsing and dispatch ---
 
 def _parse_alphas(value: str) -> list[float]:
+    # raised past argparse, which would print the usage and a second line
     try:
-        return [float(v) for v in value.split(",") if v.strip()]
+        alphas = [float(v) for v in value.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"bad alpha list {value!r}; expected comma-separated floats") from None
+        alphas = []
+    if not alphas:
+        raise UsageError(f"--alphas must be comma-separated floats, got {value!r}")
+    return alphas
+
+
+def _required(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,38 +380,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build an inverted index from a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    _required(p, "--corpus", "--out")
     p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
     p.add_argument("--stopwords", help="newline-separated stopword file")
     p.add_argument("--stem", action="store_true", help="enable plural stripping")
 
     p = sub.add_parser("search", help="first-stage lexical retrieval")
-    p.add_argument("--index", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ranker", choices=["bm25", "dirichlet"], default="bm25")
+    _required(p, "--index", "--queries", "--out")
+    p.add_argument("--ranker", choices=CHOICES["ranker"], default="bm25")
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--k1", type=float, default=0.9)
-    p.add_argument("--b", type=float, default=0.4)
-    p.add_argument("--mu", type=float, default=1000.0)
+    p.add_argument("--k1", type=float, default=ranking.Bm25Params.k1)
+    p.add_argument("--b", type=float, default=ranking.Bm25Params.b)
+    p.add_argument("--mu", type=float, default=ranking.DirichletParams.mu)
     p.add_argument("--tag")
 
     p = sub.add_parser("rerank", help="query-likelihood re-ranking of a candidate run")
     p.add_argument("--run", required=True, help="first-stage candidate run")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--provider", choices=["bigram", "remote"], default="bigram")
+    _required(p, "--corpus", "--queries", "--out", "--model-family", "--dataset")
+    p.add_argument("--provider", choices=CHOICES["provider"], default="bigram")
     p.add_argument("--endpoint", help=f"logprobs endpoint (default ${ENDPOINT_ENV})")
     p.add_argument("--auth-token", help=f"bearer token (default ${AUTH_TOKEN_ENV})")
     p.add_argument("--catalog", help="prompt catalog JSON (default: shipped catalog)")
-    p.add_argument("--model-family", required=True)
-    p.add_argument("--dataset", required=True)
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--doc-max-chars", type=int, default=prompts.DEFAULT_DOC_MAX_CHARS)
     p.add_argument("--fewshot", action="store_true")
-    p.add_argument("--on-error", choices=["fail", "floor"], default="fail")
+    p.add_argument("--on-error", choices=CHOICES["on_error"], default="fail")
     p.add_argument("--max-workers", type=int, default=likelihood.DEFAULT_MAX_WORKERS,
                    help="concurrent requests to the remote provider "
                         "(the bigram provider always scores serially)")
@@ -414,16 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", help="write provider request stats JSON here")
 
     p = sub.add_parser("fuse", help="min-max normalize and interpolate two runs")
-    p.add_argument("--run-a", required=True)
-    p.add_argument("--run-b", required=True)
+    _required(p, "--run-a", "--run-b", "--out")
     p.add_argument("--alpha", type=float, required=True,
                    help="weight on run A (run B gets 1 - alpha)")
-    p.add_argument("--out", required=True)
     p.add_argument("--tag")
 
     p = sub.add_parser("eval", help="nDCG@k of a run against qrels")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
+    _required(p, "--run", "--qrels")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", help="write the per-query TSV report here")
 
@@ -432,92 +427,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--alpha-level", type=float, default=0.05)
-    p.add_argument("--correction", choices=["bonferroni", "none"], default="bonferroni")
+    p.add_argument("--correction", choices=CHOICES["correction"], default="bonferroni")
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="nDCG@k across interpolation weights")
-    p.add_argument("--run-a", required=True)
-    p.add_argument("--run-b", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--alphas", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    _required(p, "--run-a", "--run-b", "--qrels")
+    p.add_argument("--alphas", type=_parse_alphas,
+                   default=",".join(str(i / 10) for i in range(11)))
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", help="run the full two-stage pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--output-dir")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--provider", choices=["bigram", "remote"])
-    p.add_argument("--endpoint")
-    p.add_argument("--auth-token")
-    p.add_argument("--model-family")
-    p.add_argument("--dataset")
-    p.add_argument("--rerank-alpha", type=float)
-    p.add_argument("--hybrid-alpha", type=float)
-    p.add_argument("--fewshot", action="store_const", const=True, default=None)
-    p.add_argument("--eval-k", type=int)
+    for name in PIPELINE_FLAGS:
+        flag, kind = "--" + name.replace("_", "-"), _base_type(CONFIG_TYPES[name])
+        if kind is bool:
+            p.add_argument(flag, action="store_const", const=True)
+        else:
+            p.add_argument(flag, type=kind, choices=CHOICES.get(name))
 
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> None:
-    if args.command == "index":
-        analyzer = _load_analyzer(args.lowercase, args.stopwords, args.stem)
-        run_index(args.corpus, args.out, analyzer)
-    elif args.command == "search":
-        run_search(args.index, args.queries, args.out, ranker=args.ranker, k=args.k,
-                   k1=args.k1, b=args.b, mu=args.mu, tag=args.tag)
-    elif args.command == "rerank":
-        run_rerank(args.run, args.corpus, args.queries, args.out,
-                   provider=args.provider, endpoint=args.endpoint,
-                   auth_token=args.auth_token, catalog_path=args.catalog,
-                   model_family=args.model_family, dataset=args.dataset,
-                   depth=args.depth, doc_max_chars=args.doc_max_chars,
-                   fewshot=args.fewshot, on_error=args.on_error,
-                   max_workers=args.max_workers, tag=args.tag,
-                   stats_out=args.stats_out)
-    elif args.command == "fuse":
-        run_fuse(args.run_a, args.run_b, args.out, alpha=args.alpha, tag=args.tag)
-    elif args.command == "eval":
-        sys.stdout.write(run_eval(args.run, args.qrels, k=args.k, out_path=args.out))
-    elif args.command == "sigtest":
-        sys.stdout.write(run_sigtest(args.runs, args.qrels, k=args.k,
-                                     alpha_level=args.alpha_level,
-                                     correction=args.correction, out_path=args.out))
-    elif args.command == "sweep":
-        sys.stdout.write(run_sweep(args.run_a, args.run_b, args.qrels,
-                                   alphas=_parse_alphas(args.alphas), k=args.k,
-                                   out_path=args.out))
-    elif args.command == "pipeline":
-        overrides = {
-            "output_dir": args.output_dir,
-            "depth": args.depth,
-            "provider": args.provider,
-            "endpoint": args.endpoint,
-            "auth_token": args.auth_token,
-            "model_family": args.model_family,
-            "dataset": args.dataset,
-            "rerank_alpha": args.rerank_alpha,
-            "hybrid_alpha": args.hybrid_alpha,
-            "fewshot": args.fewshot,
-            "eval_k": args.eval_k,
-        }
-        config = PipelineConfig.load(args.config, overrides)
-        run_pipeline(config)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
+VERBS: dict[str, typing.Callable[..., str | None]] = {
+    "index": run_index, "search": run_search, "rerank": run_rerank, "fuse": run_fuse,
+    "eval": run_eval, "sigtest": run_sigtest, "sweep": run_sweep, "pipeline": run_pipeline,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    parser = build_parser()
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
-        args = parser.parse_args(argv)
-        _dispatch(args)
+        args = vars(build_parser().parse_args(argv))
+        verb = VERBS[args.pop("command")]
+        for name, value in args.items():
+            _check_range(name, value, "--" + name.replace("_", "-"))
+        sys.stdout.write(verb(**args) or "")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

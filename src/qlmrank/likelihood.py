@@ -11,9 +11,7 @@ a deterministic add-one-smoothed bigram model for offline use and testing.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import logging
 import math
 import re
@@ -22,7 +20,7 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, MutableMapping
+from typing import Callable
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -304,40 +302,11 @@ class ProviderStats:
 
     def __init__(self) -> None:
         self.requests = 0
-        self.cache_hits = 0
         self._lock = threading.Lock()
 
     def add_request(self) -> None:
         with self._lock:
             self.requests += 1
-
-    def add_cache_hit(self) -> None:
-        with self._lock:
-            self.cache_hits += 1
-
-    def hit_rate(self) -> float:
-        total = self.requests + self.cache_hits
-        return self.cache_hits / total if total else 0.0
-
-
-ScoreCache = MutableMapping[tuple[str, str, str], float]
-
-
-def template_fingerprint(template: PromptTemplate,
-                         fewshot: list[FewShotExample] | None,
-                         doc_max_chars: int) -> str:
-    """Stable hash of everything that shapes the rendered prompt."""
-    material = {
-        "system_prefix": template.system_prefix,
-        "body": template.body,
-        "suffix": template.suffix,
-        "doc_max_chars": doc_max_chars,
-        "fewshot": [
-            [t.document, t.good_question, t.bad_question] for t in fewshot
-        ] if fewshot else None,
-    }
-    blob = json.dumps(material, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def rerank(
@@ -374,11 +343,11 @@ def rerank_run(
     prompt is rendered once, whatever the number of queries it serves.
 
     Keyword arguments: doc_max_chars, fewshot (guidance triples, or None
-    for zero-shot), cache and stats (see ScoreCache and ProviderStats),
-    max_workers, logprob_floor, tag, and on_error: "fail" propagates the
-    first provider failure and submits no further pairs, "floor" scores
-    each failing pair at the logprob floor instead. Queries without
-    first-stage candidates are omitted.
+    for zero-shot), stats (see ProviderStats), max_workers, logprob_floor,
+    tag, and on_error: "fail" propagates the first provider failure and
+    submits no further pairs, "floor" scores each failing pair at the
+    logprob floor instead. Queries without first-stage candidates are
+    omitted.
     """
     work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
     return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
@@ -391,7 +360,6 @@ def _rerank(
     doc_lookup: dict[str, Document],
     doc_max_chars: int = DEFAULT_DOC_MAX_CHARS,
     fewshot: list[FewShotExample] | None = None,
-    cache: ScoreCache | None = None,
     stats: ProviderStats | None = None,
     max_workers: int = DEFAULT_MAX_WORKERS,
     on_error: str = "fail",
@@ -400,7 +368,6 @@ def _rerank(
 ) -> Run:
     if on_error not in ("fail", "floor"):
         raise ValueError(f"on_error must be 'fail' or 'floor', got {on_error!r}")
-    fingerprint = template_fingerprint(template, fewshot, doc_max_chars)
     # the prompt depends on the document only, never on the query
     prompts: dict[str, str] = {}
     pairs: list[tuple[Query, Document]] = []
@@ -417,11 +384,6 @@ def _rerank(
 
     def score_pair(pair: tuple[Query, Document]) -> float:
         query, doc = pair
-        key = (fingerprint, doc.id, query.id)
-        if cache is not None and key in cache:
-            if stats is not None:
-                stats.add_cache_hit()
-            return cache[key]
         request = make_request(prompts[doc.id], query.text)
         try:
             score = score_query_likelihood(provider(request))
@@ -433,8 +395,6 @@ def _rerank(
             score = logprob_floor
         if stats is not None:
             stats.add_request()
-        if cache is not None:
-            cache[key] = score
         return score
 
     if max_workers > 1 and len(pairs) > 1:

@@ -1,9 +1,11 @@
 import json
 import os
+import pathlib
+import threading
 
 import pytest
 
-from qlmrank.cli import main
+from qlmrank.cli import atomic_write, main
 from qlmrank.corpus import read_run
 
 
@@ -106,7 +108,8 @@ class TestRerankAndFuse:
                 "--provider", "bigram", "--model-family", "llama",
                 "--dataset", "trecc", "--stats-out", stats_path)
         stats = json.loads(stats_path.read_text())
-        assert stats["requests"] > 0 and stats["cache_hits"] == 0
+        pairs = sum(len(ranking) for ranking in read_run(str(first)).entries.values())
+        assert stats == {"requests": pairs}
 
     @pytest.mark.parametrize("fewshot", [[], ["--fewshot"]])
     def test_bigram_output_independent_of_max_workers(self, dataset, fewshot):
@@ -324,3 +327,129 @@ def test_usage_error_on_unknown_command():
 
 def test_usage_error_on_missing_required_flag():
     assert main(["search", "--index", "x"]) == 1
+
+
+class TestMalformedInput:
+    """Every malformed flag or config value is a usage error: exit 1, one
+    `error:` line naming the parameter, and nothing run or written."""
+
+    CONFIG_CASES = {
+        "depth-as-string": ({"depth": "100"}, 'depth must be an integer, got "100"'),
+        "depth-as-bool": ({"depth": True}, "depth must be an integer, got true"),
+        "rerank-alpha-as-string": ({"rerank_alpha": "0.5"},
+                                   'rerank_alpha must be a number, got "0.5"'),
+        "bm25-typo": ({"bm25": {"k_1": 5}}, "unknown config key 'bm25.k_1'"),
+        "analyzer-typo": ({"analyzer": {"lower": False}}, "unknown config key 'analyzer.lower'"),
+        "fewshot-as-string": ({"fewshot": "no"}, 'fewshot must be true or false, got "no"'),
+        "doc-max-chars-zero": ({"doc_max_chars": 0}, "doc_max_chars must be >= 1, got 0"),
+        "on-error-unknown": ({"on_error": "ignore"},
+                             "on_error must be one of fail, floor, got 'ignore'"),
+        "bm25-b-above-one": ({"bm25": {"b": 2}}, "bm25.b must be in [0, 1], got 2"),
+        "bm25-k1-infinite": ({"bm25": {"k1": float("inf")}},
+                             "bm25.k1 must be finite and > 0, got inf"),
+        "correction-unknown": ({"correction": "holm"},
+                               "correction must be one of bonferroni, none, got 'holm'"),
+        "alpha-level-above-one": ({"alpha_level": 5}, "alpha_level must be in [0, 1], got 5"),
+        "array": ([], "config must be a JSON object"),
+    }
+
+    # paths that do not exist: each error must come before any file is read
+    FLAG_CASES = {
+        "search-k1-zero": (["search", "--index", "i.json", "--queries", "q.jsonl",
+                            "--out", "o.trec", "--k1", "0"],
+                           "--k1 must be finite and > 0, got 0.0"),
+        "search-k1-nan": (["search", "--index", "i.json", "--queries", "q.jsonl",
+                           "--out", "o.trec", "--k1", "nan"],
+                          "--k1 must be finite and > 0, got nan"),
+        "search-b-above-one": (["search", "--index", "i.json", "--queries", "q.jsonl",
+                                "--out", "o.trec", "--b", "2"], "--b must be in [0, 1], got 2.0"),
+        "search-mu-negative": (["search", "--index", "i.json", "--queries", "q.jsonl",
+                                "--out", "o.trec", "--mu", "-1"],
+                               "--mu must be finite and > 0, got -1.0"),
+        "rerank-doc-max-chars-zero": (["rerank", "--run", "r.trec", "--corpus", "c.jsonl",
+                                       "--queries", "q.jsonl", "--out", "o.trec",
+                                       "--model-family", "llama", "--dataset", "trecc",
+                                       "--doc-max-chars", "0"],
+                                      "--doc-max-chars must be >= 1, got 0"),
+        "sigtest-alpha-level-above-one": (["sigtest", "a.trec", "b.trec", "--qrels", "q.tsv",
+                                           "--alpha-level", "7"],
+                                          "--alpha-level must be in [0, 1], got 7.0"),
+        "sweep-empty-alphas": (["sweep", "--run-a", "a.trec", "--run-b", "b.trec",
+                                "--qrels", "q.tsv", "--alphas", ","],
+                               "--alphas must be comma-separated floats, got ','"),
+        "sweep-alpha-above-one": (["sweep", "--run-a", "a.trec", "--run-b", "b.trec",
+                                   "--qrels", "q.tsv", "--alphas", "0,5"],
+                                  "--alphas must be in [0, 1], got 5.0"),
+        "pipeline-depth-flag-zero": (["pipeline", "--config", "c.json", "--depth", "0"],
+                                     "--depth must be >= 1, got 0"),
+    }
+
+    make_config = TestPipeline.make_config
+
+    @staticmethod
+    def assert_usage_error(code, err, message):
+        assert code == 1
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
+
+    @pytest.mark.parametrize("case", CONFIG_CASES)
+    def test_config(self, dataset, capsys, case):
+        change, message = self.CONFIG_CASES[case]
+        outdir = dataset["dir"] / "out"
+        config = self.make_config(dataset, outdir)
+        data = {**json.loads(config.read_text()), **change} if change else change
+        config.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config)
+        self.assert_usage_error(code, capsys.readouterr().err, message)
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_flag(self, tmp_path, monkeypatch, capsys, case):
+        argv, message = self.FLAG_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*argv)
+        self.assert_usage_error(code, capsys.readouterr().err, message)
+        assert os.listdir(tmp_path) == []
+
+
+class TestAtomicWrite:
+    def test_failing_writer_keeps_old_content_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "run.trec"
+        target.write_text("old\n", encoding="utf-8")
+
+        def failing(tmp):
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write("half a fi")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(str(target), failing)
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["run.trec"]
+
+    def test_concurrent_writers_each_leave_a_complete_file(self, tmp_path):
+        target = str(tmp_path / "run.trec")
+        contents = [f"{name}\n" * 200_000 for name in ("aaaa", "bbbb")]
+        seen = []
+
+        def writer(text):
+            for _ in range(5):
+                atomic_write(target, lambda tmp: pathlib.Path(tmp).write_text(text))
+                with open(target, encoding="utf-8") as f:
+                    seen.append(f.read())
+
+        threads = [threading.Thread(target=writer, args=(text,)) for text in contents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(seen) == 10 and all(text in contents for text in seen)
+        assert os.listdir(tmp_path) == ["run.trec"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        atomic_write(str(tmp_path / "a"), lambda tmp: pathlib.Path(tmp).write_text("x"))
+        (tmp_path / "b").write_text("x")
+        assert os.stat(tmp_path / "a").st_mode == os.stat(tmp_path / "b").st_mode

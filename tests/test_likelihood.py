@@ -26,7 +26,6 @@ from qlmrank.likelihood import (
     rerank,
     rerank_run,
     score_query_likelihood,
-    template_fingerprint,
 )
 from qlmrank.prompts import PromptTemplate
 
@@ -223,38 +222,6 @@ class TestRerank:
             rerank(constant_provider(-1.0), self.template, Query("q1", "x"),
                    [("missing", 1.0)], self.docs)
 
-    def test_cache_prevents_repeat_provider_calls(self):
-        calls = []
-
-        def provider(request):
-            calls.append(request.context)
-            return LikelihoodResult(tokens=("q",), logprobs=(-1.0,))
-
-        cache: dict = {}
-        stats = ProviderStats()
-        candidates = [("d1", 0.0), ("d2", 0.0)]
-        query = Query("q1", "query")
-        rerank(provider, self.template, query, candidates, self.docs,
-               cache=cache, stats=stats, max_workers=1)
-        rerank(provider, self.template, query, candidates, self.docs,
-               cache=cache, stats=stats, max_workers=1)
-        assert len(calls) == 2
-        assert stats.requests == 2
-        assert stats.cache_hits == 2
-        assert stats.hit_rate() == 0.5
-
-    def test_cache_key_distinguishes_templates(self):
-        cache: dict = {}
-        other = PromptTemplate(body="Different: {doc}")
-        fp1 = template_fingerprint(self.template, None, 4000)
-        fp2 = template_fingerprint(other, None, 4000)
-        assert fp1 != fp2
-        rerank(constant_provider(-1.0), self.template, Query("q1", "x"),
-               [("d1", 0.0)], self.docs, cache=cache)
-        rerank(constant_provider(-2.0), other, Query("q1", "x"),
-               [("d1", 0.0)], self.docs, cache=cache)
-        assert len(cache) == 2
-
     def test_provider_failure_propagates_by_default(self):
         def failing(request):
             raise ProviderError("backend down")
@@ -374,15 +341,15 @@ class TestScheduler:
 
     def test_stats_and_cache_count_every_pair_under_contention(self):
         docs, first_stage, queries = self.corpus(n_docs=100, n_queries=5, depth=100)
-        stats, cache = ProviderStats(), {}
+        stats = ProviderStats()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             rerank_run(pair_provider(), self.template, queries, first_stage, docs,
-                       cache=cache, stats=stats, max_workers=8)
+                       stats=stats, max_workers=8)
         finally:
             sys.setswitchinterval(interval)
-        assert stats.requests == len(cache) == 500
+        assert stats.requests == 500
 
     @pytest.mark.parametrize("fewshot", [False, True])
     def test_each_prompt_rendered_once_per_document(self, monkeypatch, fewshot):

@@ -302,7 +302,8 @@ def test_param_defaults():
     assert DirichletParams().mu == 1000.0
 
 
-@pytest.mark.parametrize("bad", [{"k1": 0.0}, {"k1": -1.0}, {"b": 1.5}, {"b": -0.1}])
+@pytest.mark.parametrize("bad", [{"k1": 0.0}, {"k1": -1.0}, {"b": 1.5}, {"b": -0.1},
+                                 {"k1": math.inf}, {"k1": math.nan}, {"b": math.nan}])
 def test_bm25_param_validation(bad):
     with pytest.raises(ValueError):
         Bm25Params(**bad)
