@@ -155,11 +155,25 @@ def _build_provider(provider: str, endpoint: str | None, auth_token: str | None,
     if provider == "bigram":
         return likelihood.BigramLm.train([f"{d.title} {d.body}" if d.title else d.body
                                           for d in docs])
+    return likelihood.RemoteProvider(_endpoint(endpoint), pool_size=max_workers,
+                                     auth_token=auth_token or os.environ.get(AUTH_TOKEN_ENV))
+
+
+def _endpoint(endpoint: str | None) -> str:
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"remote provider needs --endpoint or ${ENDPOINT_ENV}")
-    return likelihood.RemoteProvider(endpoint, pool_size=max_workers,
-                                     auth_token=auth_token or os.environ.get(AUTH_TOKEN_ENV))
+    return endpoint
+
+
+def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot: bool
+                  ) -> tuple[prompts.PromptTemplate, list[prompts.FewShotExample] | None]:
+    """The template of model_family/dataset and, if fewshot, the dataset's
+    few-shot triples, from the catalog at `catalog` or the shipped one."""
+    prompt_catalog = (prompts.load_catalog(_require_file(catalog, "prompt catalog"))
+                      if catalog else prompts.default_catalog())
+    return (prompt_catalog.template(model_family, dataset),
+            prompt_catalog.fewshot_for(dataset) if fewshot else None)
 
 
 def run_rerank(run: str, corpus: str, queries: str, out: str, provider: str,
@@ -170,10 +184,7 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, provider: str,
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     query_list = corpus_io.load_queries(_require_file(queries, "queries"))
     first_stage = corpus_io.read_run(_require_file(run, "candidate run"))
-    prompt_catalog = (prompts.load_catalog(_require_file(catalog, "prompt catalog"))
-                      if catalog else prompts.default_catalog())
-    template = prompt_catalog.template(model_family, dataset)
-    triples = prompt_catalog.fewshot_for(dataset) if fewshot else None
+    template, triples = _prompt_setup(catalog, model_family, dataset, fewshot)
     logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
 
     provider_fn = _build_provider(provider, endpoint, auth_token, docs, max_workers)
@@ -313,6 +324,10 @@ class PipelineConfig:
         for name in ("corpus", "queries", "qrels", "external_run", "catalog"):
             if getattr(config, name):
                 _require_file(getattr(config, name), name)
+        # the re-rank stage's own checks, in its order
+        _prompt_setup(config.catalog, config.model_family, config.dataset, config.fewshot)
+        if config.provider == "remote":
+            _endpoint(config.endpoint)
         return config
 
 

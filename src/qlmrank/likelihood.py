@@ -20,10 +20,7 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING, Callable
 
 from .corpus import Document, Query, Run
 from .prompts import (
@@ -33,6 +30,9 @@ from .prompts import (
     render_fewshot,
     render_prompt,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +133,9 @@ class RemoteProvider:
     Without a `session`, the provider opens one whose connection pool per
     host holds `pool_size` connections: set it to the number of threads
     that share the provider, or the surplus ones reconnect on every call.
+
+    The provider imports `requests` itself, so the package and its
+    offline verbs load without the HTTP stack.
     """
 
     def __init__(
@@ -157,6 +160,9 @@ class RemoteProvider:
         self.timeout = timeout
         self.logprob_floor = logprob_floor
         if session is None:
+            import requests
+            from requests.adapters import HTTPAdapter
+
             session = requests.Session()
             for prefix in ("https://", "http://"):
                 session.mount(prefix, HTTPAdapter(pool_connections=pool_size,
@@ -164,6 +170,8 @@ class RemoteProvider:
         self.session = session
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"

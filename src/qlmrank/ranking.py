@@ -7,6 +7,7 @@ The index is immutable after build; scoring and search are read-only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -115,6 +116,14 @@ class InvertedIndex:
     def avgdl(self) -> float:
         return self.total_terms / self.n_docs
 
+    @functools.cached_property
+    def _docs_by_length(self) -> dict[int, list[str]]:
+        """Doc ids grouped by document length, in doc_len order."""
+        groups: dict[int, list[str]] = {}
+        for did, dl in self.doc_len.items():
+            groups.setdefault(dl, []).append(did)
+        return groups
+
     def df(self, term: str) -> int:
         return len(self.postings.get(term, ()))
 
@@ -193,13 +202,22 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query: str,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     query_terms = index.analyzer.tokenize(query)
+    # bm25_term_weight's expressions, with idf hoisted per term and the
+    # length norm per distinct dl: every weight is bit-identical
+    avgdl = index.avgdl
+    norms: dict[int, float] = {}
     scores: dict[str, float] = {}
     for term, count in Counter(query_terms).items():
         if term not in index.postings:
             continue
+        df = index.df(term)
+        idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
         for did, tf in index.postings[term]:
-            w = count * bm25_term_weight(index, params, term, tf, index.doc_len[did])
-            scores[did] = scores.get(did, 0.0) + w
+            dl = index.doc_len[did]
+            norm = norms.get(dl)
+            if norm is None:
+                norm = norms[dl] = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
+            scores[did] = scores.get(did, 0.0) + count * (idf * tf / (tf + norm))
     ranked = _sort_ranking([(did, s) for did, s in scores.items() if s > 0.0])
     return ranked[:k]
 
@@ -228,31 +246,47 @@ def dirichlet_qlm_score(index: InvertedIndex, params: DirichletParams,
 
 def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
                      k: int = 100) -> list[tuple[str, float]]:
-    """Top-k documents by Dirichlet query likelihood.
+    """Top-k documents by Dirichlet query likelihood: the same list, scores
+    included, as scoring every document with dirichlet_qlm_score and
+    truncating. Smoothing gives nonzero scores without term overlap, so an
+    all-OOV query yields doc-id order with zero scores.
 
-    Every document is scored: smoothing gives nonzero scores even without
-    term overlap, so zero-score entries are kept (an all-OOV query yields
-    doc-id order).
+    Documents holding a query term are scored one by one. Every other
+    document scores by its length alone, so each distinct length is scored
+    once and only the best length groups, enough to fill k and every group
+    tied with the last one taken, join the final sort.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_terms = index.analyzer.tokenize(query)
-    # tf lookup per query term, one postings pass each; Counter order keeps
-    # float accumulation identical to dirichlet_qlm_score
-    counts = Counter(query_terms)
-    tf_maps = {
-        term: dict(index.postings.get(term, ()))
-        for term in counts
-        if index.cf.get(term, 0) > 0
-    }
-    scores = []
-    for did, dl in index.doc_len.items():
+    # (count, mu * cf / total, tf by doc id) per query term in Counter
+    # order: float accumulation stays identical to dirichlet_qlm_score
+    terms = [(count, params.mu * index.cf[term] / index.total_terms,
+              dict(index.postings.get(term, ())))
+             for term, count in Counter(index.analyzer.tokenize(query)).items()
+             if index.cf.get(term, 0) > 0]
+
+    def score(did: str | None, dl: int) -> float:
+        # did None: a document of length dl in no posting
         s = 0.0
-        for term, tf_map in tf_maps.items():
-            p = (tf_map.get(did, 0) + params.mu * index.cf[term] / index.total_terms) / (dl + params.mu)
-            s += counts[term] * math.log(p)
-        scores.append((did, s))
-    return _sort_ranking(scores)[:k]
+        for count, smoothed, tf_map in terms:
+            s += count * math.log((tf_map.get(did, 0) + smoothed) / (dl + params.mu))
+        return s
+
+    touched = {did for _, _, tf_map in terms for did in tf_map}
+    shortlist = [(did, score(did, index.doc_len[did])) for did in touched]
+    groups = sorted(((score(None, dl), ids) for dl, ids in index._docs_by_length.items()),
+                    key=lambda group: -group[0])
+    # a non-posting doc left out scores below `last`, and k others score at least `last`
+    taken = 0
+    last = None
+    for s, ids in groups:
+        if taken >= k and s != last:
+            break
+        fresh = [(did, s) for did in ids if did not in touched]
+        shortlist += fresh
+        taken += len(fresh)
+        last = s
+    return _sort_ranking(shortlist)[:k]
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
@@ -267,8 +301,10 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "postings": {term: [[did, tf] for did, tf in plist]
                      for term, plist in index.postings.items()},
     }
+    # one dumps call runs the C encoder; json.dump streams through Python
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
+        f.write(text)
 
 
 def load_index(path: str) -> InvertedIndex:

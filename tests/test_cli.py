@@ -1,10 +1,13 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import qlmrank
 from qlmrank.cli import atomic_write, main
 from qlmrank.corpus import read_run
 
@@ -412,6 +415,49 @@ class TestMalformedInput:
         code = run_cli(*argv)
         self.assert_usage_error(code, capsys.readouterr().err, message)
         assert os.listdir(tmp_path) == []
+
+    def test_remote_without_endpoint(self, dataset, monkeypatch, capsys):
+        monkeypatch.delenv("QLMRANK_ENDPOINT", raising=False)
+        outdir = dataset["dir"] / "out"
+        config = self.make_config(dataset, outdir, provider="remote")
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config)
+        self.assert_usage_error(code, capsys.readouterr().err,
+                                "remote provider needs --endpoint or $QLMRANK_ENDPOINT")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model_family": "gpt9"}, "no template for gpt9/trecc"),
+        ({"catalog": "no-fewshot.json", "fewshot": True},
+         "no few-shot examples for dataset 'trecc'"),
+    ])
+    def test_prompt_missing_from_catalog(self, dataset, capsys, change, message):
+        # a data error like the re-rank stage's own, before any stage runs
+        (dataset["dir"] / "no-fewshot.json").write_text(json.dumps(
+            [{"model_family": "llama", "dataset": "trecc", "body": "Doc: {doc}"}]))
+        if "catalog" in change:
+            change = {**change, "catalog": str(dataset["dir"] / change["catalog"])}
+        outdir = dataset["dir"] / "out"
+        config = self.make_config(dataset, outdir, **change)
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config)
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert line.startswith("data error: ") and message in line
+        assert not outdir.exists()
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # only a remote provider needs requests; the offline verbs never load it
+    src = os.path.dirname(os.path.dirname(qlmrank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qlmrank.cli; print(sorted({'requests', "
+         "'urllib3', 'charset_normalizer'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestAtomicWrite:

@@ -3,8 +3,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qlmrank.corpus import Document
+from qlmrank.corpus import Document, _sort_ranking
 from qlmrank.ranking import (
     Analyzer,
     Bm25Params,
@@ -291,6 +292,53 @@ class TestDirichlet:
             assert [g[0] for g in got] == [e[0] for e in expected]
             for (_, gs), (_, es) in zip(got, expected):
                 assert gs == pytest.approx(es, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Search equals exhaustive scoring, bit for bit, for every k
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tie_heavy_corpora(draw):
+    """Few distinct document lengths (so many documents tie on length),
+    doc ids not in insertion order, and queries that repeat terms or hold
+    only out-of-vocabulary words."""
+    vocab = ["a", "b", "c", "d", "e"]
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = draw(st.integers(1, 20))
+    ids = draw(st.permutations(range(n)))
+    docs = [Document(f"d{i:02d}", "", " ".join(draw(st.lists(
+                st.sampled_from(vocab), min_size=length, max_size=length))))
+            for i, length in zip(ids, draw(st.lists(st.sampled_from(lengths),
+                                                    min_size=n, max_size=n)))]
+    query = " ".join(draw(st.lists(st.sampled_from(vocab + ["oov", "zz"]), max_size=5)))
+    return docs, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_corpora(), st.sampled_from([0.5, 10.0, 1000.0]))
+def test_dirichlet_search_is_exhaustive_scoring_truncated(corpus, mu):
+    docs, query = corpus
+    index = build_index(docs)
+    params = DirichletParams(mu=mu)
+    terms = index.analyzer.tokenize(query)
+    full = _sort_ranking([(d.id, dirichlet_qlm_score(index, params, terms, d.id))
+                          for d in docs])
+    for k in range(1, len(docs) + 3):
+        assert dirichlet_search(index, params, query, k) == full[:k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_corpora(), st.sampled_from([0.0, 0.4, 1.0]))
+def test_bm25_search_is_exhaustive_scoring_truncated(corpus, b):
+    docs, query = corpus
+    index = build_index(docs)
+    params = Bm25Params(b=b)
+    terms = index.analyzer.tokenize(query)
+    scored = [(d.id, bm25_score(index, params, terms, d.id)) for d in docs]
+    full = _sort_ranking([(did, s) for did, s in scored if s > 0.0])
+    for k in range(1, len(docs) + 3):
+        assert bm25_search(index, params, query, k) == full[:k]
 
 
 # ---------------------------------------------------------------------------
