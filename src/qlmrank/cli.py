@@ -7,7 +7,9 @@ beside it, fsynced and renamed into place, so interrupted or concurrent
 runs never leave truncated files.
 
 A parameter has one name: its flag's dest, its run_* keyword and its
-config key are the same word; RANGES and CHOICES hold its rules.
+config key are the same word. Each run_* signature is its verb's only
+flag declaration (build_parser reads it); RANGES and CHOICES hold the
+rules.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
 """
@@ -121,10 +123,11 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-# --- Verbs: run_<verb> takes the verb's flags as keywords ---
+# --- Verbs: run_<verb>'s keywords are its flags, its docstring's first line its help ---
 
 def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | None = None,
               stem: bool = False) -> None:
+    """build an inverted index from a corpus"""
     words: frozenset[str] = frozenset()
     if stopwords:
         with open(_require_file(stopwords, "stopword list"), encoding="utf-8") as f:
@@ -136,8 +139,10 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
     logger.info("indexed %d documents, %d terms -> %s", index.n_docs, len(index.postings), out)
 
 
-def run_search(index: str, queries: str, out: str, ranker: str, k: int,
-               k1: float, b: float, mu: float, tag: str | None) -> None:
+def run_search(index: str, queries: str, out: str, ranker: str = "bm25", k: int = 100,
+               k1: float = ranking.Bm25Params.k1, b: float = ranking.Bm25Params.b,
+               mu: float = ranking.DirichletParams.mu, tag: str | None = None) -> None:
+    """first-stage lexical retrieval"""
     # both are built, so a bad --mu fails under bm25 too, before any file is read
     params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
               "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
@@ -176,11 +181,13 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
             prompt_catalog.fewshot_for(dataset) if fewshot else None)
 
 
-def run_rerank(run: str, corpus: str, queries: str, out: str, provider: str,
-               endpoint: str | None, auth_token: str | None, catalog: str | None,
-               model_family: str, dataset: str, depth: int, doc_max_chars: int,
-               fewshot: bool, on_error: str, max_workers: int, tag: str,
-               stats_out: str | None = None) -> None:
+def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
+               dataset: str, provider: str = "bigram", endpoint: str | None = None,
+               auth_token: str | None = None, catalog: str | None = None, depth: int = 100,
+               doc_max_chars: int = prompts.DEFAULT_DOC_MAX_CHARS, fewshot: bool = False,
+               on_error: str = "fail", max_workers: int = likelihood.DEFAULT_MAX_WORKERS,
+               tag: str = "qlm", stats_out: str | None = None) -> None:
+    """query-likelihood re-ranking of a candidate run"""
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     query_list = corpus_io.load_queries(_require_file(queries, "queries"))
     first_stage = corpus_io.read_run(_require_file(run, "candidate run"))
@@ -201,7 +208,8 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, provider: str,
     _write_text(stats_out, json.dumps({"requests": stats.requests}) + "\n")
 
 
-def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None) -> None:
+def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None = None) -> None:
+    """min-max normalize and interpolate two runs"""
     a = corpus_io.read_run(_require_file(run_a, "run A"))
     b = corpus_io.read_run(_require_file(run_b, "run B"))
     fused = fusion.interpolate(a, b, alpha, tag=tag)
@@ -209,7 +217,8 @@ def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None) ->
     logger.info("fused %s + %s at alpha=%g -> %s", a.tag, b.tag, alpha, out)
 
 
-def run_eval(run: str, qrels: str, k: int, out: str | None) -> str:
+def run_eval(run: str, qrels: str, k: int = 10, out: str | None = None) -> str:
+    """nDCG@k of a run against qrels"""
     report = ndcg_at_k(corpus_io.read_run(_require_file(run, "run")),
                        corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
     text = _write_text(out, format_report(report))
@@ -217,8 +226,9 @@ def run_eval(run: str, qrels: str, k: int, out: str | None) -> str:
     return text
 
 
-def run_sigtest(runs: list[str], qrels: str, k: int, alpha_level: float,
-                correction: str, out: str | None) -> str:
+def run_sigtest(runs: list[str], qrels: str, k: int = 10, alpha_level: float = 0.05,
+                correction: str = "bonferroni", out: str | None = None) -> str:
+    """pairwise paired t-tests between runs"""
     if len(runs) < 2:
         raise UsageError("sigtest needs at least 2 run files")
     judged = corpus_io.load_qrels(_require_file(qrels, "qrels"))
@@ -230,8 +240,10 @@ def run_sigtest(runs: list[str], qrels: str, k: int, alpha_level: float,
                                                 correction=correction).render())
 
 
-def run_sweep(run_a: str, run_b: str, qrels: str, alphas: list[float], k: int,
-              out: str | None) -> str:
+def run_sweep(run_a: str, run_b: str, qrels: str,
+              alphas: list[float] = [i / 10 for i in range(11)],  # shared: never mutated
+              k: int = 10, out: str | None = None) -> str:
+    """nDCG@k across interpolation weights"""
     rows = fusion.sweep_alpha(corpus_io.read_run(_require_file(run_a, "run A")),
                               corpus_io.read_run(_require_file(run_b, "run B")), alphas,
                               corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
@@ -321,9 +333,11 @@ class PipelineConfig:
         if missing:
             raise UsageError(f"{path}: missing required config keys {missing}")
         config = cls(**checked)
-        for name in ("corpus", "queries", "qrels", "external_run", "catalog"):
-            if getattr(config, name):
-                _require_file(getattr(config, name), name)
+        paths = [(name, getattr(config, name))
+                 for name in ("corpus", "queries", "qrels", "external_run", "catalog")]
+        for name, path in paths + [("analyzer.stopwords", config.analyzer.get("stopwords"))]:
+            if path:
+                _require_file(path, name)
         # the re-rank stage's own checks, in its order
         _prompt_setup(config.catalog, config.model_family, config.dataset, config.fewshot)
         if config.provider == "remote":
@@ -335,10 +349,11 @@ CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
 def run_pipeline(config: str, **overrides) -> None:
-    """index -> first-stage search -> (hybrid fuse) -> rerank -> interpolate
-    -> evaluate -> significance, from the config file at `config` and the
-    config keys in `overrides`. Every intermediate run is persisted so any
-    stage can be audited or re-fused afterwards."""
+    """run the full two-stage pipeline from a config
+
+    index -> search -> (hybrid fuse) -> rerank -> interpolate -> evaluate ->
+    significance, from the config file at `config` and the config keys in
+    `overrides`. Every intermediate run is persisted for audit or re-fusion."""
     cfg = PipelineConfig.load(config, overrides)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -348,7 +363,7 @@ def run_pipeline(config: str, **overrides) -> None:
     run_index(cfg.corpus, out("index.json"), **cfg.analyzer)
     run_search(out("index.json"), cfg.queries, out("first_stage.trec"),
                ranker=cfg.first_stage, k=cfg.depth, k1=cfg.bm25.k1, b=cfg.bm25.b,
-               mu=cfg.dirichlet.mu, tag=None)
+               mu=cfg.dirichlet.mu)
 
     candidates = out("first_stage.trec")
     if cfg.external_run:
@@ -359,10 +374,9 @@ def run_pipeline(config: str, **overrides) -> None:
 
     # every other keyword of run_rerank is the config key of the same name
     keys = [k for k in inspect.signature(run_rerank).parameters if k in CONFIG_TYPES]
-    run_rerank(candidates, out=out("reranked.trec"), tag="qlm",
-               stats_out=out("provider_stats.json"), **{k: getattr(cfg, k) for k in keys})
-    run_fuse(candidates, out("reranked.trec"), out("fused.trec"),
-             alpha=cfg.rerank_alpha, tag=None)
+    run_rerank(candidates, out=out("reranked.trec"), stats_out=out("provider_stats.json"),
+               **{k: getattr(cfg, k) for k in keys})
+    run_fuse(candidates, out("reranked.trec"), out("fused.trec"), alpha=cfg.rerank_alpha)
     run_eval(out("fused.trec"), cfg.qrels, k=cfg.eval_k, out=out("eval.tsv"))
     run_sigtest([candidates, out("reranked.trec"), out("fused.trec")], cfg.qrels,
                 k=cfg.eval_k, alpha_level=cfg.alpha_level, correction=cfg.correction,
@@ -383,84 +397,53 @@ def _parse_alphas(value: str) -> list[float]:
     return alphas
 
 
-def _required(p: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        p.add_argument(flag, required=True)
+# the help of each flag that has one, by verb and keyword
+_HELP = {
+    "index": {"stopwords": "newline-separated stopword file", "stem": "enable plural stripping"},
+    "rerank": {"run": "first-stage candidate run",
+               "endpoint": f"logprobs endpoint (default ${ENDPOINT_ENV})",
+               "auth_token": f"bearer token (default ${AUTH_TOKEN_ENV})",
+               "catalog": "prompt catalog JSON (default: shipped catalog)",
+               "max_workers": "concurrent requests to the remote provider "
+                              "(the bigram provider always scores serially)",
+               "stats_out": "write provider request stats JSON here"},
+    "fuse": {"alpha": "weight on run A (run B gets 1 - alpha)"},
+    "eval": {"out": "write the per-query TSV report here"},
+}
+
+
+def _add_param(p: argparse.ArgumentParser, name: str, hint, default, help: str | None) -> None:
+    """Keyword `name`'s argument: required without a default, positional for a list
+    of strings, a switch for a bool (`--no-name` if it defaults to True)."""
+    flag = "--" + name.replace("_", "-")
+    if hint == list[str]:
+        p.add_argument(name, nargs="+", metavar=name.removesuffix("s").upper(), help=help)
+    elif _base_type(hint) is bool:
+        p.add_argument("--no-" + flag[2:] if default else flag, dest=name, action="store_const",
+                       const=not default, default=default, help=help)
+    else:
+        required = default is inspect.Parameter.empty
+        p.add_argument(flag, type=_parse_alphas if hint == list[float] else _base_type(hint),
+                       choices=CHOICES.get(name), required=required,
+                       default=None if required else default, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per VERBS entry, one flag per run_* keyword; `pipeline`'s
+    **overrides become the PIPELINE_FLAGS config keys, each optional."""
     parser = _Parser(prog="qlmrank",
                      description="Zero-shot retrieval, query-likelihood re-ranking, "
                                  "fusion, and evaluation over BEIR-format data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="build an inverted index from a corpus")
-    _required(p, "--corpus", "--out")
-    p.add_argument("--no-lowercase", dest="lowercase", action="store_false")
-    p.add_argument("--stopwords", help="newline-separated stopword file")
-    p.add_argument("--stem", action="store_true", help="enable plural stripping")
-
-    p = sub.add_parser("search", help="first-stage lexical retrieval")
-    _required(p, "--index", "--queries", "--out")
-    p.add_argument("--ranker", choices=CHOICES["ranker"], default="bm25")
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--k1", type=float, default=ranking.Bm25Params.k1)
-    p.add_argument("--b", type=float, default=ranking.Bm25Params.b)
-    p.add_argument("--mu", type=float, default=ranking.DirichletParams.mu)
-    p.add_argument("--tag")
-
-    p = sub.add_parser("rerank", help="query-likelihood re-ranking of a candidate run")
-    p.add_argument("--run", required=True, help="first-stage candidate run")
-    _required(p, "--corpus", "--queries", "--out", "--model-family", "--dataset")
-    p.add_argument("--provider", choices=CHOICES["provider"], default="bigram")
-    p.add_argument("--endpoint", help=f"logprobs endpoint (default ${ENDPOINT_ENV})")
-    p.add_argument("--auth-token", help=f"bearer token (default ${AUTH_TOKEN_ENV})")
-    p.add_argument("--catalog", help="prompt catalog JSON (default: shipped catalog)")
-    p.add_argument("--depth", type=int, default=100)
-    p.add_argument("--doc-max-chars", type=int, default=prompts.DEFAULT_DOC_MAX_CHARS)
-    p.add_argument("--fewshot", action="store_true")
-    p.add_argument("--on-error", choices=CHOICES["on_error"], default="fail")
-    p.add_argument("--max-workers", type=int, default=likelihood.DEFAULT_MAX_WORKERS,
-                   help="concurrent requests to the remote provider "
-                        "(the bigram provider always scores serially)")
-    p.add_argument("--tag", default="qlm")
-    p.add_argument("--stats-out", help="write provider request stats JSON here")
-
-    p = sub.add_parser("fuse", help="min-max normalize and interpolate two runs")
-    _required(p, "--run-a", "--run-b", "--out")
-    p.add_argument("--alpha", type=float, required=True,
-                   help="weight on run A (run B gets 1 - alpha)")
-    p.add_argument("--tag")
-
-    p = sub.add_parser("eval", help="nDCG@k of a run against qrels")
-    _required(p, "--run", "--qrels")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out", help="write the per-query TSV report here")
-
-    p = sub.add_parser("sigtest", help="pairwise paired t-tests between runs")
-    p.add_argument("runs", nargs="+", metavar="RUN")
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--alpha-level", type=float, default=0.05)
-    p.add_argument("--correction", choices=CHOICES["correction"], default="bonferroni")
-    p.add_argument("--out")
-
-    p = sub.add_parser("sweep", help="nDCG@k across interpolation weights")
-    _required(p, "--run-a", "--run-b", "--qrels")
-    p.add_argument("--alphas", type=_parse_alphas,
-                   default=",".join(str(i / 10) for i in range(11)))
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out")
-
-    p = sub.add_parser("pipeline", help="run the full two-stage pipeline from a config")
-    p.add_argument("--config", required=True)
-    for name in PIPELINE_FLAGS:
-        flag, kind = "--" + name.replace("_", "-"), _base_type(CONFIG_TYPES[name])
-        if kind is bool:
-            p.add_argument(flag, action="store_const", const=True)
-        else:
-            p.add_argument(flag, type=kind, choices=CHOICES.get(name))
-
+    for verb, run in VERBS.items():
+        p = sub.add_parser(verb, help=(run.__doc__ or "").split("\n")[0])
+        hints = typing.get_type_hints(run)
+        for name, param in inspect.signature(run).parameters.items():
+            if param.kind is param.VAR_KEYWORD:
+                for key in PIPELINE_FLAGS:
+                    _add_param(p, key, CONFIG_TYPES[key], None, None)
+            else:
+                _add_param(p, name, hints[name], param.default, _HELP.get(verb, {}).get(name))
     return parser
 
 

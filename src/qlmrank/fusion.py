@@ -8,15 +8,12 @@ re-ranked run fuse with a deeper first-stage run.
 
 from __future__ import annotations
 
+import math
+
 from .corpus import QrelSet, Run
 
 RERANK_ALPHA = 0.2  # default weight on the first-stage score when fusing with a re-ranker
 HYBRID_ALPHA = 0.5  # default weight when fusing two first-stage runs
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def _minmax(pairs: list[tuple[str, float]]) -> dict[str, float]:
@@ -25,12 +22,16 @@ def _minmax(pairs: list[tuple[str, float]]) -> dict[str, float]:
     if hi == lo:
         # any constant preserves Eq-style weighted sums; 0 keeps the run inert
         return {did: 0.0 for did, _ in pairs}
+    if math.isinf(hi - lo):
+        # finite scores whose range overflows a float: halving is exact and fits it
+        lo, hi, pairs = lo / 2, hi / 2, [(did, s / 2) for did, s in pairs]
     return {did: (s - lo) / (hi - lo) for did, s in pairs}
 
 
 def minmax_normalize(run: Run) -> Run:
     """Rescale every query's scores to [0, 1]; a constant list maps to all
-    zeros. Ordering is unchanged."""
+    zeros. Scores never increase down a ranking, but rounding can tie
+    scores that differed, and ties re-sort by doc id."""
     entries = {
         qid: list(_minmax(pairs).items())
         for qid, pairs in run.entries.items()
@@ -45,7 +46,8 @@ def interpolate(run_a: Run, run_b: Run, alpha: float, tag: str | None = None) ->
     Per query, the document universe is the union of both runs' documents;
     documents missing from one run contribute normalized score 0 there.
     """
-    _check_alpha(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if tag is None:
         tag = f"fuse-{alpha:g}({run_a.tag},{run_b.tag})"
     entries: dict[str, list[tuple[str, float]]] = {}
@@ -75,8 +77,6 @@ def sweep_alpha(run_a: Run, run_b: Run, alphas: list[float], qrels: QrelSet,
     """
     from .evaluation import ndcg_at_k
 
-    for alpha in alphas:
-        _check_alpha(alpha)
     rows = []
     for alpha in alphas:
         fused = interpolate(run_a, run_b, alpha)

@@ -34,6 +34,8 @@ class PromptTemplate:
     suffix: str = ""
 
     def __post_init__(self) -> None:
+        if not all(isinstance(part, str) for part in (self.body, self.system_prefix, self.suffix)):
+            raise CatalogError("template body, system_prefix and suffix must be strings")
         if self.body.count(DOC_PLACEHOLDER) != 1:
             raise CatalogError(
                 f"template body must contain {DOC_PLACEHOLDER} exactly once: {self.body!r}"
@@ -47,8 +49,9 @@ class FewShotExample:
     bad_question: str
 
     def __post_init__(self) -> None:
-        if not (self.document and self.good_question and self.bad_question):
-            raise CatalogError("few-shot example fields must all be non-empty")
+        if not all(isinstance(text, str) and text
+                   for text in (self.document, self.good_question, self.bad_question)):
+            raise CatalogError("few-shot example fields must all be non-empty strings")
 
 
 @dataclass
@@ -81,25 +84,32 @@ class PromptCatalog:
 
 
 def _parse_entry(obj: dict) -> tuple[tuple[str, str], PromptTemplate, list[FewShotExample] | None]:
+    if not isinstance(obj, dict):
+        raise CatalogError(f"catalog entry must be an object, got {type(obj).__name__}")
     try:
         key = (obj["model_family"], obj["dataset"])
+        if not all(isinstance(part, str) for part in key):
+            raise CatalogError(f"model_family and dataset must be strings, got {key}")
         template = PromptTemplate(
             body=obj["body"],
             system_prefix=obj.get("system_prefix", ""),
             suffix=obj.get("suffix", ""),
         )
+        fewshot = None
+        if "fewshot" in obj:
+            if not (isinstance(obj["fewshot"], list)
+                    and all(isinstance(t, dict) for t in obj["fewshot"])):
+                raise CatalogError(f"{key[0]}/{key[1]}: fewshot must be a list of objects")
+            fewshot = [
+                FewShotExample(
+                    document=t["document"],
+                    good_question=t["good_question"],
+                    bad_question=t["bad_question"],
+                )
+                for t in obj["fewshot"]
+            ]
     except KeyError as exc:
         raise CatalogError(f"catalog entry missing key {exc}") from exc
-    fewshot = None
-    if "fewshot" in obj:
-        fewshot = [
-            FewShotExample(
-                document=t["document"],
-                good_question=t["good_question"],
-                bad_question=t["bad_question"],
-            )
-            for t in obj["fewshot"]
-        ]
     return key, template, fewshot
 
 
@@ -116,11 +126,6 @@ def _catalog_from_objects(objects: list[dict]) -> PromptCatalog:
             if dataset in fewshot and fewshot[dataset] != triples:
                 raise CatalogError(
                     f"dataset {dataset!r}: conflicting few-shot lists across entries"
-                )
-            if len(triples) != 3:
-                raise CatalogError(
-                    f"dataset {dataset!r}: few-shot list must have exactly 3 examples, "
-                    f"got {len(triples)}"
                 )
             fewshot[dataset] = triples
     return PromptCatalog(entries=entries, fewshot=fewshot)

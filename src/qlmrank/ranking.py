@@ -308,17 +308,28 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 
 def load_index(path: str) -> InvertedIndex:
+    """Read save_index's JSON; a file of another shape raises FormatError."""
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    version = payload.get("format_version")
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != INDEX_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported index format version {version!r}")
-    return InvertedIndex(
-        postings={term: [(did, tf) for did, tf in plist]
-                  for term, plist in payload["postings"].items()},
-        doc_len=payload["doc_len"],
-        n_docs=payload["n_docs"],
-        total_terms=payload["total_terms"],
-        cf=payload["cf"],
-        analyzer=Analyzer.from_dict(payload["analyzer"]),
-    )
+    if not all(isinstance(payload.get(key), dict) for key in ("postings", "doc_len", "cf")):
+        raise FormatError(f"{path}: postings, doc_len and cf must be objects")
+    if not all(type(payload.get(key)) is int for key in ("n_docs", "total_terms")):
+        raise FormatError(f"{path}: n_docs and total_terms must be integers")
+    try:
+        return InvertedIndex(
+            postings={term: [(did, tf) for did, tf in plist]
+                      for term, plist in payload["postings"].items()},
+            doc_len=payload["doc_len"],
+            n_docs=payload["n_docs"],
+            total_terms=payload["total_terms"],
+            cf=payload["cf"],
+            analyzer=Analyzer.from_dict(payload["analyzer"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed index ({type(exc).__name__}: {exc})") from None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import threading
 import pytest
 
 import qlmrank
-from qlmrank.cli import atomic_write, main
+from qlmrank.cli import atomic_write, build_parser, main
 from qlmrank.corpus import read_run
 
 
@@ -332,9 +333,52 @@ def test_usage_error_on_missing_required_flag():
     assert main(["search", "--index", "x"]) == 1
 
 
+REQ, OPT = (True, None, None), (False, None, None)
+ALPHAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+# each verb's arguments in help order: option string (a positional's dest)
+# -> (required, default, choices)
+VERB_ARGS = {
+    "index": {"--corpus": REQ, "--out": REQ, "--no-lowercase": (False, True, None),
+              "--stopwords": OPT, "--stem": (False, False, None)},
+    "search": {"--index": REQ, "--queries": REQ, "--out": REQ,
+               "--ranker": (False, "bm25", ("bm25", "dirichlet")), "--k": (False, 100, None),
+               "--k1": (False, 0.9, None), "--b": (False, 0.4, None),
+               "--mu": (False, 1000.0, None), "--tag": OPT},
+    "rerank": {"--run": REQ, "--corpus": REQ, "--queries": REQ, "--out": REQ,
+               "--model-family": REQ, "--dataset": REQ,
+               "--provider": (False, "bigram", ("bigram", "remote")), "--endpoint": OPT,
+               "--auth-token": OPT, "--catalog": OPT, "--depth": (False, 100, None),
+               "--doc-max-chars": (False, 4000, None), "--fewshot": (False, False, None),
+               "--on-error": (False, "fail", ("fail", "floor")),
+               "--max-workers": (False, 8, None), "--tag": (False, "qlm", None),
+               "--stats-out": OPT},
+    "fuse": {"--run-a": REQ, "--run-b": REQ, "--out": REQ, "--alpha": REQ, "--tag": OPT},
+    "eval": {"--run": REQ, "--qrels": REQ, "--k": (False, 10, None), "--out": OPT},
+    "sigtest": {"runs": REQ, "--qrels": REQ, "--k": (False, 10, None),
+                "--alpha-level": (False, 0.05, None),
+                "--correction": (False, "bonferroni", ("bonferroni", "none")), "--out": OPT},
+    "sweep": {"--run-a": REQ, "--run-b": REQ, "--qrels": REQ, "--alphas": (False, ALPHAS, None),
+              "--k": (False, 10, None), "--out": OPT},
+    "pipeline": {"--config": REQ, "--output-dir": OPT, "--depth": OPT,
+                 "--provider": (False, None, ("bigram", "remote")), "--endpoint": OPT,
+                 "--auth-token": OPT, "--model-family": OPT, "--dataset": OPT,
+                 "--rerank-alpha": OPT, "--hybrid-alpha": OPT, "--fewshot": OPT, "--eval-k": OPT},
+}
+
+
+@pytest.mark.parametrize("verb", VERB_ARGS)
+def test_verb_arguments(verb):
+    [verbs] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(verbs.choices) == list(VERB_ARGS)
+    got = {(a.option_strings[0] if a.option_strings else a.dest): (a.required, a.default, a.choices)
+           for a in verbs.choices[verb]._actions if a.dest != "help"}
+    assert list(got.items()) == list(VERB_ARGS[verb].items())
+
+
 class TestMalformedInput:
     """Every malformed flag or config value is a usage error: exit 1, one
-    `error:` line naming the parameter, and nothing run or written."""
+    `error:` line naming the parameter, and nothing run or written. Every
+    malformed input file is a data error: exit 2 and one `data error:` line."""
 
     CONFIG_CASES = {
         "depth-as-string": ({"depth": "100"}, 'depth must be an integer, got "100"'),
@@ -389,12 +433,50 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
+    INDEX = {"format_version": 1, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+             "n_docs": 1, "total_terms": 1, "doc_len": {"d1": 1}, "cf": {"apple": 1},
+             "postings": {"apple": [["d1", 1]]}}
+    INDEX_CASES = {
+        "array": ([], "unsupported index format version None"),
+        "postings-array": ({**INDEX, "postings": []}, "postings, doc_len and cf must be objects"),
+        "doc-len-array": ({**INDEX, "doc_len": [["d1", 1]]},
+                          "postings, doc_len and cf must be objects"),
+        "posting-not-a-pair": ({**INDEX, "postings": {"apple": [["d1"]]}}, "malformed index"),
+        "n-docs-string": ({**INDEX, "n_docs": "1"}, "n_docs and total_terms must be integers"),
+        "analyzer-missing": ({k: v for k, v in INDEX.items() if k != "analyzer"},
+                             "malformed index (KeyError: 'analyzer')"),
+        "not-json": ("{", "invalid JSON"),
+    }
+
+    TRIPLE = {"document": "a doc", "good_question": "good?", "bad_question": "bad?"}
+    ENTRY = {"model_family": "llama", "dataset": "trecc", "body": "Doc: {doc}",
+             "fewshot": [TRIPLE] * 3}
+    CATALOG_CASES = {
+        "entry-not-object": (["llama"], "catalog entry must be an object, got str"),
+        "body-not-string": ([{**ENTRY, "body": 5}],
+                            "template body, system_prefix and suffix must be strings"),
+        "dataset-not-string": ([{**ENTRY, "dataset": ["trecc"]}],
+                               "model_family and dataset must be strings"),
+        "fewshot-not-list": ([{**ENTRY, "fewshot": TRIPLE}], "fewshot must be a list of objects"),
+        "triple-not-object": ([{**ENTRY, "fewshot": [list(TRIPLE.values())] * 3}],
+                              "fewshot must be a list of objects"),
+        "triple-field-not-string": ([{**ENTRY, "fewshot": [{**TRIPLE, "good_question": 7}] * 3}],
+                                    "few-shot example fields must all be non-empty strings"),
+    }
+
     @staticmethod
     def assert_usage_error(code, err, message):
         assert code == 1
         assert "Traceback" not in err
         [line] = err.splitlines()
         assert line.startswith("error: ") and line.endswith(message)
+
+    @staticmethod
+    def assert_data_error(code, err, message):
+        assert code == 2
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("data error: ") and message in line
 
     @pytest.mark.parametrize("case", CONFIG_CASES)
     def test_config(self, dataset, capsys, case):
@@ -441,9 +523,39 @@ class TestMalformedInput:
         config = self.make_config(dataset, outdir, **change)
         capsys.readouterr()
         code = run_cli("pipeline", "--config", config)
-        [line] = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert line.startswith("data error: ") and message in line
+        self.assert_data_error(code, capsys.readouterr().err, message)
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("case", INDEX_CASES)
+    def test_index(self, dataset, capsys, case):
+        payload, message = self.INDEX_CASES[case]
+        index = dataset["dir"] / "index.json"
+        index.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        out = dataset["dir"] / "out.trec"
+        code = run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", out)
+        self.assert_data_error(code, capsys.readouterr().err, f"{index}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", CATALOG_CASES)
+    def test_catalog(self, dataset, capsys, case):
+        entries, message = self.CATALOG_CASES[case]
+        catalog = dataset["dir"] / "catalog.json"
+        catalog.write_text(json.dumps(entries))
+        outdir = dataset["dir"] / "out"
+        config = self.make_config(dataset, outdir, catalog=str(catalog), fewshot=True)
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config)
+        self.assert_data_error(code, capsys.readouterr().err, message)
+        assert not outdir.exists()
+
+    def test_missing_stopword_file(self, dataset, capsys):
+        outdir = dataset["dir"] / "out"
+        missing = dataset["dir"] / "stopwords.txt"
+        config = self.make_config(dataset, outdir, analyzer={"stopwords": str(missing)})
+        capsys.readouterr()
+        code = run_cli("pipeline", "--config", config)
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"analyzer.stopwords not found: {missing}")
         assert not outdir.exists()
 
 

@@ -1,6 +1,9 @@
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlmrank.corpus import (
     Document,
@@ -13,6 +16,11 @@ from qlmrank.corpus import (
     read_run,
     write_run,
 )
+
+# ids and tags as read_run splits a line: no whitespace, nothing UTF-8 cannot encode
+TOKENS = st.text(st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace()),
+                 min_size=1, max_size=6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestLoadCorpus:
@@ -88,6 +96,20 @@ class TestLoadQrels:
         path.write_text("q1\td1\t1\nq2\td2\tbad\n", encoding="utf-8")
         with pytest.raises(FormatError, match="non-integer"):
             load_qrels(str(path))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["q1", "q2"]), st.sampled_from(["d1", "d2"]),
+                              st.integers(0, 3)), min_size=1))
+    def test_repeated_pair_keeps_its_last_grade(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "qrels.tsv")
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(f"{qid}\t{did}\t{grade}\n" for qid, did, grade in rows)
+            qrels = load_qrels(path)
+        last: dict[str, dict[str, int]] = {}
+        for qid, did, grade in rows:
+            last.setdefault(qid, {})[did] = grade
+        assert qrels == QrelSet(last)
 
     def test_duplicate_last_wins(self, tmp_path, caplog):
         path = tmp_path / "qrels.tsv"
@@ -165,6 +187,16 @@ class TestRunFiles:
         path.write_text("q1 Q0 d1 1 high bm25\n", encoding="utf-8")
         with pytest.raises(FormatError, match="non-numeric"):
             read_run(str(path))
+
+    @settings(deadline=None)
+    @given(st.dictionaries(TOKENS, st.dictionaries(TOKENS, FINITE, min_size=1), min_size=1),
+           TOKENS)
+    def test_read_run_inverts_write_run(self, scores, tag):
+        run = Run.from_scores(scores, tag=tag)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.trec")
+            write_run(run, path)
+            assert read_run(path) == run
 
     def test_random_round_trips(self, tmp_path):
         rng = random.Random(42)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlmrank.corpus import QrelSet, Run
 from qlmrank.evaluation import ndcg_at_k
@@ -17,6 +18,14 @@ def random_run(rng, qids, doc_pool=20, tag="r"):
         docs = rng.sample(range(doc_pool), rng.randint(2, min(10, doc_pool)))
         entries[qid] = [(f"d{d}", rng.uniform(-30, 30)) for d in docs]
     return Run(entries, tag=tag)
+
+
+# runs over a few queries and a small doc pool, so that two runs share documents
+RUNS = st.dictionaries(
+    st.sampled_from(["q1", "q2", "q3"]),
+    st.dictionaries(st.text("abcdef", min_size=1, max_size=2),
+                    st.floats(allow_nan=False, allow_infinity=False)),
+).map(Run.from_scores)
 
 
 def restricted_order(run, qid, universe):
@@ -43,6 +52,26 @@ class TestMinMax:
             normalized = minmax_normalize(run)
             for qid in run.entries:
                 assert normalized.doc_ids(qid) == run.doc_ids(qid)
+
+    @settings(deadline=None)
+    @given(RUNS)
+    def test_scores_in_unit_interval_and_never_increasing(self, run):
+        normalized = minmax_normalize(run)
+        for qid, pairs in run.entries.items():
+            scores = [scores_of(normalized, qid)[did] for did, _ in pairs]
+            assert all(0.0 <= s <= 1.0 for s in scores)
+            assert scores == sorted(scores, reverse=True)
+            if len({s for _, s in pairs}) > 1:
+                assert (min(scores), max(scores)) == (0.0, 1.0)
+
+    def test_ordering_can_tie_but_not_flip(self):
+        run = Run({"q": [("z", 2.0), ("a", 1.0), ("m", -1e20)]})
+        assert scores_of(minmax_normalize(run), "q") == {"z": 1.0, "a": 1.0, "m": 0.0}
+        assert minmax_normalize(run).doc_ids("q") == ["a", "z", "m"]
+
+    def test_range_wider_than_a_float(self):
+        run = Run({"q": [("a", 1e308), ("b", 0.0), ("c", -1e308)]})
+        assert scores_of(minmax_normalize(run), "q") == {"a": 1.0, "b": 0.5, "c": 0.0}
 
     def test_per_query_independence(self):
         run = Run({"q1": [("d1", 100.0), ("d2", 0.0)], "q2": [("d1", 2.0), ("d2", 1.0)]})
@@ -87,6 +116,14 @@ class TestInterpolate:
                 got = fused.doc_ids(qid)
                 assert set(got) == expected
                 assert len(got) == len(expected)
+
+    @settings(deadline=None)
+    @given(RUNS, RUNS, st.floats(0.0, 1.0))
+    def test_ranks_exactly_the_union_of_both_runs(self, a, b, alpha):
+        fused = interpolate(a, b, alpha)
+        assert set(fused.query_ids()) == set(a.query_ids()) | set(b.query_ids())
+        for qid in fused.query_ids():
+            assert set(fused.doc_ids(qid)) == set(a.doc_ids(qid)) | set(b.doc_ids(qid))
 
     def test_missing_docs_take_zero(self):
         a = Run({"q": [("d1", 2.0), ("d2", 1.0)]})
