@@ -126,8 +126,10 @@ def _require_file(path: str, what: str) -> str:
 # --- Verbs: run_<verb>'s keywords are its flags, its docstring's first line its help ---
 
 def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | None = None,
-              stem: bool = False) -> None:
-    """build an inverted index from a corpus"""
+              stem: bool = False) -> ranking.InvertedIndex:
+    """build an inverted index from a corpus
+
+    Returns the index it wrote to `out`, for pipeline's search."""
     words: frozenset[str] = frozenset()
     if stopwords:
         with open(_require_file(stopwords, "stopword list"), encoding="utf-8") as f:
@@ -137,6 +139,7 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
     index = ranking.build_index(docs, analyzer)
     atomic_write(out, lambda tmp: ranking.save_index(index, tmp))
     logger.info("indexed %d documents, %d terms -> %s", index.n_docs, len(index.postings), out)
+    return index
 
 
 def run_search(index: str, queries: str, out: str, ranker: str = "bm25", k: int = 100,
@@ -146,7 +149,13 @@ def run_search(index: str, queries: str, out: str, ranker: str = "bm25", k: int 
     # both are built, so a bad --mu fails under bm25 too, before any file is read
     params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
               "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
-    inverted = ranking.load_index(_require_file(index, "index"))
+    _search(ranking.load_index(_require_file(index, "index")), queries, out, ranker, k,
+            params, tag)
+
+
+def _search(inverted: ranking.InvertedIndex, queries: str, out: str, ranker: str, k: int,
+            params: ranking.Bm25Params | ranking.DirichletParams, tag: str | None) -> None:
+    """run_search's work on an index already in memory."""
     query_list = corpus_io.load_queries(_require_file(queries, "queries"))
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
     run = Run({query.id: search(inverted, params, query.text, k=k) for query in query_list},
@@ -360,10 +369,10 @@ def run_pipeline(config: str, **overrides) -> None:
     def out(name: str) -> str:
         return os.path.join(cfg.output_dir, name)
 
-    run_index(cfg.corpus, out("index.json"), **cfg.analyzer)
-    run_search(out("index.json"), cfg.queries, out("first_stage.trec"),
-               ranker=cfg.first_stage, k=cfg.depth, k1=cfg.bm25.k1, b=cfg.bm25.b,
-               mu=cfg.dirichlet.mu)
+    # search takes the index just built; index.json is written as an artifact
+    inverted = run_index(cfg.corpus, out("index.json"), **cfg.analyzer)
+    _search(inverted, cfg.queries, out("first_stage.trec"), cfg.first_stage, cfg.depth,
+            cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet, tag=None)
 
     candidates = out("first_stage.trec")
     if cfg.external_run:
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-VERBS: dict[str, typing.Callable[..., str | None]] = {
+VERBS: dict[str, typing.Callable[..., object]] = {
     "index": run_index, "search": run_search, "rerank": run_rerank, "fuse": run_fuse,
     "eval": run_eval, "sigtest": run_sigtest, "sweep": run_sweep, "pipeline": run_pipeline,
 }
@@ -461,7 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         verb = VERBS[args.pop("command")]
         for name, value in args.items():
             _check_range(name, value, "--" + name.replace("_", "-"))
-        sys.stdout.write(verb(**args) or "")
+        text = verb(**args)  # a report, or run_index's index
+        sys.stdout.write(text if isinstance(text, str) else "")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

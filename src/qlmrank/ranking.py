@@ -10,13 +10,17 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Document, FormatError, _sort_ranking
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+_INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "doc_len", "postings"}
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TOKEN_RE_CASED = re.compile(r"[A-Za-z0-9]+")
@@ -67,6 +71,13 @@ class Analyzer:
 
     @classmethod
     def from_dict(cls, data: dict) -> Analyzer:
+        """The analyzer to_dict describes; any other value raises ValueError."""
+        if not (isinstance(data, dict) and data.keys() == {"lowercase", "stopwords", "stem"}
+                and type(data["lowercase"]) is bool and type(data["stem"]) is bool
+                and isinstance(data["stopwords"], list)
+                and all(type(word) is str for word in data["stopwords"])):
+            raise ValueError("analyzer must be {lowercase: bool, stopwords: [string], "
+                             f"stem: bool}}, got {json.dumps(data)}")
         return cls(
             lowercase=data["lowercase"],
             stopwords=frozenset(data["stopwords"]),
@@ -97,76 +108,106 @@ class DirichletParams:
 
 @dataclass
 class InvertedIndex:
-    """Postings plus the collection statistics BM25 and Dirichlet QLM need.
+    """Postings plus the document lengths BM25 and Dirichlet QLM need.
 
-    Invariants maintained by build_index:
-      sum of tf over a term's postings == cf(term)
-      sum of doc_len values == total_terms
-      avgdl == total_terms / N
+    A document is named by its position in doc_ids; doc_len holds its
+    length. A term's postings are two arrays of equal length: the positions
+    of the documents that hold it, and its tf in each.
+
+    Invariants (build_index makes all; load_index checks all but the last):
+      doc ids are unique, and len(doc_ids) == len(doc_len) >= 1
+      positions are non-empty, ascend and are below n_docs; each tf >= 1
+      a document's tfs over all postings sum to its doc_len
+    The statistics are derived, never stored: n_docs == len(doc_ids),
+    df(term) == len(positions), cf(term) == sum(tfs),
+    total_terms == sum(doc_len) and avgdl == total_terms / n_docs.
     """
 
-    postings: dict[str, list[tuple[str, int]]]
-    doc_len: dict[str, int]
-    n_docs: int
-    total_terms: int
-    cf: dict[str, int]
+    doc_ids: list[str]
+    doc_len: array  # array('I'), by position
+    postings: dict[str, tuple[array, array]]  # term -> (positions, tfs), both array('I')
     analyzer: Analyzer = field(default_factory=Analyzer)
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+    @functools.cached_property
+    def total_terms(self) -> int:
+        return sum(self.doc_len)
 
     @property
     def avgdl(self) -> float:
         return self.total_terms / self.n_docs
 
     @functools.cached_property
-    def _docs_by_length(self) -> dict[int, list[str]]:
-        """Doc ids grouped by document length, in doc_len order."""
-        groups: dict[int, list[str]] = {}
-        for did, dl in self.doc_len.items():
-            groups.setdefault(dl, []).append(did)
+    def _positions(self) -> dict[str, int]:
+        """Doc id -> position, built on first use by the string-id oracles."""
+        return {did: pos for pos, did in enumerate(self.doc_ids)}
+
+    @functools.cached_property
+    def _docs_by_length(self) -> dict[int, list[int]]:
+        """Doc positions grouped by document length, in position order."""
+        groups: dict[int, list[int]] = {}
+        for pos, dl in enumerate(self.doc_len):
+            groups.setdefault(dl, []).append(pos)
         return groups
 
+    def position(self, doc_id: str) -> int:
+        """doc_id's index in doc_ids; KeyError for an unknown id."""
+        try:
+            return self._positions[doc_id]
+        except KeyError:
+            raise KeyError(f"unknown doc id {doc_id!r}") from None
+
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        positions, _ = self.postings.get(term, ((), ()))
+        return len(positions)
+
+    def cf(self, term: str) -> int:
+        _, tfs = self.postings.get(term, ((), ()))
+        return sum(tfs)
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        if doc_id not in self.doc_len:
-            raise KeyError(f"unknown doc id {doc_id!r}")
-        for did, tf in self.postings.get(term, ()):
-            if did == doc_id:
-                return tf
-        return 0
+        pos = self.position(doc_id)
+        positions, tfs = self.postings.get(term, ((), ()))
+        i = bisect_left(positions, pos)
+        return tfs[i] if i < len(positions) and positions[i] == pos else 0
 
 
 def build_index(docs: list[Document], analyzer: Analyzer | None = None) -> InvertedIndex:
     """Index title + " " + body of every document.
 
-    Building is deterministic: identical inputs give identical statistics
-    and postings order (document insertion order).
+    Building is deterministic: identical inputs give identical doc
+    positions (insertion order), lengths and postings.
     """
     if not docs:
         raise ValueError("cannot index an empty collection")
     analyzer = analyzer or Analyzer()
 
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_len: dict[str, int] = {}
-    cf: Counter[str] = Counter()
-    for doc in docs:
-        if doc.id in doc_len:
-            raise FormatError(f"duplicate document id {doc.id!r}")
+    doc_ids = [doc.id for doc in docs]
+    if len(set(doc_ids)) != len(doc_ids):
+        raise FormatError(f"duplicate document id {_first_duplicate(doc_ids)!r}")
+    doc_len = array("I")
+    postings: dict[str, tuple[array, array]] = {}
+    for pos, doc in enumerate(docs):
         text = f"{doc.title} {doc.body}" if doc.title else doc.body
         tokens = analyzer.tokenize(text)
-        doc_len[doc.id] = len(tokens)
-        counts = Counter(tokens)
-        for term in sorted(counts):
-            postings.setdefault(term, []).append((doc.id, counts[term]))
-            cf[term] += counts[term]
-    return InvertedIndex(
-        postings=postings,
-        doc_len=doc_len,
-        n_docs=len(docs),
-        total_terms=sum(doc_len.values()),
-        cf=dict(cf),
-        analyzer=analyzer,
-    )
+        doc_len.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            plist = postings.get(term)
+            if plist is None:
+                plist = postings[term] = (array("I"), array("I"))
+            plist[0].append(pos)
+            plist[1].append(tf)
+    return InvertedIndex(doc_ids=doc_ids, doc_len=doc_len, postings=postings,
+                         analyzer=analyzer)
+
+
+def _first_duplicate(ids: list[str]) -> str:
+    """The first id that repeats an earlier one."""
+    seen: set[str] = set()
+    return next(did for did in ids if did in seen or seen.add(did))
 
 
 def bm25_term_weight(index: InvertedIndex, params: Bm25Params, term: str,
@@ -185,9 +226,7 @@ def bm25_score(index: InvertedIndex, params: Bm25Params,
                query_terms: list[str], doc_id: str) -> float:
     """BM25 score of one document; query terms must come from the index's
     analyzer. Repeated query terms contribute once per occurrence."""
-    if doc_id not in index.doc_len:
-        raise KeyError(f"unknown doc id {doc_id!r}")
-    dl = index.doc_len[doc_id]
+    dl = index.doc_len[index.position(doc_id)]
     score = 0.0
     for term, count in Counter(query_terms).items():
         tf = index.term_frequency(term, doc_id)
@@ -205,21 +244,23 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query: str,
     # bm25_term_weight's expressions, with idf hoisted per term and the
     # length norm per distinct dl: every weight is bit-identical
     avgdl = index.avgdl
+    doc_len = index.doc_len
     norms: dict[int, float] = {}
-    scores: dict[str, float] = {}
+    scores: dict[int, float] = {}  # by doc position
     for term, count in Counter(query_terms).items():
         if term not in index.postings:
             continue
-        df = index.df(term)
+        positions, tfs = index.postings[term]
+        df = len(positions)
         idf = math.log(1.0 + (index.n_docs - df + 0.5) / (df + 0.5))
-        for did, tf in index.postings[term]:
-            dl = index.doc_len[did]
+        for pos, tf in zip(positions, tfs):
+            dl = doc_len[pos]
             norm = norms.get(dl)
             if norm is None:
                 norm = norms[dl] = params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-            scores[did] = scores.get(did, 0.0) + count * (idf * tf / (tf + norm))
-    ranked = _sort_ranking([(did, s) for did, s in scores.items() if s > 0.0])
-    return ranked[:k]
+            scores[pos] = scores.get(pos, 0.0) + count * (idf * tf / (tf + norm))
+    doc_ids = index.doc_ids
+    return _top_k([(doc_ids[pos], s) for pos, s in scores.items() if s > 0.0], k)
 
 
 def dirichlet_qlm_score(index: InvertedIndex, params: DirichletParams,
@@ -230,12 +271,10 @@ def dirichlet_qlm_score(index: InvertedIndex, params: DirichletParams,
     Tokens absent from the whole collection are skipped (contribute 0)
     rather than producing -inf.
     """
-    if doc_id not in index.doc_len:
-        raise KeyError(f"unknown doc id {doc_id!r}")
-    dl = index.doc_len[doc_id]
+    dl = index.doc_len[index.position(doc_id)]
     score = 0.0
     for term, count in Counter(query_terms).items():
-        cf = index.cf.get(term, 0)
+        cf = index.cf(term)
         if cf == 0:
             continue
         tf = index.term_frequency(term, doc_id)
@@ -251,55 +290,71 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     truncating. Smoothing gives nonzero scores without term overlap, so an
     all-OOV query yields doc-id order with zero scores.
 
-    Documents holding a query term are scored one by one. Every other
+    Documents holding a query term are scored exactly. Every other
     document scores by its length alone, so each distinct length is scored
     once and only the best length groups, enough to fill k and every group
-    tied with the last one taken, join the final sort.
+    tied with the last one taken, join the final ranking.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # (count, mu * cf / total, tf by doc id) per query term in Counter
-    # order: float accumulation stays identical to dirichlet_qlm_score
-    terms = [(count, params.mu * index.cf[term] / index.total_terms,
-              dict(index.postings.get(term, ())))
+    mu = params.mu
+    lengths = index._docs_by_length
+    # (count, mu * cf / total, tf by doc position) per query term in Counter order
+    terms = [(count, mu * index.cf(term) / index.total_terms, dict(zip(*index.postings[term])))
              for term, count in Counter(index.analyzer.tokenize(query)).items()
-             if index.cf.get(term, 0) > 0]
+             if term in index.postings]
+    touched_set = {pos for _, _, tf_map in terms for pos in tf_map}
+    touched = list(touched_set)
+    touched_len = [index.doc_len[pos] for pos in touched]
+    # dirichlet_qlm_score's sum, one query term at a time in Counter order, for
+    # each document holding a query term and for each length a document in no
+    # posting can have (tf 0): every score is bit-identical to the oracle's
+    scores = [0.0] * len(touched)
+    by_length = dict.fromkeys(lengths, 0.0)
+    for count, smoothed, tf_map in terms:
+        absent = {dl: count * math.log(smoothed / (dl + mu)) for dl in lengths}
+        by_length = {dl: s + absent[dl] for dl, s in by_length.items()}
+        tf_of = tf_map.get
+        scores = [s + (count * math.log((tf + smoothed) / (dl + mu)) if (tf := tf_of(pos))
+                       else absent[dl])
+                  for s, pos, dl in zip(scores, touched, touched_len)]
 
-    def score(did: str | None, dl: int) -> float:
-        # did None: a document of length dl in no posting
-        s = 0.0
-        for count, smoothed, tf_map in terms:
-            s += count * math.log((tf_map.get(did, 0) + smoothed) / (dl + params.mu))
-        return s
-
-    touched = {did for _, _, tf_map in terms for did in tf_map}
-    shortlist = [(did, score(did, index.doc_len[did])) for did in touched]
-    groups = sorted(((score(None, dl), ids) for dl, ids in index._docs_by_length.items()),
+    doc_ids = index.doc_ids
+    shortlist = [(doc_ids[pos], s) for pos, s in zip(touched, scores)]
+    groups = sorted(((by_length[dl], group) for dl, group in lengths.items()),
                     key=lambda group: -group[0])
     # a non-posting doc left out scores below `last`, and k others score at least `last`
     taken = 0
     last = None
-    for s, ids in groups:
+    for s, group in groups:
         if taken >= k and s != last:
             break
-        fresh = [(did, s) for did in ids if did not in touched]
+        fresh = [(doc_ids[pos], s) for pos in group if pos not in touched_set]
         shortlist += fresh
         taken += len(fresh)
         last = s
-    return _sort_ranking(shortlist)[:k]
+    return _top_k(shortlist, k)
+
+
+def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
+    """_sort_ranking(pairs)[:k], sorting only the pairs that score at least
+    the k-th best score."""
+    if len(pairs) > k:
+        kth = sorted([s for _, s in pairs], reverse=True)[k - 1]
+        pairs = [pair for pair in pairs if pair[1] >= kth]
+    return _sort_ranking(pairs)[:k]
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as versioned JSON; all statistics round-trip exactly."""
+    """Persist the index as versioned, canonical JSON: doc ids once, and
+    each term's postings as two int lists. Everything round-trips exactly."""
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "analyzer": index.analyzer.to_dict(),
-        "n_docs": index.n_docs,
-        "total_terms": index.total_terms,
-        "doc_len": index.doc_len,
-        "cf": index.cf,
-        "postings": {term: [[did, tf] for did, tf in plist]
-                     for term, plist in index.postings.items()},
+        "doc_ids": index.doc_ids,
+        "doc_len": index.doc_len.tolist(),
+        "postings": {term: [positions.tolist(), tfs.tolist()]
+                     for term, (positions, tfs) in index.postings.items()},
     }
     # one dumps call runs the C encoder; json.dump streams through Python
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -308,28 +363,57 @@ def save_index(index: InvertedIndex, path: str) -> None:
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read save_index's JSON; a file of another shape raises FormatError."""
+    """Read save_index's JSON. A file of another shape, or with a value
+    build_index cannot make, raises FormatError naming the path."""
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
     version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != INDEX_FORMAT_VERSION:
+    if type(version) is not int or version != INDEX_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported index format version {version!r}")
-    if not all(isinstance(payload.get(key), dict) for key in ("postings", "doc_len", "cf")):
-        raise FormatError(f"{path}: postings, doc_len and cf must be objects")
-    if not all(type(payload.get(key)) is int for key in ("n_docs", "total_terms")):
-        raise FormatError(f"{path}: n_docs and total_terms must be integers")
     try:
-        return InvertedIndex(
-            postings={term: [(did, tf) for did, tf in plist]
-                      for term, plist in payload["postings"].items()},
-            doc_len=payload["doc_len"],
-            n_docs=payload["n_docs"],
-            total_terms=payload["total_terms"],
-            cf=payload["cf"],
-            analyzer=Analyzer.from_dict(payload["analyzer"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed index ({type(exc).__name__}: {exc})") from None
+        return _index_from_payload(payload)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _index_from_payload(payload: dict) -> InvertedIndex:
+    if payload.keys() != _INDEX_KEYS:
+        raise ValueError(f"index keys must be {sorted(_INDEX_KEYS)}, got {sorted(payload)}")
+    analyzer = Analyzer.from_dict(payload["analyzer"])
+    doc_ids = payload["doc_ids"]
+    if not (isinstance(doc_ids, list) and doc_ids and all(type(did) is str for did in doc_ids)):
+        raise ValueError("doc_ids must be a non-empty list of strings")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise ValueError(f"duplicate doc id {_first_duplicate(doc_ids)!r}")
+    n = len(doc_ids)
+    # array() rejects strings, floats, lists and negative or oversized
+    # numbers at C speed
+    try:
+        doc_len = array("I", payload["doc_len"])
+    except (TypeError, OverflowError):
+        raise ValueError("doc_len must be a list of non-negative integers") from None
+    if len(doc_len) != n:
+        raise ValueError(f"doc_len must hold one length per doc id ({n}), got {len(doc_len)}")
+    if not isinstance(payload["postings"], dict):
+        raise ValueError("postings must be an object")
+    uints = functools.partial(array, "I")
+    postings: dict[str, tuple[array, array]] = {}
+    for term, pair in payload["postings"].items():
+        try:
+            positions, tfs = map(uints, pair)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"postings of {term!r} must be [positions, tfs], "
+                             "two lists of non-negative integers") from None
+        if not 0 < len(positions) == len(tfs):
+            raise ValueError(f"positions and tfs of {term!r} must be non-empty "
+                             f"and of equal length, got {len(positions)} and {len(tfs)}")
+        if positions[-1] >= n or not all(map(operator.lt, positions, positions[1:])):
+            raise ValueError(f"positions of {term!r} must ascend and be below {n}")
+        if min(tfs) == 0:
+            raise ValueError(f"tfs of {term!r} must be >= 1")
+        postings[term] = (positions, tfs)
+    return InvertedIndex(doc_ids=doc_ids, doc_len=doc_len, postings=postings,
+                         analyzer=analyzer)

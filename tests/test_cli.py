@@ -9,6 +9,7 @@ import threading
 import pytest
 
 import qlmrank
+from qlmrank import ranking
 from qlmrank.cli import atomic_write, build_parser, main
 from qlmrank.corpus import read_run
 
@@ -266,6 +267,15 @@ class TestPipeline:
                      "provider_stats.json"):
             assert (outdir / name).is_file(), name
 
+    def test_pipeline_searches_the_index_it_built(self, dataset, monkeypatch):
+        # index.json is written for audit, not read back
+        def no_load(path):
+            raise AssertionError(f"pipeline read back {path}")
+        monkeypatch.setattr(ranking, "load_index", no_load)
+        outdir = dataset["dir"] / "out"
+        assert run_cli("pipeline", "--config", self.make_config(dataset, outdir)) == 0
+        assert (outdir / "index.json").is_file()
+
     def test_flag_overrides_win(self, dataset):
         outdir = dataset["dir"] / "out2"
         config = self.make_config(dataset, dataset["dir"] / "ignored", depth=2)
@@ -433,19 +443,66 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 1, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
-             "n_docs": 1, "total_terms": 1, "doc_len": {"d1": 1}, "cf": {"apple": 1},
-             "postings": {"apple": [["d1", 1]]}}
+    INDEX = {"format_version": 2, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+             "doc_ids": ["d1", "d2"], "doc_len": [1, 2], "postings": {"apple": [[0, 1], [1, 2]]}}
     INDEX_CASES = {
         "array": ([], "unsupported index format version None"),
-        "postings-array": ({**INDEX, "postings": []}, "postings, doc_len and cf must be objects"),
-        "doc-len-array": ({**INDEX, "doc_len": [["d1", 1]]},
-                          "postings, doc_len and cf must be objects"),
-        "posting-not-a-pair": ({**INDEX, "postings": {"apple": [["d1"]]}}, "malformed index"),
-        "n-docs-string": ({**INDEX, "n_docs": "1"}, "n_docs and total_terms must be integers"),
+        "v1": ({"format_version": 1, "analyzer": INDEX["analyzer"], "n_docs": 1,
+                "total_terms": 1, "doc_len": {"d1": 1}, "cf": {"apple": 1},
+                "postings": {"apple": [["d1", 1]]}}, "unsupported index format version 1"),
+        "postings-array": ({**INDEX, "postings": []}, "postings must be an object"),
+        "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
+                          "doc_len must be a list of non-negative integers"),
+        "posting-not-a-pair": ({**INDEX, "postings": {"apple": [[0, 1]]}},
+                               "postings of 'apple' must be [positions, tfs], two lists of "
+                               "non-negative integers"),
+        "n-docs-string": ({**INDEX, "n_docs": "2"}, "index keys must be ['analyzer', 'doc_ids', "
+                          "'doc_len', 'format_version', 'postings'], got ['analyzer', 'doc_ids', "
+                          "'doc_len', 'format_version', 'n_docs', 'postings']"),
         "analyzer-missing": ({k: v for k, v in INDEX.items() if k != "analyzer"},
-                             "malformed index (KeyError: 'analyzer')"),
+                             "index keys must be"),
         "not-json": ("{", "invalid JSON"),
+        "posting-three-lists": ({**INDEX, "postings": {"apple": [[0, 1], [1, 2], [1, 2]]}},
+                                "postings of 'apple' must be [positions, tfs]"),
+        "tf-string": ({**INDEX, "postings": {"apple": [[0, 1], [1, "x"]]}},
+                      "postings of 'apple' must be [positions, tfs]"),
+        "tf-zero": ({**INDEX, "postings": {"apple": [[0, 1], [1, 0]]}},
+                    "tfs of 'apple' must be >= 1"),
+        "position-negative": ({**INDEX, "postings": {"apple": [[-1, 1], [1, 2]]}},
+                              "postings of 'apple' must be [positions, tfs]"),
+        "position-float": ({**INDEX, "postings": {"apple": [[0, 1.0], [1, 2]]}},
+                           "postings of 'apple' must be [positions, tfs]"),
+        "doc-len-string": ({**INDEX, "doc_len": [1, "1"]},
+                           "doc_len must be a list of non-negative integers"),
+        "doc-len-short": ({**INDEX, "doc_len": [1]},
+                          "doc_len must hold one length per doc id (2), got 1"),
+        "doc-id-not-string": ({**INDEX, "doc_ids": ["d1", ["d2"]]},
+                              "doc_ids must be a non-empty list of strings"),
+        "doc-ids-empty": ({**INDEX, "doc_ids": [], "doc_len": [], "postings": {}},
+                          "doc_ids must be a non-empty list of strings"),
+        "doc-ids-duplicate": ({**INDEX, "doc_ids": ["d1", "d1"]}, "duplicate doc id 'd1'"),
+        "pair-lengths-differ": ({**INDEX, "postings": {"apple": [[0, 1], [1]]}},
+                                "positions and tfs of 'apple' must be non-empty and of equal "
+                                "length, got 2 and 1"),
+        "posting-empty": ({**INDEX, "postings": {"apple": [[], []]}},
+                          "positions and tfs of 'apple' must be non-empty"),
+        "position-out-of-range": ({**INDEX, "postings": {"apple": [[0, 2], [1, 2]]}},
+                                  "positions of 'apple' must ascend and be below 2"),
+        "positions-not-ascending": ({**INDEX, "postings": {"apple": [[1, 0], [1, 2]]}},
+                                    "positions of 'apple' must ascend and be below 2"),
+        "analyzer-loose": ({**INDEX, "analyzer": {"lowercase": "no", "stopwords": "the",
+                                                  "stem": 0, "extra": 1}},
+                           'analyzer must be {lowercase: bool, stopwords: [string], stem: bool}, '
+                           'got {"lowercase": "no", "stopwords": "the", "stem": 0, "extra": 1}'),
+        "analyzer-unknown-key": ({**INDEX, "analyzer": {**INDEX["analyzer"], "extra": 1}},
+                                 "analyzer must be"),
+        "analyzer-key-missing": ({**INDEX, "analyzer": {"lowercase": True, "stopwords": []}},
+                                 "analyzer must be"),
+        "analyzer-stem-null": ({**INDEX, "analyzer": {**INDEX["analyzer"], "stem": None}},
+                               "analyzer must be"),
+        "analyzer-stopword-not-string": ({**INDEX, "analyzer": {**INDEX["analyzer"],
+                                                                "stopwords": ["the", 1]}},
+                                         "analyzer must be"),
     }
 
     TRIPLE = {"document": "a doc", "good_question": "good?", "bad_question": "bad?"}
@@ -535,6 +592,16 @@ class TestMalformedInput:
         code = run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", out)
         self.assert_data_error(code, capsys.readouterr().err, f"{index}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
+    def test_index_control(self, dataset, ranker):
+        # the unbroken INDEX searches, so each INDEX_CASES entry fails on its one change
+        index = dataset["dir"] / "index.json"
+        index.write_text(json.dumps(self.INDEX))
+        out = dataset["dir"] / "out.trec"
+        assert run_cli("search", "--index", index, "--queries", dataset["queries"],
+                       "--out", out, "--ranker", ranker) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("case", CATALOG_CASES)
     def test_catalog(self, dataset, capsys, case):

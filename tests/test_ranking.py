@@ -1,6 +1,9 @@
 import math
 import random
+import tempfile
+from array import array
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,18 +116,22 @@ class TestBuildIndex:
     def test_c3_statistics(self, c3_index):
         assert c3_index.n_docs == 3
         assert c3_index.avgdl == pytest.approx(8 / 3)
-        assert c3_index.cf == {"a": 2, "b": 2, "c": 4}
-        assert c3_index.doc_len == {"d1": 3, "d2": 2, "d3": 3}
+        assert {term: c3_index.cf(term) for term in "abcz"} == {"a": 2, "b": 2, "c": 4, "z": 0}
+        assert dict(zip(c3_index.doc_ids, c3_index.doc_len)) == {"d1": 3, "d2": 2, "d3": 3}
+        assert c3_index.postings == {"a": (array("I", [0]), array("I", [2])),
+                                     "b": (array("I", [0, 1]), array("I", [1, 1])),
+                                     "c": (array("I", [1, 2]), array("I", [1, 3]))}
 
     def test_invariants_hold(self, c3_index):
-        for term, plist in c3_index.postings.items():
-            assert sum(tf for _, tf in plist) == c3_index.cf[term]
-        assert sum(c3_index.doc_len.values()) == c3_index.total_terms
+        for term, (positions, tfs) in c3_index.postings.items():
+            assert sum(tfs) == c3_index.cf(term)
+            assert len(positions) == len(tfs) == c3_index.df(term)
+        assert sum(c3_index.doc_len) == c3_index.total_terms
 
     def test_rebuild_is_identical(self, c3_docs):
         a, b = build_index(c3_docs), build_index(c3_docs)
-        assert (a.postings, a.doc_len, a.cf, a.total_terms) == \
-               (b.postings, b.doc_len, b.cf, b.total_terms)
+        assert (a.doc_ids, a.doc_len, a.postings, a.total_terms) == \
+               (b.doc_ids, b.doc_len, b.postings, b.total_terms)
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -133,16 +140,23 @@ class TestBuildIndex:
     def test_title_is_indexed(self):
         index = build_index([Document("d1", "alpha", "beta")])
         assert set(index.postings) == {"alpha", "beta"}
-        assert index.doc_len["d1"] == 2
+        assert index.doc_len[index.position("d1")] == 2
 
     def test_random_invariants(self):
         rng = random.Random(3)
         for _ in range(20):
             docs = random_corpus(rng, max_docs=15)
             index = build_index(docs)
-            assert sum(index.doc_len.values()) == index.total_terms
-            for term, plist in index.postings.items():
-                assert sum(tf for _, tf in plist) == index.cf[term]
+            tokens = {d.id: tokenize(d.body) for d in docs}
+            assert index.doc_ids == [d.id for d in docs]
+            assert dict(zip(index.doc_ids, index.doc_len)) == \
+                   {did: len(toks) for did, toks in tokens.items()}
+            assert sum(index.doc_len) == index.total_terms
+            cf = Counter(t for toks in tokens.values() for t in toks)
+            for term, (positions, tfs) in index.postings.items():
+                assert positions.typecode == tfs.typecode == "I"
+                assert list(positions) == sorted(set(positions))
+                assert index.cf(term) == cf[term] == sum(tfs)
             assert index.avgdl == index.total_terms / index.n_docs
 
 
@@ -368,9 +382,12 @@ class TestPersistence:
         path = str(tmp_path / "index.json")
         save_index(c3_index, path)
         back = load_index(path)
+        assert back.doc_ids == c3_index.doc_ids
+        assert back.doc_len == c3_index.doc_len and back.doc_len.typecode == "I"
         assert back.postings == c3_index.postings
-        assert back.doc_len == c3_index.doc_len
-        assert back.cf == c3_index.cf
+        assert all(positions.typecode == tfs.typecode == "I"
+                   for positions, tfs in back.postings.values())
+        assert {t: back.cf(t) for t in back.postings} == {t: c3_index.cf(t) for t in back.postings}
         assert back.n_docs == c3_index.n_docs
         assert back.total_terms == c3_index.total_terms
         assert back.avgdl == c3_index.avgdl
@@ -399,11 +416,62 @@ class TestPersistence:
         assert load_index(path).analyzer == analyzer
 
 
+@st.composite
+def persisted_corpora(draw):
+    """Corpora with 1-3 distinct lengths whose text sits in the title, the
+    body or both, over ids drawn from one small pool, so every build
+    reuses the same ids in another order."""
+    vocab = ["a", "b", "c", "d", "e"]
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = draw(st.integers(1, 20))
+    ids = draw(st.permutations([f"doc{i}" for i in range(20)]))[:n]
+    docs = []
+    for did in ids:
+        length = draw(st.sampled_from(lengths))
+        words = draw(st.lists(st.sampled_from(vocab), min_size=length, max_size=length))
+        split = draw(st.integers(0, length))
+        docs.append(Document(did, " ".join(words[:split]), " ".join(words[split:])))
+    query = " ".join(draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=5)))
+    return docs, query
+
+
+def _saved(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "index.json")
+        save_index(index, path)
+        return Path(path).read_bytes(), load_index(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(persisted_corpora(), st.sampled_from([0.5, 10.0, 1000.0]), st.sampled_from([0.0, 0.4, 1.0]))
+def test_loaded_index_searches_like_the_built_one(corpus, mu, b):
+    docs, query = corpus
+    index = build_index(docs)
+    _, back = _saved(index)
+    assert back == index
+    for k in range(1, len(docs) + 3):
+        assert dirichlet_search(back, DirichletParams(mu=mu), query, k) == \
+               dirichlet_search(index, DirichletParams(mu=mu), query, k)
+        assert bm25_search(back, Bm25Params(b=b), query, k) == \
+               bm25_search(index, Bm25Params(b=b), query, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(persisted_corpora())
+def test_resaving_a_loaded_index_gives_the_same_bytes(corpus):
+    docs, _ = corpus
+    first, back = _saved(build_index(docs))
+    second, _ = _saved(back)
+    assert first == second
+
+
 def test_term_frequency_counter_consistency():
     rng = random.Random(5)
     docs = random_corpus(rng, max_docs=10)
     index = build_index(docs)
     for doc in docs:
         counts = Counter(tokenize(doc.body))
-        for term, tf in counts.items():
-            assert index.term_frequency(term, doc.id) == tf
+        for term in [f"w{i}" for i in range(14)]:
+            assert index.term_frequency(term, doc.id) == counts[term]
+    with pytest.raises(KeyError, match="unknown doc id"):
+        index.term_frequency("w1", "nope")
