@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field as dc_field, fields, is_datacl
 from . import corpus as corpus_io, fusion, likelihood, prompts, ranking
 from .corpus import FormatError, Run
 from .evaluation import format_report, ndcg_at_k, significance_matrix
-from .likelihood import ProviderError, ProviderStats
+from .likelihood import ProviderError
 from .prompts import CatalogError
 
 logger = logging.getLogger(__name__)
@@ -164,20 +164,17 @@ def _search(inverted: ranking.InvertedIndex, queries: str, out: str, ranker: str
     logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
 
 
-def _build_provider(provider: str, endpoint: str | None, auth_token: str | None,
-                    docs: list[corpus_io.Document], max_workers: int) -> likelihood.Provider:
-    if provider == "bigram":
-        return likelihood.BigramLm.train([f"{d.title} {d.body}" if d.title else d.body
-                                          for d in docs])
-    return likelihood.RemoteProvider(_endpoint(endpoint), pool_size=max_workers,
-                                     auth_token=auth_token or os.environ.get(AUTH_TOKEN_ENV))
-
-
-def _endpoint(endpoint: str | None) -> str:
+def _remote_provider(endpoint: str | None, auth_token: str | None) -> likelihood.RemoteProvider:
+    """The provider of `endpoint` (default $QLMRANK_ENDPOINT); a missing or
+    malformed endpoint is a usage error. Building it opens no connection."""
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"remote provider needs --endpoint or ${ENDPOINT_ENV}")
-    return endpoint
+    try:
+        return likelihood.RemoteProvider(endpoint,
+                                         auth_token=auth_token or os.environ.get(AUTH_TOKEN_ENV))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot: bool
@@ -197,24 +194,27 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
                on_error: str = "fail", max_workers: int = likelihood.DEFAULT_MAX_WORKERS,
                tag: str = "qlm", stats_out: str | None = None) -> None:
     """query-likelihood re-ranking of a candidate run"""
+    remote = _remote_provider(endpoint, auth_token) if provider == "remote" else None
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     query_list = corpus_io.load_queries(_require_file(queries, "queries"))
     first_stage = corpus_io.read_run(_require_file(run, "candidate run"))
     template, triples = _prompt_setup(catalog, model_family, dataset, fewshot)
     logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
 
-    provider_fn = _build_provider(provider, endpoint, auth_token, docs, max_workers)
+    provider_fn = remote or likelihood.BigramLm.train(
+        [f"{d.title} {d.body}" if d.title else d.body for d in docs])
     if provider == "bigram":
         max_workers = 1  # pure Python: threads would only contend for the GIL
-    stats = ProviderStats()
     reranked = likelihood.rerank_run(
         provider_fn, template, query_list, first_stage, {d.id: d for d in docs},
         depth=depth, doc_max_chars=doc_max_chars, fewshot=triples,
-        stats=stats, max_workers=max_workers, on_error=on_error, tag=tag)
+        max_workers=max_workers, on_error=on_error, tag=tag)
     atomic_write(out, lambda tmp: corpus_io.write_run(reranked, tmp))
+    # one provider request per pair scored, floored failures included
+    pairs = sum(len(ranking) for ranking in reranked.entries.values())
     logger.info("reranked %d queries -> %s | provider_requests=%d",
-                len(reranked.entries), out, stats.requests)
-    _write_text(stats_out, json.dumps({"requests": stats.requests}) + "\n")
+                len(reranked.entries), out, pairs)
+    _write_text(stats_out, json.dumps({"requests": pairs}) + "\n")
 
 
 def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None = None) -> None:
@@ -348,9 +348,9 @@ class PipelineConfig:
             if path:
                 _require_file(path, name)
         # the re-rank stage's own checks, in its order
-        _prompt_setup(config.catalog, config.model_family, config.dataset, config.fewshot)
         if config.provider == "remote":
-            _endpoint(config.endpoint)
+            _remote_provider(config.endpoint, config.auth_token)
+        _prompt_setup(config.catalog, config.model_family, config.dataset, config.fewshot)
         return config
 
 

@@ -37,7 +37,6 @@ class SigResult:
     t_statistic: float
     p_value: float
     df: int
-    corrected_p: float
     degenerate: bool = False
 
 
@@ -168,13 +167,12 @@ def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
     sd = stdev(diffs)
     if sd == 0.0:
         if mean_d == 0.0:
-            return SigResult(t_statistic=0.0, p_value=1.0, df=n - 1, corrected_p=1.0)
+            return SigResult(t_statistic=0.0, p_value=1.0, df=n - 1)
         t = math.copysign(math.inf, mean_d)
-        return SigResult(t_statistic=t, p_value=0.0, df=n - 1, corrected_p=0.0,
-                         degenerate=True)
+        return SigResult(t_statistic=t, p_value=0.0, df=n - 1, degenerate=True)
     t = mean_d / (sd / math.sqrt(n))
     p = student_t_two_tailed_p(t, n - 1)
-    return SigResult(t_statistic=t, p_value=p, df=n - 1, corrected_p=p)
+    return SigResult(t_statistic=t, p_value=p, df=n - 1)
 
 
 # ---------------------------------------------------------------------------

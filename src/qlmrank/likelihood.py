@@ -11,7 +11,9 @@ a deterministic add-one-smoothed bigram model for offline use and testing.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import logging
 import math
 import re
@@ -20,7 +22,7 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .corpus import Document, Query, Run
 from .prompts import (
@@ -30,9 +32,6 @@ from .prompts import (
     render_fewshot,
     render_prompt,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -130,12 +129,11 @@ class RemoteProvider:
     (connection errors, 5xx, 429) are retried with exponential backoff;
     other non-200 answers and malformed payloads fail immediately.
 
-    Without a `session`, the provider opens one whose connection pool per
-    host holds `pool_size` connections: set it to the number of threads
-    that share the provider, or the surplus ones reconnect on every call.
-
-    The provider imports `requests` itself, so the package and its
-    offline verbs load without the HTTP stack.
+    Each calling thread keeps one keep-alive connection. A reused one that
+    the server has dropped is reopened once without counting an attempt.
+    Proxy variables and .netrc are not read. The standard library's HTTP
+    stack is imported when a provider is built, so the package and its
+    offline verbs load without it.
     """
 
     def __init__(
@@ -146,65 +144,85 @@ class RemoteProvider:
         backoff: float = 0.5,
         timeout: float = 30.0,
         logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
-        session: requests.Session | None = None,
-        pool_size: int = DEFAULT_MAX_WORKERS,
     ):
+        import http.client
+        from urllib.parse import urlsplit
+
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         self.url = endpoint.rstrip("/") + "/v1/loglikelihood"
-        self.auth_token = auth_token
+        self._headers = {"Content-Type": "application/json",
+                         **({"Authorization": f"Bearer {auth_token}"} if auth_token else {})}
         self.attempts = attempts
         self.backoff = backoff
-        self.timeout = timeout
         self.logprob_floor = logprob_floor
-        if session is None:
-            import requests
-            from requests.adapters import HTTPAdapter
+        self._local = threading.local()
+        try:
+            url = urlsplit(self.url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError
+            if url.scheme == "https":
+                import ssl
 
-            session = requests.Session()
-            for prefix in ("https://", "http://"):
-                session.mount(prefix, HTTPAdapter(pool_connections=pool_size,
-                                                  pool_maxsize=pool_size))
-        self.session = session
+                cls, tls = http.client.HTTPSConnection, {"context": ssl.create_default_context()}
+            else:
+                cls, tls = http.client.HTTPConnection, {}
+            self._open = functools.partial(cls, url.hostname, url.port or cls.default_port,
+                                           timeout=timeout, **tls)
+            self._local.conn = self._open()  # checks host and port; connects on first use
+        except (ValueError, http.client.InvalidURL):
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, "
+                             f"got {endpoint!r}") from None
+        self._path = url.path
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST on this thread's connection: (status, body). A reused socket
+        found dropped (RemoteDisconnected is a ConnectionResetError) is reopened."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, self._headers)
+            response = conn.getresponse()
+        except (ConnectionResetError, BrokenPipeError):
+            if not reused:
+                raise
+            conn.close()  # the next request opens a new socket
+            conn.request("POST", self._path, body, self._headers)
+            response = conn.getresponse()
+        return response.status, response.read()
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
-        import requests
+        import http.client
 
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        body = {"context": request.context, "continuation": request.continuation}
-
+        body = json.dumps({"context": request.context,
+                           "continuation": request.continuation}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.attempts):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                response = self.session.post(self.url, json=body, headers=headers,
-                                             timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
+                self._local.conn.close()
                 last_error = exc
                 logger.warning("request to %s failed (attempt %d/%d): %s",
                                self.url, attempt + 1, self.attempts, exc)
                 continue
-            if response.status_code == 200:
-                return self._decode(response)
-            if response.status_code >= 500 or response.status_code == 429:
-                last_error = TransportError(
-                    f"{self.url} answered {response.status_code}"
-                )
+            if status == 200:
+                return self._decode(data)
+            if status >= 500 or status == 429:
+                last_error = TransportError(f"{self.url} answered {status}")
                 logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, self.attempts)
                 continue
-            raise TransportError(f"{self.url} answered {response.status_code}")
-        raise TransportError(
-            f"{self.url} unreachable after {self.attempts} attempts: {last_error}"
-        )
+            raise TransportError(f"{self.url} answered {status}")
+        raise TransportError(f"{self.url} unreachable after {self.attempts} attempts: "
+                             f"{last_error}")
 
-    def _decode(self, response: requests.Response) -> LikelihoodResult:
+    def _decode(self, data: bytes) -> LikelihoodResult:
         try:
-            payload = response.json()
+            payload = json.loads(data)
             tokens = payload["tokens"]
             logprobs = [float(v) for v in payload["logprobs"]]
         except (ValueError, KeyError, TypeError) as exc:
@@ -304,19 +322,6 @@ class BigramLm:
 # Re-ranking
 # ---------------------------------------------------------------------------
 
-class ProviderStats:
-    """Provider call accounting for cost visibility. Safe to update from
-    concurrent scoring workers."""
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self._lock = threading.Lock()
-
-    def add_request(self) -> None:
-        with self._lock:
-            self.requests += 1
-
-
 def rerank(
     provider: Provider,
     template: PromptTemplate,
@@ -351,11 +356,10 @@ def rerank_run(
     prompt is rendered once, whatever the number of queries it serves.
 
     Keyword arguments: doc_max_chars, fewshot (guidance triples, or None
-    for zero-shot), stats (see ProviderStats), max_workers, logprob_floor,
-    tag, and on_error: "fail" propagates the first provider failure and
-    submits no further pairs, "floor" scores each failing pair at the
-    logprob floor instead. Queries without first-stage candidates are
-    omitted.
+    for zero-shot), max_workers, logprob_floor, tag, and on_error: "fail"
+    propagates the first provider failure and submits no further pairs,
+    "floor" scores each failing pair at the logprob floor instead. Queries
+    without first-stage candidates are omitted.
     """
     work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
     return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
@@ -368,7 +372,6 @@ def _rerank(
     doc_lookup: dict[str, Document],
     doc_max_chars: int = DEFAULT_DOC_MAX_CHARS,
     fewshot: list[FewShotExample] | None = None,
-    stats: ProviderStats | None = None,
     max_workers: int = DEFAULT_MAX_WORKERS,
     on_error: str = "fail",
     logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
@@ -394,16 +397,13 @@ def _rerank(
         query, doc = pair
         request = make_request(prompts[doc.id], query.text)
         try:
-            score = score_query_likelihood(provider(request))
+            return score_query_likelihood(provider(request))
         except ProviderError:
             if on_error == "fail":
                 raise
             logger.warning("provider failed on doc %s, query %s; scoring at floor %g",
                            doc.id, query.id, logprob_floor)
-            score = logprob_floor
-        if stats is not None:
-            stats.add_request()
-        return score
+            return logprob_floor
 
     if max_workers > 1 and len(pairs) > 1:
         scores = iter(_map_windowed(score_pair, pairs, max_workers))

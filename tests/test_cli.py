@@ -408,6 +408,9 @@ class TestMalformedInput:
                                "correction must be one of bonferroni, none, got 'holm'"),
         "alpha-level-above-one": ({"alpha_level": 5}, "alpha_level must be in [0, 1], got 5"),
         "array": ([], "config must be a JSON object"),
+        "endpoint-without-scheme": ({"provider": "remote", "endpoint": "localhost:8000"},
+                                    "endpoint must be an http:// or https:// URL with a host, "
+                                    "got 'localhost:8000'"),
     }
 
     # paths that do not exist: each error must come before any file is read
@@ -439,6 +442,12 @@ class TestMalformedInput:
                                   "--alphas must be in [0, 1], got 5.0"),
         "pipeline-depth-flag-zero": (["pipeline", "--config", "c.json", "--depth", "0"],
                                      "--depth must be >= 1, got 0"),
+        "rerank-endpoint-ftp": (["rerank", "--run", "r.trec", "--corpus", "c.jsonl",
+                                 "--queries", "q.jsonl", "--out", "o.trec",
+                                 "--model-family", "llama", "--dataset", "trecc",
+                                 "--provider", "remote", "--endpoint", "ftp://example.org"],
+                                "endpoint must be an http:// or https:// URL with a host, "
+                                "got 'ftp://example.org'"),
     }
 
     make_config = TestPipeline.make_config
@@ -627,13 +636,13 @@ class TestMalformedInput:
 
 
 def test_cli_import_leaves_out_the_http_stack():
-    # only a remote provider needs requests; the offline verbs never load it
+    # only a remote provider needs http.client and ssl; the offline verbs never load them
     src = os.path.dirname(os.path.dirname(qlmrank.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qlmrank.cli; print(sorted({'requests', "
-         "'urllib3', 'charset_normalizer'} & set(sys.modules)))"],
+        [sys.executable, "-c",
+         "import sys, qlmrank.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

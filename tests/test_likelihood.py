@@ -17,7 +17,6 @@ from qlmrank.likelihood import (
     LikelihoodResult,
     ProtocolError,
     ProviderError,
-    ProviderStats,
     UNK,
     _last_word,
     _words,
@@ -339,17 +338,18 @@ class TestScheduler:
                        continuation) for context, continuation in calls)
         assert got == want and max(got.values()) == 1
 
-    def test_stats_and_cache_count_every_pair_under_contention(self):
+    def test_every_pair_scored_once_under_contention(self):
         docs, first_stage, queries = self.corpus(n_docs=100, n_queries=5, depth=100)
-        stats = ProviderStats()
+        calls = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rerank_run(pair_provider(), self.template, queries, first_stage, docs,
-                       stats=stats, max_workers=8)
+            out = rerank_run(pair_provider(calls), self.template, queries, first_stage, docs,
+                             max_workers=8)
         finally:
             sys.setswitchinterval(interval)
-        assert stats.requests == 500
+        assert len(calls) == 500
+        assert sum(len(ranking) for ranking in out.entries.values()) == 500
 
     @pytest.mark.parametrize("fewshot", [False, True])
     def test_each_prompt_rendered_once_per_document(self, monkeypatch, fewshot):

@@ -1,16 +1,22 @@
 """Wire-protocol conformance for the remote logprobs client, exercised
 against an in-process stub server (see conftest.StubHandler)."""
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from conftest import StubHandler
-from qlmrank.cli import _build_provider
+from qlmrank.corpus import Document, Query, Run
 from qlmrank.likelihood import (
     LikelihoodRequest,
     ProtocolError,
     RemoteProvider,
     TransportError,
+    rerank_run,
 )
+from qlmrank.prompts import PromptTemplate
 
 REQUEST = LikelihoodRequest(context="some prompt", continuation=" what is x")
 
@@ -102,14 +108,75 @@ def test_identical_requests_identical_results(stub_server):
     assert provider(REQUEST) == provider(REQUEST)
 
 
-def test_connection_pool_sized_to_workers():
-    provider = _build_provider("remote", "http://127.0.0.1:1", None, [], max_workers=16)
-    for url in (provider.url, "https://example.invalid/"):
-        adapter = provider.session.get_adapter(url)
-        assert adapter._pool_connections == 16
-        assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 stub that keeps connections open unless its server has
+    `close_after_answer` set; then it closes each one after answering,
+    without saying so in the response. Counts connections and requests."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.requests += 1
+        data = json.dumps({"tokens": ["x"], "logprobs": [-1.0]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        if self.server.close_after_answer:
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
 
 
-def test_pool_size_below_one_rejected():
-    with pytest.raises(ValueError):
-        RemoteProvider("http://127.0.0.1:1", pool_size=0)
+@pytest.fixture
+def keep_alive_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections = server.requests = 0
+    server.close_after_answer = False
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server):
+    docs = {f"d{i}": Document(f"d{i}", "", f"body {i}") for i in range(20)}
+    queries = [Query(f"q{j}", f"query {j}") for j in range(10)]
+    first_stage = Run({q.id: [(did, 0.0) for did in docs] for q in queries})
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
+                              attempts=1)
+    out = rerank_run(provider, PromptTemplate(body="{doc}"), queries, first_stage, docs,
+                     max_workers=16)
+    assert sum(len(ranking) for ranking in out.entries.values()) == 200
+    assert keep_alive_server.requests == 200
+    assert 1 <= keep_alive_server.connections <= 16
+
+
+def test_connection_dropped_after_answer_is_reopened(keep_alive_server):
+    keep_alive_server.close_after_answer = True
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
+                              attempts=1)
+    assert provider(REQUEST).logprobs == (-1.0,)
+    assert provider(REQUEST).logprobs == (-1.0,)
+    assert keep_alive_server.requests == 2
+    assert keep_alive_server.connections == 2
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://example.org", "http://",
+                                      "http:///v1", "http://host:port", "https://[::1"])
+def test_malformed_endpoint_rejected(endpoint):
+    with pytest.raises(ValueError, match="endpoint must be an http:// or https:// URL"):
+        RemoteProvider(endpoint)
