@@ -205,10 +205,14 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
         [f"{d.title} {d.body}" if d.title else d.body for d in docs])
     if provider == "bigram":
         max_workers = 1  # pure Python: threads would only contend for the GIL
-    reranked = likelihood.rerank_run(
-        provider_fn, template, query_list, first_stage, {d.id: d for d in docs},
-        depth=depth, doc_max_chars=doc_max_chars, fewshot=triples,
-        max_workers=max_workers, on_error=on_error, tag=tag)
+    try:
+        reranked = likelihood.rerank_run(
+            provider_fn, template, query_list, first_stage, {d.id: d for d in docs},
+            depth=depth, doc_max_chars=doc_max_chars, fewshot=triples,
+            max_workers=max_workers, on_error=on_error, tag=tag)
+    finally:
+        if remote is not None:
+            remote.close()
     atomic_write(out, lambda tmp: corpus_io.write_run(reranked, tmp))
     # one provider request per pair scored, floored failures included
     pairs = sum(len(ranking) for ranking in reranked.entries.values())

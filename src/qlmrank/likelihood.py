@@ -131,6 +131,7 @@ class RemoteProvider:
 
     Each calling thread keeps one keep-alive connection. A reused one that
     the server has dropped is reopened once without counting an attempt.
+    `close` ends the connections of every thread.
     Proxy variables and .netrc are not read. The standard library's HTTP
     stack is imported when a provider is built, so the package and its
     offline verbs load without it.
@@ -157,6 +158,8 @@ class RemoteProvider:
         self.backoff = backoff
         self.logprob_floor = logprob_floor
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []  # every thread's, for close()
         try:
             url = urlsplit(self.url)
             if url.scheme not in ("http", "https") or not url.hostname:
@@ -169,7 +172,7 @@ class RemoteProvider:
                 cls, tls = http.client.HTTPConnection, {}
             self._open = functools.partial(cls, url.hostname, url.port or cls.default_port,
                                            timeout=timeout, **tls)
-            self._local.conn = self._open()  # checks host and port; connects on first use
+            self._open()  # checks host and port; connects on first use
         except (ValueError, http.client.InvalidURL):
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, "
                              f"got {endpoint!r}") from None
@@ -181,6 +184,8 @@ class RemoteProvider:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._open()
+            with self._lock:
+                self._conns.append(conn)
         reused = conn.sock is not None
         try:
             conn.request("POST", self._path, body, self._headers)
@@ -192,6 +197,15 @@ class RemoteProvider:
             conn.request("POST", self._path, body, self._headers)
             response = conn.getresponse()
         return response.status, response.read()
+
+    def close(self) -> None:
+        """Close the connections of every thread. Call it with no request in
+        flight; a later request opens a new connection."""
+        with self._lock:
+            conns, self._conns = self._conns, []
+            self._local = threading.local()
+        for conn in conns:
+            conn.close()
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
         import http.client
@@ -268,6 +282,12 @@ class BigramLm:
     Training appends a terminal UNK to every text so each token occurrence
     contributes exactly one bigram; that makes P(.|w) a proper distribution
     over vocabulary + UNK:  P(v|w) = (c(w,v) + 1) / (c(w) + V + 1).
+
+    Calls memoize each (prev, word) log probability, as computed by
+    `logprob`, and each context's last word, keyed by the context string,
+    so memory grows with the distinct pairs and contexts scored. The memos
+    never change an answer; callers on concurrent threads can at worst
+    compute the same value twice.
     """
 
     def __init__(self, unigrams: Counter[str], bigrams: Counter[tuple[str, str]]):
@@ -275,21 +295,18 @@ class BigramLm:
         self.bigrams = bigrams
         self.vocab = set(unigrams)
         self.vocab_size = len(self.vocab)
+        self._logprobs: dict[tuple[str | None, str], float] = {}
+        self._last_words: dict[str, str | None] = {}
 
     @classmethod
     def train(cls, texts: list[str]) -> BigramLm:
         unigrams: Counter[str] = Counter()
         bigrams: Counter[tuple[str, str]] = Counter()
-        any_tokens = False
         for text in texts:
             tokens = _words(text)
-            if not tokens:
-                continue
-            any_tokens = True
             unigrams.update(tokens)
-            for prev, cur in zip(tokens, tokens[1:] + [UNK]):
-                bigrams[(prev, cur)] += 1
-        if not any_tokens:
+            bigrams.update(zip(tokens, tokens[1:] + [UNK]))
+        if not unigrams:
             raise ValueError("cannot train a bigram model on an empty corpus")
         return cls(unigrams, bigrams)
 
@@ -310,10 +327,19 @@ class BigramLm:
         tokens = _words(request.continuation)
         if not tokens:
             raise ValueError("continuation has no word tokens")
-        prev = _last_word(request.context)
+        context = request.context
+        try:
+            prev = self._last_words[context]
+        except KeyError:
+            prev = self._last_words[context] = _last_word(context)
+        memo = self._logprobs
         logprobs = []
         for token in tokens:
-            logprobs.append(self.logprob(token, prev))
+            try:
+                logprob = memo[prev, token]
+            except KeyError:
+                logprob = memo[prev, token] = self.logprob(token, prev)
+            logprobs.append(logprob)
             prev = token
         return LikelihoodResult(tokens=tuple(tokens), logprobs=tuple(logprobs))
 
@@ -395,6 +421,8 @@ def _rerank(
 
     def score_pair(pair: tuple[Query, Document]) -> float:
         query, doc = pair
+        # every pair of a document shares its one prompt object, so a provider
+        # keying on the context (BigramLm's memo) hashes that string once
         request = make_request(prompts[doc.id], query.text)
         try:
             return score_query_likelihood(provider(request))

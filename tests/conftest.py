@@ -71,4 +71,5 @@ def stub_server():
     StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)

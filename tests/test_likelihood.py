@@ -141,6 +141,29 @@ class TestBigramLm:
         with pytest.raises(ValueError):
             lm(LikelihoodRequest(context="a", continuation="..."))
 
+    @given(st.lists(st.one_of(
+        st.sampled_from(["", "...", "!?", " \n", "a", "B", "x1", "a a a", "a, b. a!"]),
+        st.lists(st.sampled_from(["a", "b", "cd", "x1", ".", "!", "Ab"]), max_size=8)
+        .map(" ".join)), max_size=8))
+    @example([])
+    @example(["", "..."])
+    @example(["a", "a"])
+    def test_train_counts_equal_the_per_token_loop(self, texts):
+        unigrams, bigrams = Counter(), Counter()
+        for text in texts:
+            tokens = _words(text)
+            for i, token in enumerate(tokens):
+                unigrams[token] += 1
+                bigrams[(token, tokens[i + 1] if i + 1 < len(tokens) else UNK)] += 1
+        if not unigrams:
+            with pytest.raises(ValueError):
+                BigramLm.train(texts)
+            return
+        lm = BigramLm.train(texts)
+        assert lm.unigrams == unigrams
+        assert lm.bigrams == bigrams
+        assert lm.vocab_size == len({w for text in texts for w in _words(text)})
+
 
 # "İ" lowercases to "i" plus a combining dot, and the Kelvin sign to "k"
 _TRICKY = st.sampled_from(list("ab09 .!\nßİ\u212a\u0307Σσ"))
@@ -168,6 +191,117 @@ class TestLastWord:
     @example("İ" * 100)
     def test_equals_last_of_words_past_the_first_tail(self, text):
         assert _last_word(text) == (_words(text) or [None])[-1]
+
+
+def chain(lm, context, continuation):
+    """The continuation's logprobs from lm.logprob alone, bypassing the memo."""
+    prev = (_words(context) or [None])[-1]
+    logprobs = []
+    for token in _words(continuation):
+        logprobs.append(lm.logprob(token, prev))
+        prev = token
+    return logprobs
+
+
+def count_logprob_calls(lm):
+    """Replace lm.logprob with a wrapper that counts its (prev, word) calls."""
+    calls = Counter()
+    original = lm.logprob
+
+    def counting(word, prev):
+        calls[prev, word] += 1
+        return original(word, prev)
+    lm.logprob = counting
+    return calls
+
+
+_MEMO_CORPUS = ["a b a b", "b c c a", "the cat sat on the mat"]
+
+
+class TestBigramMemo:
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(["", "...", "ends in a", "also a", "the", "zz!"]),
+                  st.text(alphabet="abct .!", max_size=20)),
+        st.lists(st.sampled_from(["a", "b", "c", "cat", "the", "zz"]), min_size=1,
+                 max_size=5).map(" ".join)), min_size=1, max_size=10))
+    def test_calls_equal_the_logprob_chain(self, pairs):
+        lm = BigramLm.train(_MEMO_CORPUS)
+        # repeated and interleaved: every pair forwards, then backwards
+        for context, continuation in pairs + pairs[::-1]:
+            result = lm(make_request(context, continuation))
+            assert list(result.logprobs) == chain(lm, context, continuation)
+
+    def test_contexts_sharing_a_last_word(self):
+        lm = BigramLm.train(_MEMO_CORPUS)
+        calls = count_logprob_calls(lm)
+        first = lm(LikelihoodRequest(context="this one ends in a", continuation="b c"))
+        second = lm(LikelihoodRequest(context="another, also a", continuation="b c"))
+        assert first == second
+        assert list(first.logprobs) == chain(BigramLm.train(_MEMO_CORPUS), "a", "b c")
+        assert calls == Counter({("a", "b"): 1, ("b", "c"): 1})
+
+    @pytest.mark.parametrize("fewshot", [False, True])
+    def test_one_logprob_per_distinct_pair_across_a_run(self, monkeypatch, fewshot):
+        from qlmrank.prompts import FewShotExample, render_fewshot, render_prompt
+        docs = {f"d{i}": Document(f"d{i}", "", f"the {w} sat on mat {i % 3}")
+                for i, w in enumerate(["cat", "dog", "cat", "bird", "dog", "cat"])}
+        queries = [Query("q1", "the cat sat"), Query("q2", "a cat on the mat"),
+                   Query("q3", "the dog")]
+        first_stage = Run({q.id: [(did, 0.0) for did in docs] for q in queries})
+        template = PromptTemplate(body="Question for: {doc}")
+        triples = [FewShotExample("a cat", "what sat", "why")] * 3 if fewshot else None
+        lm = BigramLm.train([d.body for d in docs.values()])
+        calls = count_logprob_calls(lm)
+        last_words = Counter()
+
+        def counting_last_word(text, _original=likelihood._last_word):
+            last_words[text] += 1
+            return _original(text)
+        monkeypatch.setattr(likelihood, "_last_word", counting_last_word)
+        rerank_run(lm, template, queries, first_stage, docs, fewshot=triples, max_workers=1)
+
+        prompts = {did: render_fewshot(template, triples, doc) if fewshot
+                   else render_prompt(template, doc) for did, doc in docs.items()}
+        expected, scored = set(), 0
+        for query in queries:
+            for prompt in prompts.values():
+                prev = (_words(prompt) or [None])[-1]
+                for token in _words(query.text):
+                    expected.add((prev, token))
+                    prev = token
+                    scored += 1
+        assert set(calls) == expected
+        assert max(calls.values()) == 1
+        assert len(calls) < scored
+        assert last_words == Counter(set(prompts.values()))
+
+    def test_concurrent_callers_get_the_serial_answers(self):
+        rng = random.Random(5)
+        vocab = ["a", "b", "c", "cat", "the", "zz"]
+        requests = [make_request(" ".join(rng.choices(vocab, k=rng.randint(1, 6))),
+                                 " ".join(rng.choices(vocab, k=rng.randint(1, 4))))
+                    for _ in range(300)]
+        expected = [chain(BigramLm.train(_MEMO_CORPUS), r.context, r.continuation)
+                    for r in requests]
+        lm = BigramLm.train(_MEMO_CORPUS)
+        results = [None] * len(requests)
+
+        def work(offset):
+            for i in range(offset, offset + len(requests)):
+                i %= len(requests)
+                results[i] = list(lm(requests[i]).logprobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(37 * n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
 
 
 class TestRerank:

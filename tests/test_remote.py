@@ -1,8 +1,11 @@
 """Wire-protocol conformance for the remote logprobs client, exercised
 against an in-process stub server (see conftest.StubHandler)."""
 
+import gc
 import json
 import threading
+import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -111,7 +114,8 @@ def test_identical_requests_identical_results(stub_server):
 class KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 stub that keeps connections open unless its server has
     `close_after_answer` set; then it closes each one after answering,
-    without saying so in the response. Counts connections and requests."""
+    without saying so in the response. Counts connections, the ones still
+    open, and requests."""
 
     protocol_version = "HTTP/1.1"
 
@@ -119,6 +123,12 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         super().setup()
         with self.server.lock:
             self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.open -= 1
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
@@ -142,7 +152,7 @@ def keep_alive_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
     server.daemon_threads = True
     server.lock = threading.Lock()
-    server.connections = server.requests = 0
+    server.connections = server.open = server.requests = 0
     server.close_after_answer = False
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -152,17 +162,49 @@ def keep_alive_server():
     thread.join(timeout=5)
 
 
-def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server):
+def rerank_200_pairs(provider):
+    """Re-rank 10 queries x 20 docs through `provider` at 16 workers."""
     docs = {f"d{i}": Document(f"d{i}", "", f"body {i}") for i in range(20)}
     queries = [Query(f"q{j}", f"query {j}") for j in range(10)]
     first_stage = Run({q.id: [(did, 0.0) for did in docs] for q in queries})
+    return rerank_run(provider, PromptTemplate(body="{doc}"), queries, first_stage, docs,
+                      max_workers=16)
+
+
+def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server):
     provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
                               attempts=1)
-    out = rerank_run(provider, PromptTemplate(body="{doc}"), queries, first_stage, docs,
-                     max_workers=16)
+    out = rerank_200_pairs(provider)
+    provider.close()
     assert sum(len(ranking) for ranking in out.entries.values()) == 200
     assert keep_alive_server.requests == 200
     assert 1 <= keep_alive_server.connections <= 16
+
+
+def test_close_ends_the_connections_of_every_thread(keep_alive_server):
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
+                              attempts=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        provider(REQUEST)  # this thread's connection, besides the pool's
+        rerank_200_pairs(provider)
+        provider.close()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert all_closed(keep_alive_server)
+    # a closed provider still works, and closes the connection it reopened
+    assert provider(REQUEST).logprobs == (-1.0,)
+    assert keep_alive_server.open == 1
+    provider.close()
+    assert all_closed(keep_alive_server)
+
+
+def all_closed(server, timeout=5.0):
+    """Whether the server sees every connection closed within `timeout`."""
+    deadline = time.monotonic() + timeout
+    while server.open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server.open == 0
 
 
 def test_connection_dropped_after_answer_is_reopened(keep_alive_server):
@@ -171,6 +213,7 @@ def test_connection_dropped_after_answer_is_reopened(keep_alive_server):
                               attempts=1)
     assert provider(REQUEST).logprobs == (-1.0,)
     assert provider(REQUEST).logprobs == (-1.0,)
+    provider.close()
     assert keep_alive_server.requests == 2
     assert keep_alive_server.connections == 2
 
