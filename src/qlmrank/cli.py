@@ -6,10 +6,9 @@ produce byte-identical outputs. Each output is staged to a fresh temp file
 beside it, fsynced and renamed into place, so interrupted or concurrent
 runs never leave truncated files.
 
-A parameter has one name: its flag's dest, its run_* keyword and its
-config key are the same word. Each run_* signature is its verb's only
-flag declaration (build_parser reads it); RANGES and CHOICES hold the
-rules.
+A parameter has one declaration, its run_* keyword: build_parser makes its
+flag from it, VERB_KEYS its config key's type and default, and a Literal
+hint gives its choices. RULES holds every other value rule.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
 """
@@ -25,7 +24,8 @@ import pathlib
 import sys
 import tempfile
 import typing
-from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
+from typing import Literal
 
 from . import corpus as corpus_io, fusion, likelihood, prompts, ranking
 from .corpus import FormatError, Run
@@ -40,16 +40,14 @@ AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
 
 EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
 
-# the range rule of each ranged parameter: (test, what the error says)
-RANGES: dict[str, tuple[typing.Callable[[float], bool], str]] = {
+# the value rule of each parameter that has one: (test, what the error says)
+RULES: dict[str, tuple[typing.Callable[[typing.Any], bool], str]] = {
     **{name: (lambda v: v >= 1, "must be >= 1")
        for name in ("k", "depth", "max_workers", "eval_k", "doc_max_chars")},
     **{name: (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
        for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level")},
+    "tag": (lambda v: v.split() == [v], "must be one word without whitespace"),
 }
-CHOICES = {"ranker": ("bm25", "dirichlet"), "first_stage": ("bm25", "dirichlet"),
-           "provider": ("bigram", "remote"), "on_error": ("fail", "floor"),
-           "correction": ("bonferroni", "none")}
 # the keys of the config's analyzer section: run_index's analyzer keywords
 ANALYZER_KEYS = ("lowercase", "stopwords", "stem")
 # the config keys `pipeline` also takes as flags
@@ -69,14 +67,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_range(name: str, value, spelled: str) -> None:
-    """Apply `name`'s RANGES rule to a value or a list; errors say `spelled`."""
-    if name not in RANGES or value is None:
+def _check_rule(name: str, value, spelled: str) -> None:
+    """Apply `name`'s RULES entry to a value or a list; errors say `spelled`."""
+    if name not in RULES or value is None:
         return
-    test, rule = RANGES[name]
+    test, rule = RULES[name]
     for v in value if isinstance(value, list) else [value]:
         if not test(v):
-            raise UsageError(f"{spelled} {rule}, got {v}")
+            raise UsageError(f"{spelled} {rule}, got {v!r}")
 
 
 def _params(cls, prefix: str, **values):
@@ -142,8 +140,8 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
     return index
 
 
-def run_search(index: str, queries: str, out: str, ranker: str = "bm25", k: int = 100,
-               k1: float = ranking.Bm25Params.k1, b: float = ranking.Bm25Params.b,
+def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "dirichlet"] = "bm25",
+               k: int = 100, k1: float = ranking.Bm25Params.k1, b: float = ranking.Bm25Params.b,
                mu: float = ranking.DirichletParams.mu, tag: str | None = None) -> None:
     """first-stage lexical retrieval"""
     # both are built, so a bad --mu fails under bm25 too, before any file is read
@@ -187,12 +185,13 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
             prompt_catalog.fewshot_for(dataset) if fewshot else None)
 
 
-def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
-               dataset: str, provider: str = "bigram", endpoint: str | None = None,
+def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str, dataset: str,
+               provider: Literal["bigram", "remote"] = "bigram", endpoint: str | None = None,
                auth_token: str | None = None, catalog: str | None = None, depth: int = 100,
                doc_max_chars: int = prompts.DEFAULT_DOC_MAX_CHARS, fewshot: bool = False,
-               on_error: str = "fail", max_workers: int = likelihood.DEFAULT_MAX_WORKERS,
-               tag: str = "qlm", stats_out: str | None = None) -> None:
+               on_error: Literal["fail", "floor"] = "fail",
+               max_workers: int = likelihood.DEFAULT_MAX_WORKERS, tag: str = "qlm",
+               stats_out: str | None = None) -> None:
     """query-likelihood re-ranking of a candidate run"""
     remote = _remote_provider(endpoint, auth_token) if provider == "remote" else None
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
@@ -240,7 +239,8 @@ def run_eval(run: str, qrels: str, k: int = 10, out: str | None = None) -> str:
 
 
 def run_sigtest(runs: list[str], qrels: str, k: int = 10, alpha_level: float = 0.05,
-                correction: str = "bonferroni", out: str | None = None) -> str:
+                correction: Literal["bonferroni", "none"] = "bonferroni",
+                out: str | None = None) -> str:
     """pairwise paired t-tests between runs"""
     if len(runs) < 2:
         raise UsageError("sigtest needs at least 2 run files")
@@ -265,67 +265,62 @@ def run_sweep(run_a: str, run_b: str, qrels: str,
 
 # --- Pipeline config ---
 
+def _choices(hint) -> tuple | None:
+    """The values a Literal hint allows; None for any other hint."""
+    return typing.get_args(hint) if typing.get_origin(hint) is Literal else None
+
+
 def _base_type(hint):
-    """The type a field holds when it is not None: str for `str | None`."""
-    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    """The type a field holds when it is not None: str for `str | None` or a Literal."""
+    return next(type(t) if _choices(hint) else t
+                for t in typing.get_args(hint) or (hint,) if t is not type(None))
 
 
 def _checked(name: str, value, hint):
     """A config value after checking its JSON type against the field type
-    `hint` (a bool is not an int), its CHOICES and its RANGES. A section
-    must hold only known keys; bm25 and dirichlet become their classes."""
+    `hint` (a bool is not an int), its Literal choices and its RULES. A
+    section must hold only known keys; bm25 and dirichlet become their classes."""
     if hint is None:
         raise UsageError(f"unknown config key {name!r}")
-    kind = _base_type(hint)
-    if value is None and kind is not hint:
+    kind, nullable = _base_type(hint), type(None) in typing.get_args(hint)
+    if value is None and nullable:
         return None
     if not (type(value) in (int, float) if kind is float
             else isinstance(value, dict) if kind is dict or is_dataclass(kind)
             else type(value) is kind):
-        null = " or null" if kind is not hint else ""
-        raise UsageError(f"{name} must be {_JSON_TYPES.get(kind, 'an object')}{null}, "
-                         f"got {json.dumps(value)}")
+        raise UsageError(f"{name} must be {_JSON_TYPES.get(kind, 'an object')}"
+                         f"{' or null' if nullable else ''}, got {json.dumps(value)}")
     if isinstance(value, dict):
         keys = (typing.get_type_hints(kind) if is_dataclass(kind) else
                 {k: v for k, v in typing.get_type_hints(run_index).items() if k in ANALYZER_KEYS})
         value = {k: _checked(f"{name}.{k}", v, keys.get(k)) for k, v in value.items()}
         return _params(kind, f"{name}.", **value) if is_dataclass(kind) else value
-    if name in CHOICES and value not in CHOICES[name]:
-        raise UsageError(f"{name} must be one of {', '.join(CHOICES[name])}, got {value!r}")
-    _check_range(name, value, name)
+    if (choices := _choices(hint)) and value not in choices:
+        raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    _check_rule(name, value, name)
     return value
 
 
-@dataclass
-class PipelineConfig:
-    """Everything one end-to-end experiment needs, loadable from JSON with
-    CLI flag overrides (flags win)."""
+# config key -> (run_* function, keyword): every run_rerank keyword the pipeline leaves open
+VERB_KEYS = {**{name: (run_rerank, name) for name in inspect.signature(run_rerank).parameters
+                if name not in ("run", "out", "tag", "stats_out")},
+             "first_stage": (run_search, "ranker"), "eval_k": (run_eval, "k"),
+             **{name: (run_sigtest, name) for name in ("alpha_level", "correction")}}
 
-    corpus: str
-    queries: str
+
+@dataclass
+class _PipelineKeys:
+    """The pipeline's own config keys. PipelineConfig adds the VERB_KEYS: everything
+    one end-to-end experiment needs, loadable from JSON with CLI flag overrides (flags win)."""
+
     qrels: str
     output_dir: str
-    model_family: str
-    dataset: str
     analyzer: dict = dc_field(default_factory=dict)
-    first_stage: str = "bm25"
     bm25: ranking.Bm25Params = dc_field(default_factory=ranking.Bm25Params)
     dirichlet: ranking.DirichletParams = dc_field(default_factory=ranking.DirichletParams)
-    depth: int = 100
     external_run: str | None = None
     hybrid_alpha: float = fusion.HYBRID_ALPHA
-    provider: str = "bigram"
-    endpoint: str | None = None
-    auth_token: str | None = None
-    catalog: str | None = None
-    doc_max_chars: int = prompts.DEFAULT_DOC_MAX_CHARS
-    fewshot: bool = False
-    on_error: str = "fail"
-    max_workers: int = likelihood.DEFAULT_MAX_WORKERS
     rerank_alpha: float = fusion.RERANK_ALPHA
-    eval_k: int = 10
-    alpha_level: float = 0.05
-    correction: str = "bonferroni"
 
     @classmethod
     def load(cls, path: str, overrides: dict | None = None) -> PipelineConfig:
@@ -358,6 +353,12 @@ class PipelineConfig:
         return config
 
 
+_HINTS = {run: typing.get_type_hints(run) for run, _ in VERB_KEYS.values()}
+PipelineConfig = make_dataclass("PipelineConfig", bases=(_PipelineKeys,), kw_only=True, fields=[
+    (key, _HINTS[run][kw],
+     dc_field(default=MISSING if param.default is param.empty else param.default))
+    for key, (run, kw) in VERB_KEYS.items() for param in [inspect.signature(run).parameters[kw]]],
+    namespace={"__module__": __name__})  # make_dataclass sets no module before Python 3.12
 CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
 
 
@@ -385,10 +386,9 @@ def run_pipeline(config: str, **overrides) -> None:
                  alpha=cfg.hybrid_alpha, tag="hybrid")
         candidates = out("hybrid.trec")
 
-    # every other keyword of run_rerank is the config key of the same name
-    keys = [k for k in inspect.signature(run_rerank).parameters if k in CONFIG_TYPES]
     run_rerank(candidates, out=out("reranked.trec"), stats_out=out("provider_stats.json"),
-               **{k: getattr(cfg, k) for k in keys})
+               **{keyword: getattr(cfg, key)
+                  for key, (run, keyword) in VERB_KEYS.items() if run is run_rerank})
     run_fuse(candidates, out("reranked.trec"), out("fused.trec"), alpha=cfg.rerank_alpha)
     run_eval(out("fused.trec"), cfg.qrels, k=cfg.eval_k, out=out("eval.tsv"))
     run_sigtest([candidates, out("reranked.trec"), out("fused.trec")], cfg.qrels,
@@ -437,7 +437,7 @@ def _add_param(p: argparse.ArgumentParser, name: str, hint, default, help: str |
     else:
         required = default is inspect.Parameter.empty
         p.add_argument(flag, type=_parse_alphas if hint == list[float] else _base_type(hint),
-                       choices=CHOICES.get(name), required=required,
+                       choices=_choices(hint), required=required,
                        default=None if required else default, help=help)
 
 
@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         args = vars(build_parser().parse_args(argv))
         verb = VERBS[args.pop("command")]
         for name, value in args.items():
-            _check_range(name, value, "--" + name.replace("_", "-"))
+            _check_rule(name, value, "--" + name.replace("_", "-"))
         text = verb(**args)  # a report, or run_index's index
         sys.stdout.write(text if isinstance(text, str) else "")
     except UsageError as exc:

@@ -19,6 +19,14 @@ class FormatError(ValueError):
     """Malformed input data (corpus/queries/qrels/run files)."""
 
 
+def _check_id(kind: str, value: str) -> None:
+    # a TREC run file's columns are split on whitespace, so an id must be one word
+    if not value:
+        raise FormatError(f"{kind} id must be non-empty")
+    if value.split() != [value]:
+        raise FormatError(f"{kind} id {value!r} must not contain whitespace")
+
+
 @dataclass(frozen=True)
 class Document:
     """One corpus document. Title and body are stored verbatim."""
@@ -28,8 +36,7 @@ class Document:
     body: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise FormatError("document id must be non-empty")
+        _check_id("document", self.id)
         if not isinstance(self.title, str) or not isinstance(self.body, str):
             raise FormatError(f"document {self.id!r}: title and body must be strings")
 
@@ -44,8 +51,7 @@ class Query:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise FormatError("query id must be non-empty")
+        _check_id("query", self.id)
         if not isinstance(self.text, str) or not self.text:
             raise FormatError(f"query {self.id!r}: text must be a non-empty string")
 
@@ -145,7 +151,7 @@ def load_corpus(path: str) -> list[Document]:
                 obj = json.loads(line)
                 doc = Document(id=str(obj["_id"]), title=obj.get("title", "") or "",
                                body=obj.get("text", ""))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, FormatError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed corpus line ({exc})") from exc
             if doc.id in seen:
                 raise FormatError(f"{path}:{lineno}: duplicate document id {doc.id!r}")

@@ -237,15 +237,18 @@ class RemoteProvider:
     def _decode(self, data: bytes) -> LikelihoodResult:
         try:
             payload = json.loads(data)
-            tokens = payload["tokens"]
-            logprobs = [float(v) for v in payload["logprobs"]]
+            tokens, logprobs = payload["tokens"], payload["logprobs"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed response from {self.url}: {exc}") from exc
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise ProtocolError(f"malformed tokens array from {self.url}")
+        if (not isinstance(tokens, list) or not tokens
+                or not all(isinstance(t, str) for t in tokens)):
+            raise ProtocolError(f"tokens from {self.url} must be a non-empty list of strings")
+        # a JSON number only: bool is an int subclass, and float() would take "12" too
+        if not isinstance(logprobs, list) or not all(type(v) in (int, float) for v in logprobs):
+            raise ProtocolError(f"logprobs from {self.url} must be a list of numbers")
         return LikelihoodResult(
             tokens=tuple(tokens),
-            logprobs=tuple(floor_logprobs(logprobs, self.logprob_floor)),
+            logprobs=tuple(floor_logprobs([float(v) for v in logprobs], self.logprob_floor)),
         )
 
 

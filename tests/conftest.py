@@ -1,11 +1,19 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
 from qlmrank.corpus import Document, Query
 from qlmrank.ranking import Analyzer, build_index
+
+# pytest's `pythonpath` setting reaches this interpreter only; a test that
+# starts `python -m qlmrank.cli` needs the checkout's src/ on PYTHONPATH too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 @pytest.fixture

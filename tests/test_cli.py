@@ -390,6 +390,7 @@ class TestMalformedInput:
     `error:` line naming the parameter, and nothing run or written. Every
     malformed input file is a data error: exit 2 and one `data error:` line."""
 
+    DROP = object()  # a CONFIG_CASES value that removes the key
     CONFIG_CASES = {
         "depth-as-string": ({"depth": "100"}, 'depth must be an integer, got "100"'),
         "depth-as-bool": ({"depth": True}, "depth must be an integer, got true"),
@@ -411,6 +412,11 @@ class TestMalformedInput:
         "endpoint-without-scheme": ({"provider": "remote", "endpoint": "localhost:8000"},
                                     "endpoint must be an http:// or https:// URL with a host, "
                                     "got 'localhost:8000'"),
+        "corpus-missing": ({"corpus": DROP}, "missing required config keys ['corpus']"),
+        "provider-null": ({"provider": None}, "provider must be a string, got null"),
+        "first-stage-unknown": ({"first_stage": "tfidf"},
+                                "first_stage must be one of bm25, dirichlet, got 'tfidf'"),
+        "eval-k-zero": ({"eval_k": 0}, "eval_k must be >= 1, got 0"),
     }
 
     # paths that do not exist: each error must come before any file is read
@@ -448,6 +454,21 @@ class TestMalformedInput:
                                  "--provider", "remote", "--endpoint", "ftp://example.org"],
                                 "endpoint must be an http:// or https:// URL with a host, "
                                 "got 'ftp://example.org'"),
+        "pipeline-eval-k-zero": (["pipeline", "--config", "c.json", "--eval-k", "0"],
+                                 "--eval-k must be >= 1, got 0"),
+        "pipeline-hybrid-alpha-two": (["pipeline", "--config", "c.json", "--hybrid-alpha", "2"],
+                                      "--hybrid-alpha must be in [0, 1], got 2.0"),
+        "search-tag-with-space": (["search", "--index", "i.json", "--queries", "q.jsonl",
+                                   "--out", "o.trec", "--tag", "my tag"],
+                                  "--tag must be one word without whitespace, got 'my tag'"),
+        "fuse-tag-empty": (["fuse", "--run-a", "a.trec", "--run-b", "b.trec", "--out", "o.trec",
+                            "--alpha", "0.5", "--tag", ""],
+                           "--tag must be one word without whitespace, got ''"),
+        "rerank-tag-with-tab": (["rerank", "--run", "r.trec", "--corpus", "c.jsonl",
+                                 "--queries", "q.jsonl", "--out", "o.trec",
+                                 "--model-family", "llama", "--dataset", "trecc",
+                                 "--tag", "q\tlm"],
+                                "--tag must be one word without whitespace, got 'q\\tlm'"),
     }
 
     make_config = TestPipeline.make_config
@@ -549,7 +570,8 @@ class TestMalformedInput:
         change, message = self.CONFIG_CASES[case]
         outdir = dataset["dir"] / "out"
         config = self.make_config(dataset, outdir)
-        data = {**json.loads(config.read_text()), **change} if change else change
+        data = ({k: v for k, v in {**json.loads(config.read_text()), **change}.items()
+                 if v is not self.DROP} if change else change)
         config.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         code = run_cli("pipeline", "--config", config)
@@ -623,6 +645,23 @@ class TestMalformedInput:
         code = run_cli("pipeline", "--config", config)
         self.assert_data_error(code, capsys.readouterr().err, message)
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("corpus", {"_id": "a b", "text": "x"},
+         "corpus.jsonl:6: malformed corpus line (document id 'a b' must not contain whitespace)"),
+        ("queries", {"_id": "q\t4", "text": "x"},
+         "queries.jsonl:4: malformed query line (query id 'q\\t4' must not contain whitespace)"),
+    ], ids=["corpus", "queries"])
+    def test_id_with_whitespace(self, dataset, capsys, name, row, message):
+        # a run file splits its columns on whitespace: such an id would break every run
+        with open(dataset[name], "a", encoding="utf-8") as f:
+            f.write(json.dumps(row) + "\n")
+        out = dataset["dir"] / "out.trec"
+        code = run_cli("rerank", "--run", dataset["dir"] / "r.trec", "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", out,
+                       "--model-family", "llama", "--dataset", "trecc")
+        self.assert_data_error(code, capsys.readouterr().err, message)
+        assert not out.exists()
 
     def test_missing_stopword_file(self, dataset, capsys):
         outdir = dataset["dir"] / "out"

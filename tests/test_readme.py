@@ -1,8 +1,13 @@
-"""README's library example runs as written, on a tiny BEIR dataset."""
+"""README's library example runs as written, on a tiny BEIR dataset, and
+its pipeline config block lists every config key with its default."""
 
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
+
+from qlmrank.cli import ANALYZER_KEYS, PipelineConfig, run_index
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +35,24 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     match = re.fullmatch(r"nDCG@10 (\d\.\d{4})\n", printed)
     assert match and 0.0 < float(match.group(1)) <= 1.0
+
+
+def test_config_block_holds_every_key_and_default(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("### One-shot pipeline", 1)[1]
+    block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    required = [f.name for f in dataclasses.fields(PipelineConfig)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    assert set(list(block)[:6]) == set(required)  # "the first six are required"
+    # a config of the required keys alone loads with every other key at its default
+    monkeypatch.chdir(tmp_path)
+    for name in ("corpus", "queries", "qrels"):
+        Path(block[name]).write_text("", encoding="utf-8")
+    Path("config.json").write_text(json.dumps({k: block[k] for k in required}), encoding="utf-8")
+    config = PipelineConfig.load("config.json")
+    loaded = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    loaded.update(bm25=dataclasses.asdict(config.bm25),
+                  dirichlet=dataclasses.asdict(config.dirichlet),
+                  # an absent analyzer key takes run_index's default
+                  analyzer={name: inspect.signature(run_index).parameters[name].default
+                            for name in ANALYZER_KEYS} | config.analyzer)
+    assert loaded == block

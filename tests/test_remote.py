@@ -56,6 +56,40 @@ def test_missing_keys_is_protocol_error(stub_server):
         provider(REQUEST)
 
 
+MALFORMED_PAYLOADS = {
+    "logprobs-string": ({"tokens": ["a", "b"], "logprobs": "12"}, "logprobs"),
+    "logprobs-bool": ({"tokens": ["a"], "logprobs": [True]}, "logprobs"),
+    "logprobs-numeric-string": ({"tokens": ["a"], "logprobs": ["-1.5"]}, "logprobs"),
+    "logprobs-null": ({"tokens": ["a"], "logprobs": None}, "logprobs"),
+    "tokens-empty": ({"tokens": [], "logprobs": []}, "tokens"),
+    "tokens-not-strings": ({"tokens": [1], "logprobs": [-1.0]}, "tokens"),
+    "not-an-object": ([], "malformed response"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PAYLOADS)
+def test_malformed_payload_is_protocol_error(stub_server, case):
+    payload, message = MALFORMED_PAYLOADS[case]
+    StubHandler.script = [(200, payload)]
+    provider = RemoteProvider(stub_server, backoff=0.0)
+    with pytest.raises(ProtocolError, match=message):
+        provider(REQUEST)
+    assert len(StubHandler.requests_seen) == 1  # a malformed answer is not retried
+
+
+def test_malformed_payload_scores_at_the_floor_under_on_error_floor(stub_server):
+    # d1 is scored first: its answer is malformed, d2's is well formed
+    StubHandler.script = [(200, {"tokens": [], "logprobs": []}),
+                          (200, {"tokens": ["x", "y"], "logprobs": [-1.0, -2.0]})]
+    docs = {did: Document(did, "", f"body {did}") for did in ("d1", "d2")}
+    first_stage = Run({"q1": [("d1", 2.0), ("d2", 1.0)]})
+    provider = RemoteProvider(stub_server, backoff=0.0)
+    out = rerank_run(provider, PromptTemplate(body="{doc}"), [Query("q1", "what")],
+                     first_stage, docs, max_workers=1, on_error="floor")
+    provider.close()
+    assert out.entries == {"q1": [("d2", -1.5), ("d1", -100.0)]}
+
+
 def test_negative_infinity_floored_with_warning(stub_server, caplog):
     StubHandler.script = [(200, {"tokens": ["a", "b"], "logprobs": [-1.0, -1e999]})]
     provider = RemoteProvider(stub_server, backoff=0.0)
