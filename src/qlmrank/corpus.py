@@ -241,8 +241,11 @@ def write_run(run: Run, path: str) -> None:
     """Write a run in 6-column TREC format, ranks starting at 1 per query.
 
     Scores are serialized with repr precision, so read_run(write_run(r))
-    reproduces orderings and scores exactly.
+    reproduces orderings and scores exactly. A tag that is not one word
+    would add columns, so it raises FormatError before the file is opened.
     """
+    if run.tag.split() != [run.tag]:
+        raise FormatError(f"run tag {run.tag!r} must be one word without whitespace")
     with open(path, "w", encoding="utf-8") as f:
         for qid, pairs in run.entries.items():
             for rank, (did, score) in enumerate(pairs, 1):

@@ -7,11 +7,14 @@ The index is immutable after build; scoring and search are read-only.
 
 from __future__ import annotations
 
+import base64
 import functools
+import itertools
 import json
 import math
 import operator
 import re
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -19,8 +22,10 @@ from dataclasses import dataclass, field
 
 from .corpus import Document, FormatError, _sort_ranking
 
-INDEX_FORMAT_VERSION = 2
-_INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "doc_len", "postings"}
+INDEX_FORMAT_VERSION = 3
+_INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
+               "positions", "tfs"}
+_WIDTHS = {code: array(code).itemsize for code in "BHI"}  # unsigned, narrowest first
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TOKEN_RE_CASED = re.compile(r"[A-Za-z0-9]+")
@@ -114,8 +119,10 @@ class InvertedIndex:
     length. A term's postings are two arrays of equal length: the positions
     of the documents that hold it, and its tf in each.
 
-    Invariants (build_index makes all; load_index checks all but the last):
-      doc ids are unique, and len(doc_ids) == len(doc_len) >= 1
+    Invariants (build_index makes all; load_index checks all but the last,
+    and of the last only its sum over all documents, sum(tfs) == sum(doc_len)):
+      doc ids are unique, non-empty and free of whitespace, and
+        len(doc_ids) == len(doc_len) >= 1
       positions are non-empty, ascend and are below n_docs; each tf >= 1
       a document's tfs over all postings sum to its doc_len
     The statistics are derived, never stored: n_docs == len(doc_ids),
@@ -346,20 +353,79 @@ def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as versioned, canonical JSON: doc ids once, and
-    each term's postings as two int lists. Everything round-trips exactly."""
+    """Persist the index as versioned, canonical JSON: doc ids once, the
+    terms in sorted order, and every integer array packed (see _pack).
+    positions and tfs are the postings of all terms, concatenated in terms
+    order, and df holds each term's share. Everything round-trips exactly."""
+    terms = sorted(index.postings)
+    positions, tfs = array("I"), array("I")
+    for term in terms:
+        term_positions, term_tfs = index.postings[term]
+        positions.extend(term_positions)
+        tfs.extend(term_tfs)
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "analyzer": index.analyzer.to_dict(),
         "doc_ids": index.doc_ids,
-        "doc_len": index.doc_len.tolist(),
-        "postings": {term: [positions.tolist(), tfs.tolist()]
-                     for term, (positions, tfs) in index.postings.items()},
+        "terms": terms,
+        "doc_len": _pack(index.doc_len),
+        "df": _pack(array("I", [len(index.postings[term][0]) for term in terms])),
+        "positions": _pack(positions),
+        "tfs": _pack(tfs),
     }
     # one dumps call runs the C encoder; json.dump streams through Python
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
+
+
+def _pack(values: array) -> str:
+    """The typecode of the narrowest of B, H and I that holds every value,
+    then base64 of the values' little-endian bytes in that width."""
+    top = max(values, default=0)
+    code = next(code for code, width in _WIDTHS.items() if top < 1 << 8 * width)
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    data = _resize(values.tobytes(), values.itemsize, _WIDTHS[code])
+    return code + base64.b64encode(data).decode("ascii")
+
+
+def _unpack(name: str, value: object) -> array:
+    """_pack's values as array('I'); anything _pack cannot write raises
+    ValueError naming the field."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a packed array string, got {json.dumps(value)[:40]}")
+    code, text = value[:1], value[1:]
+    if code not in _WIDTHS:
+        raise ValueError(f"{name} must start with typecode B, H or I, got {code!r}")
+    try:
+        data = base64.b64decode(text)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        data = None
+    # b64decode skips stray characters and ignores padding bits, so only
+    # re-encoding proves that text is the one encoding of data
+    if data is None or base64.b64encode(data).decode("ascii") != text:
+        raise ValueError(f"{name} is not canonical base64")
+    width = _WIDTHS[code]
+    if len(data) % width:
+        raise ValueError(f"{name} holds {len(data)} bytes, not a multiple of its "
+                         f"item size {width}")
+    unpacked = array("I")
+    unpacked.frombytes(_resize(data, width, unpacked.itemsize))
+    if sys.byteorder == "big":
+        unpacked.byteswap()
+    return unpacked
+
+
+def _resize(data: bytes, width: int, new_width: int) -> bytearray:
+    """Little-endian unsigned items of width bytes as items of new_width
+    bytes: zero-extended, or cut to their low bytes, which must hold them.
+    Strided slices move the bytes without making an int per item."""
+    resized = bytearray(len(data) // width * new_width)
+    for k in range(min(width, new_width)):
+        resized[k::new_width] = data[k::width]
+    return resized
 
 
 def load_index(path: str) -> InvertedIndex:
@@ -380,40 +446,48 @@ def load_index(path: str) -> InvertedIndex:
 
 
 def _index_from_payload(payload: dict) -> InvertedIndex:
+    # each check is a C-level call over a whole list or array, or one step
+    # per term: none is a Python-level pass over the postings
     if payload.keys() != _INDEX_KEYS:
         raise ValueError(f"index keys must be {sorted(_INDEX_KEYS)}, got {sorted(payload)}")
     analyzer = Analyzer.from_dict(payload["analyzer"])
-    doc_ids = payload["doc_ids"]
-    if not (isinstance(doc_ids, list) and doc_ids and all(type(did) is str for did in doc_ids)):
-        raise ValueError("doc_ids must be a non-empty list of strings")
+    doc_ids, terms = payload["doc_ids"], payload["terms"]
+    # a TREC run file's columns are split on whitespace, so an id must be one word
+    if not (isinstance(doc_ids, list) and doc_ids and set(map(type, doc_ids)) == {str}
+            and " ".join(doc_ids).split() == doc_ids):
+        raise ValueError("doc_ids must be a non-empty list of non-empty strings "
+                         "without whitespace")
     if len(set(doc_ids)) != len(doc_ids):
         raise ValueError(f"duplicate doc id {_first_duplicate(doc_ids)!r}")
+    if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
+            and all(map(operator.lt, terms, terms[1:]))):
+        raise ValueError("terms must be a list of unique strings in sorted order")
+    doc_len, df, positions, tfs = (_unpack(name, payload[name])
+                                   for name in ("doc_len", "df", "positions", "tfs"))
     n = len(doc_ids)
-    # array() rejects strings, floats, lists and negative or oversized
-    # numbers at C speed
-    try:
-        doc_len = array("I", payload["doc_len"])
-    except (TypeError, OverflowError):
-        raise ValueError("doc_len must be a list of non-negative integers") from None
     if len(doc_len) != n:
         raise ValueError(f"doc_len must hold one length per doc id ({n}), got {len(doc_len)}")
-    if not isinstance(payload["postings"], dict):
-        raise ValueError("postings must be an object")
-    uints = functools.partial(array, "I")
+    if len(df) != len(terms):
+        raise ValueError(f"df must hold one count per term ({len(terms)}), got {len(df)}")
+    if 0 in df:
+        raise ValueError("every df must be >= 1")
+    total = sum(df)
+    if not len(positions) == len(tfs) == total:
+        raise ValueError(f"positions and tfs must each hold sum(df) = {total} entries, "
+                         f"got {len(positions)} and {len(tfs)}")
+    if 0 in tfs:
+        raise ValueError("every tf must be >= 1")
+    if sum(tfs) != sum(doc_len):
+        raise ValueError(f"doc_len must sum to the sum of all tfs ({sum(tfs)}), "
+                         f"got {sum(doc_len)}")
     postings: dict[str, tuple[array, array]] = {}
-    for term, pair in payload["postings"].items():
-        try:
-            positions, tfs = map(uints, pair)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"postings of {term!r} must be [positions, tfs], "
-                             "two lists of non-negative integers") from None
-        if not 0 < len(positions) == len(tfs):
-            raise ValueError(f"positions and tfs of {term!r} must be non-empty "
-                             f"and of equal length, got {len(positions)} and {len(tfs)}")
-        if positions[-1] >= n or not all(map(operator.lt, positions, positions[1:])):
+    start = 0
+    for term, end in zip(terms, itertools.accumulate(df)):
+        term_positions = positions[start:end]
+        if term_positions[-1] >= n or not all(map(operator.lt, term_positions,
+                                                  term_positions[1:])):
             raise ValueError(f"positions of {term!r} must ascend and be below {n}")
-        if min(tfs) == 0:
-            raise ValueError(f"tfs of {term!r} must be >= 1")
-        postings[term] = (positions, tfs)
+        postings[term] = (term_positions, tfs[start:end])
+        start = end
     return InvertedIndex(doc_ids=doc_ids, doc_len=doc_len, postings=postings,
                          analyzer=analyzer)

@@ -1,7 +1,9 @@
 import argparse
+import base64
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import threading
@@ -46,6 +48,12 @@ def dataset(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def packed(code, *values):
+    """An index file's packed array: struct typecode, then base64 of the
+    values' little-endian bytes."""
+    return code + base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
 
 
 class TestIndexAndSearch:
@@ -473,52 +481,77 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 2, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
-             "doc_ids": ["d1", "d2"], "doc_len": [1, 2], "postings": {"apple": [[0, 1], [1, 2]]}}
+    INDEX = {"format_version": 3, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+             "doc_ids": ["d1", "d2"], "terms": ["apple"], "doc_len": packed("B", 1, 2),
+             "df": packed("B", 2), "positions": packed("B", 0, 1), "tfs": packed("B", 1, 2)}
+    V2_INDEX = {"format_version": 2, "analyzer": INDEX["analyzer"], "doc_ids": ["d1", "d2"],
+                "doc_len": [1, 2], "postings": {"apple": [[0, 1], [1, 2]]}}
+    NO_DOCS = {"doc_ids": [], "terms": [], "doc_len": packed("B"), "df": packed("B"),
+               "positions": packed("B"), "tfs": packed("B")}
+    BAD_DOC_IDS = "doc_ids must be a non-empty list of non-empty strings without whitespace"
+    BAD_TERMS = "terms must be a list of unique strings in sorted order"
     INDEX_CASES = {
         "array": ([], "unsupported index format version None"),
         "v1": ({"format_version": 1, "analyzer": INDEX["analyzer"], "n_docs": 1,
                 "total_terms": 1, "doc_len": {"d1": 1}, "cf": {"apple": 1},
                 "postings": {"apple": [["d1", 1]]}}, "unsupported index format version 1"),
-        "postings-array": ({**INDEX, "postings": []}, "postings must be an object"),
+        "v2": (V2_INDEX, "unsupported index format version 2"),
+        "postings-array": ({**INDEX, "positions": [0, 1]},
+                           "positions must be a packed array string, got [0, 1]"),
         "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
-                          "doc_len must be a list of non-negative integers"),
-        "posting-not-a-pair": ({**INDEX, "postings": {"apple": [[0, 1]]}},
-                               "postings of 'apple' must be [positions, tfs], two lists of "
-                               "non-negative integers"),
-        "n-docs-string": ({**INDEX, "n_docs": "2"}, "index keys must be ['analyzer', 'doc_ids', "
-                          "'doc_len', 'format_version', 'postings'], got ['analyzer', 'doc_ids', "
-                          "'doc_len', 'format_version', 'n_docs', 'postings']"),
+                          "doc_len must be a packed array string, got [[\"d1\", 1], "),
+        "doc-len-bools": ({**INDEX, "doc_len": [True, 2]},
+                          "doc_len must be a packed array string, got [true, 2]"),
+        "tfs-true": ({**INDEX, "tfs": True}, "tfs must be a packed array string, got true"),
+        "posting-not-a-pair": ({**INDEX, "positions": packed("B", 0)},
+                               "positions and tfs must each hold sum(df) = 2 entries, "
+                               "got 1 and 2"),
+        "n-docs-string": ({**INDEX, "n_docs": "2"}, "index keys must be ['analyzer', 'df', "
+                          "'doc_ids', 'doc_len', 'format_version', 'positions', 'terms', 'tfs'], "
+                          "got ['analyzer', 'df', 'doc_ids', 'doc_len', 'format_version', "
+                          "'n_docs', 'positions', 'terms', 'tfs']"),
         "analyzer-missing": ({k: v for k, v in INDEX.items() if k != "analyzer"},
                              "index keys must be"),
         "not-json": ("{", "invalid JSON"),
-        "posting-three-lists": ({**INDEX, "postings": {"apple": [[0, 1], [1, 2], [1, 2]]}},
-                                "postings of 'apple' must be [positions, tfs]"),
-        "tf-string": ({**INDEX, "postings": {"apple": [[0, 1], [1, "x"]]}},
-                      "postings of 'apple' must be [positions, tfs]"),
-        "tf-zero": ({**INDEX, "postings": {"apple": [[0, 1], [1, 0]]}},
-                    "tfs of 'apple' must be >= 1"),
-        "position-negative": ({**INDEX, "postings": {"apple": [[-1, 1], [1, 2]]}},
-                              "postings of 'apple' must be [positions, tfs]"),
-        "position-float": ({**INDEX, "postings": {"apple": [[0, 1.0], [1, 2]]}},
-                           "postings of 'apple' must be [positions, tfs]"),
-        "doc-len-string": ({**INDEX, "doc_len": [1, "1"]},
-                           "doc_len must be a list of non-negative integers"),
-        "doc-len-short": ({**INDEX, "doc_len": [1]},
+        "posting-three-lists": ({**INDEX, "terms": ["apple", "pear"]},
+                                "df must hold one count per term (2), got 1"),
+        "tf-string": ({**INDEX, "tfs": "1,2"}, "tfs must start with typecode B, H or I, got '1'"),
+        "tf-zero": ({**INDEX, "tfs": packed("B", 3, 0)}, "every tf must be >= 1"),
+        "position-negative": ({**INDEX, "positions": packed("i", -1, 1)},
+                              "positions must start with typecode B, H or I, got 'i'"),
+        "position-float": ({**INDEX, "positions": packed("d", 0.0, 1.0)},
+                           "positions must start with typecode B, H or I, got 'd'"),
+        "typecode-unknown": ({**INDEX, "df": packed("Q", 2)},
+                             "df must start with typecode B, H or I, got 'Q'"),
+        "typecode-missing": ({**INDEX, "df": ""}, "df must start with typecode B, H or I, got ''"),
+        "doc-len-string": ({**INDEX, "doc_len": "B1,2"}, "doc_len is not canonical base64"),
+        "base64-non-canonical": ({**INDEX, "positions": "BAAF="},  # "BAAE=" with padding bits set
+                                 "positions is not canonical base64"),
+        "base64-not-ascii": ({**INDEX, "positions": "B\u00e9"}, "positions is not canonical base64"),
+        "bytes-ragged": ({**INDEX, "doc_len": "H" + base64.b64encode(b"\1\0\2").decode()},
+                         "doc_len holds 3 bytes, not a multiple of its item size 2"),
+        "doc-len-short": ({**INDEX, "doc_len": packed("B", 3)},
                           "doc_len must hold one length per doc id (2), got 1"),
-        "doc-id-not-string": ({**INDEX, "doc_ids": ["d1", ["d2"]]},
-                              "doc_ids must be a non-empty list of strings"),
-        "doc-ids-empty": ({**INDEX, "doc_ids": [], "doc_len": [], "postings": {}},
-                          "doc_ids must be a non-empty list of strings"),
+        "doc-len-below-tfs": ({**INDEX, "doc_len": packed("B", 1, 0)},  # d2 holds tf 2
+                              "doc_len must sum to the sum of all tfs (3), got 1"),
+        "doc-id-not-string": ({**INDEX, "doc_ids": ["d1", ["d2"]]}, BAD_DOC_IDS),
+        "doc-id-with-space": ({**INDEX, "doc_ids": ["a b", "d2"]}, BAD_DOC_IDS),
+        "doc-id-empty-string": ({**INDEX, "doc_ids": ["", "d2"]}, BAD_DOC_IDS),
+        "doc-ids-empty": ({**INDEX, **NO_DOCS}, BAD_DOC_IDS),
         "doc-ids-duplicate": ({**INDEX, "doc_ids": ["d1", "d1"]}, "duplicate doc id 'd1'"),
-        "pair-lengths-differ": ({**INDEX, "postings": {"apple": [[0, 1], [1]]}},
-                                "positions and tfs of 'apple' must be non-empty and of equal "
-                                "length, got 2 and 1"),
-        "posting-empty": ({**INDEX, "postings": {"apple": [[], []]}},
-                          "positions and tfs of 'apple' must be non-empty"),
-        "position-out-of-range": ({**INDEX, "postings": {"apple": [[0, 2], [1, 2]]}},
+        "terms-unsorted": ({**INDEX, "terms": ["pear", "apple"], "df": packed("B", 1, 1)},
+                           BAD_TERMS),
+        "terms-duplicate": ({**INDEX, "terms": ["apple", "apple"], "df": packed("B", 1, 1)},
+                            BAD_TERMS),
+        "term-not-string": ({**INDEX, "terms": [1]}, BAD_TERMS),
+        "pair-lengths-differ": ({**INDEX, "tfs": packed("B", 3)},
+                                "positions and tfs must each hold sum(df) = 2 entries, "
+                                "got 2 and 1"),
+        "posting-empty": ({**INDEX, "df": packed("B", 0), "positions": packed("B"),
+                           "tfs": packed("B")}, "every df must be >= 1"),
+        "position-out-of-range": ({**INDEX, "positions": packed("B", 0, 2)},
                                   "positions of 'apple' must ascend and be below 2"),
-        "positions-not-ascending": ({**INDEX, "postings": {"apple": [[1, 0], [1, 2]]}},
+        "positions-not-ascending": ({**INDEX, "positions": packed("B", 1, 0)},
                                     "positions of 'apple' must ascend and be below 2"),
         "analyzer-loose": ({**INDEX, "analyzer": {"lowercase": "no", "stopwords": "the",
                                                   "stem": 0, "extra": 1}},

@@ -161,6 +161,14 @@ class TestRunFiles:
         assert back.entries == run.entries
         assert back.tag == run.tag
 
+    @pytest.mark.parametrize("tag", ["my tag", "", "q\tlm"])
+    def test_tag_that_is_not_one_word_is_not_written(self, tmp_path, tag):
+        # read_run splits a line on whitespace, so such a tag adds or drops a column
+        path = tmp_path / "run.trec"
+        with pytest.raises(FormatError, match="must be one word without whitespace"):
+            write_run(Run({"q1": [("d1", 1.0)]}, tag=tag), str(path))
+        assert not path.exists()
+
     def test_ties_serialize_doc_id_ascending(self, tmp_path):
         run = Run({"q1": [("d2", 1.0), ("d1", 1.0)]})
         path = tmp_path / "run.trec"

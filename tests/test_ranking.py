@@ -1,5 +1,9 @@
+import base64
+import json
 import math
 import random
+import struct
+import sys
 import tempfile
 from array import array
 from collections import Counter
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlmrank import ranking
 from qlmrank.corpus import Document, _sort_ranking
 from qlmrank.ranking import (
     Analyzer,
@@ -401,6 +406,26 @@ class TestPersistence:
             assert bm25_search(back, Bm25Params(), query, k=3) == \
                    bm25_search(c3_index, Bm25Params(), query, k=3)
 
+    def test_file_layout(self, c3_index, tmp_path):
+        # terms sorted, each array packed, postings concatenated in terms order
+        path = tmp_path / "index.json"
+        save_index(c3_index, str(path))
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert {k: v for k, v in payload.items() if k != "analyzer"} == {
+            "format_version": 3, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
+            "doc_len": packed("B", 3, 2, 3), "df": packed("B", 1, 2, 2),
+            "positions": packed("B", 0, 0, 1, 1, 2), "tfs": packed("B", 2, 1, 1, 1, 3)}
+
+    def test_empty_documents_round_trip(self, tmp_path):
+        # no term at all: every array but doc_len is empty
+        index = build_index([Document("d1", "", "!"), Document("d2", "", "")])
+        path = str(tmp_path / "index.json")
+        save_index(index, path)
+        assert json.loads(Path(path).read_text())["positions"] == "B"
+        assert load_index(path) == index
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text('{"format_version": 99}', encoding="utf-8")
@@ -414,6 +439,50 @@ class TestPersistence:
         path = str(tmp_path / "index.json")
         save_index(index, path)
         assert load_index(path).analyzer == analyzer
+
+
+def packed(code, *values):
+    """_pack's output, written with struct: typecode, then base64 of the
+    values' little-endian bytes."""
+    return code + base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
+
+
+@pytest.mark.parametrize("top, code", [(0, "B"), (255, "B"), (256, "H"), (65535, "H"),
+                                       (65536, "I"), (2**32 - 1, "I")])
+def test_pack_takes_the_narrowest_typecode(top, code):
+    values = array("I", [top, 0, top // 2])
+    text = ranking._pack(values)
+    assert text == packed(code, top, 0, top // 2)
+    unpacked = ranking._unpack("x", text)
+    assert unpacked == values and unpacked.typecode == "I"
+
+
+class _BigEndianArray(array):
+    """An array whose bytes are big-endian, as on a big-endian host: its
+    values are the same, but tobytes and frombytes swap each item."""
+
+    def tobytes(self):
+        swapped = array(self.typecode, self)
+        swapped.byteswap()
+        return swapped.tobytes()
+
+    def frombytes(self, data):
+        native = array(self.typecode)
+        native.frombytes(data)
+        native.byteswap()
+        self.extend(native)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="simulates big-endian on little-endian")
+@pytest.mark.parametrize("values", [[0, 1, 255], [1, 256, 65535], [2, 65536, 2**32 - 1]])
+def test_pack_on_a_big_endian_host(monkeypatch, values):
+    little = ranking._pack(array("I", values))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(ranking, "array", _BigEndianArray)
+    native = _BigEndianArray("I", values)
+    assert native.tobytes() != array("I", values).tobytes()  # the simulation swaps
+    assert ranking._pack(native) == little
+    assert ranking._unpack("x", little) == native
 
 
 @st.composite

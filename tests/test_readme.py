@@ -1,5 +1,6 @@
-"""README's library example runs as written, on a tiny BEIR dataset, and
-its pipeline config block lists every config key with its default."""
+"""README's library example runs as written, on a tiny BEIR dataset, its
+pipeline config block lists every config key with its default, and its
+index.json example is what save_index writes."""
 
 import dataclasses
 import inspect
@@ -8,6 +9,8 @@ import re
 from pathlib import Path
 
 from qlmrank.cli import ANALYZER_KEYS, PipelineConfig, run_index
+from qlmrank.corpus import Document
+from qlmrank.ranking import build_index, save_index
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,3 +59,14 @@ def test_config_block_holds_every_key_and_default(tmp_path, monkeypatch):
                   analyzer={name: inspect.signature(run_index).parameters[name].default
                             for name in ANALYZER_KEYS} | config.analyzer)
     assert loaded == block
+
+
+def test_index_example_is_what_save_index_writes(tmp_path):
+    paragraph = " ".join(README.read_text(encoding="utf-8").split(
+        "`index.json` is canonical JSON", 1)[1].split("\n\n", 1)[0].split())
+    path = tmp_path / "index.json"
+    save_index(build_index([Document("d1", "", "apple apple pear"),
+                            Document("d2", "", "pear fig")]), str(path))
+    written = json.loads(path.read_text(encoding="utf-8"))
+    shown = json.loads(re.search(r"`(\{.*?\})`", paragraph).group(1).replace("{...}", "null"))
+    assert shown == {**written, "analyzer": None}
