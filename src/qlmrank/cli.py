@@ -43,7 +43,7 @@ EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
 # the value rule of each parameter that has one: (test, what the error says)
 RULES: dict[str, tuple[typing.Callable[[typing.Any], bool], str]] = {
     **{name: (lambda v: v >= 1, "must be >= 1")
-       for name in ("k", "depth", "max_workers", "eval_k", "doc_max_chars")},
+       for name in ("k", "depth", "max_workers", "doc_max_chars")},
     **{name: (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
        for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level")},
     "tag": (lambda v: v.split() == [v], "must be one word without whitespace"),
@@ -68,7 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_rule(name: str, value, spelled: str) -> None:
-    """Apply `name`'s RULES entry to a value or a list; errors say `spelled`."""
+    """Apply `name`'s RULES entry to a value or a list; errors say `spelled`.
+    A config key that renames a keyword (VERB_KEYS) takes the keyword's rule."""
+    name = VERB_KEYS[name][1] if name in VERB_KEYS else name
     if name not in RULES or value is None:
         return
     test, rule = RULES[name]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import fmean, stdev
 
 from .corpus import QrelSet, Run
 
@@ -52,6 +51,8 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
     documents have gain 0; the ideal ordering ranks all judged documents
     by grade.
     """
+    from statistics import fmean  # imported on use: verbs that never evaluate skip it
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     per_query: dict[str, float] = {}
@@ -158,6 +159,8 @@ def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
     variance in the differences: identical means give t=0, p=1; a nonzero
     mean gives p=0 with the degenerate flag set.
     """
+    from statistics import fmean, stdev
+
     shared = sorted(a.keys() & b.keys())
     if len(shared) < 2:
         raise ValueError(f"need at least 2 shared queries, got {len(shared)}")

@@ -16,11 +16,9 @@ import itertools
 import json
 import logging
 import math
-import re
 import threading
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +30,7 @@ from .prompts import (
     render_fewshot,
     render_prompt,
 )
+from .ranking import words
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +38,6 @@ DEFAULT_LOGPROB_FLOOR = -100.0
 DEFAULT_MAX_WORKERS = 8
 
 UNK = "<unk>"
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class ProviderError(RuntimeError):
@@ -256,26 +254,21 @@ class RemoteProvider:
 # Bigram reference language model
 # ---------------------------------------------------------------------------
 
-def _words(text: str) -> list[str]:
-    return _WORD_RE.findall(text.lower())
-
-
 def _last_word(text: str) -> str | None:
-    """The last of _words(text), or None if it has none, lowercasing only as
+    """The last of words(text), or None if it has none, tokenizing only as
     much of the end of the text as it needs.
 
     str.lower maps each character on its own (final sigma aside, which never
-    yields [a-z0-9]), so the last word of a tail is the last word of the text
-    unless it starts right at the tail's start; then the tail doubles.
+    yields [a-z0-9]), so when a tail of the text holds two or more words, a
+    separator precedes its last one, which is then the text's last word.
+    Otherwise the tail doubles.
     """
     size = 64
     while True:
         start = max(0, len(text) - size)
-        last = None
-        for last in _WORD_RE.finditer(text[start:].lower()):
-            pass
-        if start == 0 or (last is not None and last.start() > 0):
-            return last.group() if last is not None else None
+        tail = words(text[start:])
+        if start == 0 or len(tail) > 1:
+            return tail[-1] if tail else None
         size *= 2
 
 
@@ -286,10 +279,12 @@ class BigramLm:
     contributes exactly one bigram; that makes P(.|w) a proper distribution
     over vocabulary + UNK:  P(v|w) = (c(w,v) + 1) / (c(w) + V + 1).
 
-    Calls memoize each (prev, word) log probability, as computed by
-    `logprob`, and each context's last word, keyed by the context string,
-    so memory grows with the distinct pairs and contexts scored. The memos
-    never change an answer; callers on concurrent threads can at worst
+    Calls memoize each context's last word, keyed by the context string;
+    each finished result, keyed by (that last word, the continuation), since
+    the bigram chain sees no more of the context; and each (prev, word) log
+    probability, as computed by `logprob`. Memory grows with the distinct
+    contexts, (last word, continuation) pairs and word pairs scored. The
+    memos never change an answer; callers on concurrent threads can at worst
     compute the same value twice.
     """
 
@@ -300,13 +295,14 @@ class BigramLm:
         self.vocab_size = len(self.vocab)
         self._logprobs: dict[tuple[str | None, str], float] = {}
         self._last_words: dict[str, str | None] = {}
+        self._results: dict[tuple[str | None, str], LikelihoodResult] = {}
 
     @classmethod
     def train(cls, texts: list[str]) -> BigramLm:
         unigrams: Counter[str] = Counter()
         bigrams: Counter[tuple[str, str]] = Counter()
         for text in texts:
-            tokens = _words(text)
+            tokens = words(text)
             unigrams.update(tokens)
             bigrams.update(zip(tokens, tokens[1:] + [UNK]))
         if not unigrams:
@@ -327,14 +323,19 @@ class BigramLm:
         return math.log((pair_count + 1) / (context_count + self.vocab_size + 1))
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
-        tokens = _words(request.continuation)
-        if not tokens:
-            raise ValueError("continuation has no word tokens")
         context = request.context
         try:
             prev = self._last_words[context]
         except KeyError:
             prev = self._last_words[context] = _last_word(context)
+        key = prev, request.continuation
+        try:
+            return self._results[key]
+        except KeyError:
+            pass
+        tokens = words(request.continuation)
+        if not tokens:
+            raise ValueError("continuation has no word tokens")
         memo = self._logprobs
         logprobs = []
         for token in tokens:
@@ -344,7 +345,9 @@ class BigramLm:
                 logprob = memo[prev, token] = self.logprob(token, prev)
             logprobs.append(logprob)
             prev = token
-        return LikelihoodResult(tokens=tuple(tokens), logprobs=tuple(logprobs))
+        result = self._results[key] = LikelihoodResult(tokens=tuple(tokens),
+                                                       logprobs=tuple(logprobs))
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +455,9 @@ def _map_windowed(fn: Callable[[tuple[Query, Document]], float],
     the first exception, raised here, cancels the few that are queued and
     leaves the rest of the list unsubmitted.
     """
+    # imported on use, like RemoteProvider's HTTP stack: only a threaded re-rank needs it
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     results: list[float] = [0.0] * len(items)
     todo = iter(enumerate(items))
     with ThreadPoolExecutor(max_workers=max_workers) as pool:

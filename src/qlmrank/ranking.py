@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import operator
-import re
 import sys
 from array import array
 from bisect import bisect_left
@@ -27,8 +26,25 @@ _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df"
                "positions", "tfs"}
 _WIDTHS = {code: array(code).itemsize for code in "BHI"}  # unsigned, narrowest first
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_TOKEN_RE_CASED = re.compile(r"[A-Za-z0-9]+")
+_WORD_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+# byte -> itself if words keep it, else a space
+_KEEP_LOWER = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
+_KEEP_CASED = bytes(c if c in _WORD_BYTES + _WORD_BYTES[10:].upper() else 32
+                    for c in range(256))
+
+
+def words(text: str, lowercase: bool = True) -> list[str]:
+    """The maximal runs of ASCII [a-z0-9] in text.lower(), in order; with
+    lowercase false, the runs of ASCII [A-Za-z0-9] in text as given.
+
+    Every other code point separates words: the ASCII encoding turns each
+    non-ASCII one into "?", and the table turns each byte outside a word
+    into a space, so split() sees only word bytes and spaces.
+    """
+    table = _KEEP_LOWER if lowercase else _KEEP_CASED
+    if lowercase:
+        text = text.lower()
+    return text.encode("ascii", "replace").translate(table).decode("ascii").split()
 
 
 def _s_stem(word: str) -> str:
@@ -46,7 +62,9 @@ def _s_stem(word: str) -> str:
 
 @dataclass(frozen=True)
 class Analyzer:
-    """Deterministic tokenizer: split on non-alphanumeric runs.
+    """Deterministic tokenizer. A token is a maximal run of ASCII [a-z0-9]
+    after str.lower() (of [A-Za-z0-9] in the text as given, with lowercase
+    off); every other code point separates tokens, as in `words`.
 
     Stemming (a light plural stripper) and stopword removal are off by
     default; lowercasing is on.
@@ -57,10 +75,7 @@ class Analyzer:
     stem: bool = False
 
     def tokenize(self, text: str) -> list[str]:
-        if self.lowercase:
-            tokens = _TOKEN_RE.findall(text.lower())
-        else:
-            tokens = _TOKEN_RE_CASED.findall(text)
+        tokens = words(text, self.lowercase)
         if self.stopwords:
             tokens = [t for t in tokens if t not in self.stopwords]
         if self.stem:

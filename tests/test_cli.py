@@ -708,13 +708,15 @@ class TestMalformedInput:
 
 
 def test_cli_import_leaves_out_the_http_stack():
-    # only a remote provider needs http.client and ssl; the offline verbs never load them
+    # only a remote provider needs http.client and ssl, only a threaded re-rank
+    # concurrent.futures and only evaluation statistics: importing the CLI loads none
     src = os.path.dirname(os.path.dirname(qlmrank.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qlmrank.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"],
+         "import sys, qlmrank.cli; print(sorted({'http.client', 'ssl', 'concurrent.futures',"
+         " 'statistics'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

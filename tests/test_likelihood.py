@@ -19,7 +19,6 @@ from qlmrank.likelihood import (
     ProviderError,
     UNK,
     _last_word,
-    _words,
     floor_logprobs,
     make_request,
     rerank,
@@ -27,6 +26,7 @@ from qlmrank.likelihood import (
     score_query_likelihood,
 )
 from qlmrank.prompts import PromptTemplate
+from qlmrank.ranking import words
 
 
 def constant_provider(logprob):
@@ -151,7 +151,7 @@ class TestBigramLm:
     def test_train_counts_equal_the_per_token_loop(self, texts):
         unigrams, bigrams = Counter(), Counter()
         for text in texts:
-            tokens = _words(text)
+            tokens = words(text)
             for i, token in enumerate(tokens):
                 unigrams[token] += 1
                 bigrams[(token, tokens[i + 1] if i + 1 < len(tokens) else UNK)] += 1
@@ -162,7 +162,7 @@ class TestBigramLm:
         lm = BigramLm.train(texts)
         assert lm.unigrams == unigrams
         assert lm.bigrams == bigrams
-        assert lm.vocab_size == len({w for text in texts for w in _words(text)})
+        assert lm.vocab_size == len({w for text in texts for w in words(text)})
 
 
 # "İ" lowercases to "i" plus a combining dot, and the Kelvin sign to "k"
@@ -183,21 +183,21 @@ class TestLastWord:
     @example("")
     @example("... !!")
     def test_equals_last_of_words(self, text):
-        assert _last_word(text) == (_words(text) or [None])[-1]
+        assert _last_word(text) == (words(text) or [None])[-1]
 
     @given(st.text(alphabet=_TRICKY, max_size=400))
     @example("x" * 300)
     @example("a" + " " * 300)
     @example("İ" * 100)
     def test_equals_last_of_words_past_the_first_tail(self, text):
-        assert _last_word(text) == (_words(text) or [None])[-1]
+        assert _last_word(text) == (words(text) or [None])[-1]
 
 
 def chain(lm, context, continuation):
     """The continuation's logprobs from lm.logprob alone, bypassing the memo."""
-    prev = (_words(context) or [None])[-1]
+    prev = (words(context) or [None])[-1]
     logprobs = []
-    for token in _words(continuation):
+    for token in words(continuation):
         logprobs.append(lm.logprob(token, prev))
         prev = token
     return logprobs
@@ -265,8 +265,8 @@ class TestBigramMemo:
         expected, scored = set(), 0
         for query in queries:
             for prompt in prompts.values():
-                prev = (_words(prompt) or [None])[-1]
-                for token in _words(query.text):
+                prev = (words(prompt) or [None])[-1]
+                for token in words(query.text):
                     expected.add((prev, token))
                     prev = token
                     scored += 1
@@ -274,6 +274,40 @@ class TestBigramMemo:
         assert max(calls.values()) == 1
         assert len(calls) < scored
         assert last_words == Counter(set(prompts.values()))
+
+    @pytest.mark.parametrize("fewshot", [True, False])
+    def test_one_result_per_distinct_last_word_and_query(self, monkeypatch, fewshot):
+        from qlmrank.prompts import FewShotExample, render_fewshot, render_prompt
+        docs = {f"d{i}": Document(f"d{i}", "", f"the {w} sat on mat {i % 3}")
+                for i, w in enumerate(["cat", "dog", "cat", "bird", "dog", "cat"])}
+        queries = [Query("q1", "the cat sat"), Query("q2", "a cat on the mat"),
+                   Query("q3", "the dog"), Query("q4", "the cat sat")]
+        first_stage = Run({q.id: [(did, 0.0) for did in docs] for q in queries})
+        template = PromptTemplate(body="Question for: {doc}")
+        triples = [FewShotExample("a cat", "what sat", "why")] * 3 if fewshot else None
+        texts = [d.body for d in docs.values()]
+        lm = BigramLm.train(texts)
+        built = []
+
+        def counting_result(*, tokens, logprobs, _original=likelihood.LikelihoodResult):
+            built.append(tokens)
+            return _original(tokens=tokens, logprobs=logprobs)
+        monkeypatch.setattr(likelihood, "LikelihoodResult", counting_result)
+        run = rerank_run(lm, template, queries, first_stage, docs, fewshot=triples,
+                         max_workers=1)
+        monkeypatch.undo()
+
+        prompts = {did: render_fewshot(template, triples, doc) if fewshot
+                   else render_prompt(template, doc) for did, doc in docs.items()}
+        distinct = {(words(prompt)[-1], query.text)
+                    for prompt in prompts.values() for query in queries}
+        assert len(built) == len(distinct) < len(queries) * len(docs)
+        fresh = BigramLm.train(texts)
+        for query in queries:
+            for did, score in run.entries[query.id]:
+                request = make_request(prompts[did], query.text)
+                assert lm(request) == fresh(request)
+                assert score == score_query_likelihood(fresh(request))
 
     def test_concurrent_callers_get_the_serial_answers(self):
         rng = random.Random(5)

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import random
+import re
 import struct
 import sys
 import tempfile
@@ -10,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlmrank import ranking
 from qlmrank.corpus import Document, _sort_ranking
@@ -25,6 +26,7 @@ from qlmrank.ranking import (
     dirichlet_search,
     load_index,
     save_index,
+    words,
 )
 
 
@@ -111,6 +113,22 @@ class TestAnalyzer:
         analyzer = Analyzer()
         text = "Some; mixed TEXT with 42 numbers..."
         assert analyzer.tokenize(text) == analyzer.tokenize(text)
+
+    # the regexes are the token definition; the package computes it without them
+    @given(st.text())
+    @example("İstanbul")         # lowercases to "i", a combining dot, "stanbul"
+    @example("\u212aelvin")      # the Kelvin sign lowercases to "k"
+    @example("a\ud800b")         # a lone surrogate
+    @example("a\x00b")
+    @example("a\x1cb\x1dc\x1ed\x1fe")  # separators to str.split(), and to words
+    @example("\uff11x")          # full-width digit one
+    @example("\u0661x")          # Arabic-Indic digit one
+    @example("MiXeD 42 Case!")
+    def test_words_equal_the_regex_definition(self, text):
+        assert words(text) == re.findall(r"[a-z0-9]+", text.lower())
+        assert words(text, lowercase=False) == re.findall(r"[A-Za-z0-9]+", text)
+        assert Analyzer().tokenize(text) == words(text)
+        assert Analyzer(lowercase=False).tokenize(text) == words(text, lowercase=False)
 
 
 # ---------------------------------------------------------------------------
