@@ -130,10 +130,8 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
     """build an inverted index from a corpus
 
     Returns the index it wrote to `out`, for pipeline's search."""
-    words: frozenset[str] = frozenset()
-    if stopwords:
-        with open(_require_file(stopwords, "stopword list"), encoding="utf-8") as f:
-            words = frozenset(w.strip() for w in f if w.strip())
+    words = frozenset(line.strip() for _, line in corpus_io.read_lines(
+        _require_file(stopwords, "stopword list"))) if stopwords else frozenset()
     analyzer = ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     index = ranking.build_index(docs, analyzer)
@@ -328,11 +326,7 @@ class _PipelineKeys:
     def load(cls, path: str, overrides: dict | None = None) -> PipelineConfig:
         """Read and check a config, with non-None `overrides` winning; every
         check runs here, before any stage touches the disk."""
-        with open(_require_file(path, "config"), encoding="utf-8") as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        data = corpus_io.read_json(_require_file(path, "config"))
         if not isinstance(data, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in (overrides or {}).items() if v is not None})

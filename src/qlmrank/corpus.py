@@ -2,7 +2,8 @@
 
 Documents, queries, qrels, and runs are the currency every other module
 trades in. Loaders are pure functions over files; loaded objects are
-treated as immutable.
+treated as immutable. Every input file of the package is opened here, by
+read_lines or read_json, so one that does not decode or parse is named.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
 
 class FormatError(ValueError):
-    """Malformed input data (corpus/queries/qrels/run files)."""
+    """Malformed input data: an input file, or a value of the data model."""
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -135,49 +137,63 @@ class Run:
         return [did for did, _ in self.entries.get(query_id, [])]
 
 
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(physical line number, line) for each non-blank line of a UTF-8 file.
+    Undecodable bytes raise FormatError naming the path."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, 1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            # exc's position counts from the start of a decoded chunk, not of the file
+            raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
+def read_json(path: str) -> object:
+    """The JSON value of a UTF-8 file. Undecodable bytes or invalid JSON
+    raise FormatError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _load_jsonl(path: str, line_kind: str, id_kind: str,
+                make: Callable[[dict], Document | Query]) -> list:
+    """make(object) for each line of a JSONL file, in order; a malformed line
+    or a repeated id raises FormatError naming the line."""
+    items = []
+    seen: set[str] = set()
+    for lineno, line in read_lines(path):
+        try:
+            item = make(json.loads(line))
+        except (json.JSONDecodeError, KeyError, TypeError, FormatError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed {line_kind} line ({exc})") from exc
+        if item.id in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate {id_kind} id {item.id!r}")
+        seen.add(item.id)
+        items.append(item)
+    return items
+
+
 def load_corpus(path: str) -> list[Document]:
     """Load a BEIR corpus.jsonl: one {"_id", "title"?, "text"} object per line.
 
     Order-preserving and total on well-formed input; duplicate ids and
     malformed lines are errors (the error names the offending line).
     """
-    docs: list[Document] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc = Document(id=str(obj["_id"]), title=obj.get("title", "") or "",
-                               body=obj.get("text", ""))
-            except (json.JSONDecodeError, KeyError, TypeError, FormatError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed corpus line ({exc})") from exc
-            if doc.id in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-            docs.append(doc)
-    return docs
+    return _load_jsonl(path, "corpus", "document", lambda obj: Document(
+        id=str(obj["_id"]), title=obj.get("title", "") or "", body=obj.get("text", "")))
 
 
 def load_queries(path: str) -> list[Query]:
     """Load a BEIR queries.jsonl: one {"_id", "text"} object per line."""
-    queries: list[Query] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                query = Query(id=str(obj["_id"]), text=obj["text"])
-            except (json.JSONDecodeError, KeyError, TypeError, FormatError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed query line ({exc})") from exc
-            if query.id in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate query id {query.id!r}")
-            seen.add(query.id)
-            queries.append(query)
-    return queries
+    return _load_jsonl(path, "query", "query",
+                       lambda obj: Query(id=str(obj["_id"]), text=obj["text"]))
 
 
 def load_qrels(path: str) -> QrelSet:
@@ -187,27 +203,23 @@ def load_qrels(path: str) -> QrelSet:
     ones with a warning (tolerates concatenated qrels files).
     """
     qrels = QrelSet()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
+    for lineno, line in read_lines(path):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
+        qid, did, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            if lineno == 1:  # optional header line
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            qid, did, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                if lineno == 1:  # optional header line
-                    continue
-                raise FormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
-            if grade < 0:
-                raise FormatError(f"{path}:{lineno}: negative grade {grade}")
-            if qrels.grade(qid, did) is not None:
-                logger.warning("%s:%d: duplicate judgment (%s, %s), keeping the later one",
-                               path, lineno, qid, did)
-            qrels.add(qid, did, grade)
+            raise FormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
+        if grade < 0:
+            raise FormatError(f"{path}:{lineno}: negative grade {grade}")
+        if qrels.grade(qid, did) is not None:
+            logger.warning("%s:%d: duplicate judgment (%s, %s), keeping the later one",
+                           path, lineno, qid, did)
+        qrels.add(qid, did, grade)
     return qrels
 
 
@@ -219,22 +231,22 @@ def read_run(path: str) -> Run:
     """
     entries: dict[str, list[tuple[str, float]]] = {}
     tag: str | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            qid, _, did, _, score_str, line_tag = parts
-            if tag is None:
-                tag = line_tag
-            try:
-                score = float(score_str)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric score {score_str!r}") from None
-            entries.setdefault(qid, []).append((did, score))
-    return Run(entries, tag=tag or "run")
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        qid, _, did, _, score_str, line_tag = parts
+        if tag is None:
+            tag = line_tag
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric score {score_str!r}") from None
+        entries.setdefault(qid, []).append((did, score))
+    try:
+        return Run(entries, tag=tag or "run")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_run(run: Run, path: str) -> None:

@@ -34,7 +34,7 @@ from .ranking import words
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LOGPROB_FLOOR = -100.0
+LOGPROB_FLOOR = -100.0
 DEFAULT_MAX_WORKERS = 8
 
 UNK = "<unk>"
@@ -101,17 +101,17 @@ def score_query_likelihood(result: LikelihoodResult) -> float:
     return sum(result.logprobs) / len(result.logprobs)
 
 
-def floor_logprobs(values: list[float], floor: float = DEFAULT_LOGPROB_FLOOR) -> list[float]:
-    """Replace -inf/NaN with the floor and clamp below it, warning once per call."""
+def floor_logprobs(values: list[float]) -> list[float]:
+    """Replace -inf/NaN with LOGPROB_FLOOR and clamp below it, warning once per call."""
     floored = []
     clamped = 0
     for v in values:
-        if math.isnan(v) or v < floor:
+        if math.isnan(v) or v < LOGPROB_FLOOR:
             clamped += 1
-            v = floor
+            v = LOGPROB_FLOOR
         floored.append(v)
     if clamped:
-        logger.warning("floored %d non-finite or sub-floor logprobs to %g", clamped, floor)
+        logger.warning("floored %d non-finite or sub-floor logprobs to %g", clamped, LOGPROB_FLOOR)
     return floored
 
 
@@ -142,7 +142,6 @@ class RemoteProvider:
         attempts: int = 3,
         backoff: float = 0.5,
         timeout: float = 30.0,
-        logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
     ):
         import http.client
         from urllib.parse import urlsplit
@@ -154,7 +153,6 @@ class RemoteProvider:
                          **({"Authorization": f"Bearer {auth_token}"} if auth_token else {})}
         self.attempts = attempts
         self.backoff = backoff
-        self.logprob_floor = logprob_floor
         self._local = threading.local()
         self._lock = threading.Lock()
         self._conns: list[http.client.HTTPConnection] = []  # every thread's, for close()
@@ -246,7 +244,7 @@ class RemoteProvider:
             raise ProtocolError(f"logprobs from {self.url} must be a list of numbers")
         return LikelihoodResult(
             tokens=tuple(tokens),
-            logprobs=tuple(floor_logprobs([float(v) for v in logprobs], self.logprob_floor)),
+            logprobs=tuple(floor_logprobs([float(v) for v in logprobs])),
         )
 
 
@@ -388,10 +386,10 @@ def rerank_run(
     prompt is rendered once, whatever the number of queries it serves.
 
     Keyword arguments: doc_max_chars, fewshot (guidance triples, or None
-    for zero-shot), max_workers, logprob_floor, tag, and on_error: "fail"
-    propagates the first provider failure and submits no further pairs,
-    "floor" scores each failing pair at the logprob floor instead. Queries
-    without first-stage candidates are omitted.
+    for zero-shot), max_workers, tag, and on_error: "fail" propagates the
+    first provider failure and submits no further pairs, "floor" scores
+    each failing pair at LOGPROB_FLOOR instead. Queries without
+    first-stage candidates are omitted.
     """
     work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
     return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
@@ -406,7 +404,6 @@ def _rerank(
     fewshot: list[FewShotExample] | None = None,
     max_workers: int = DEFAULT_MAX_WORKERS,
     on_error: str = "fail",
-    logprob_floor: float = DEFAULT_LOGPROB_FLOOR,
     tag: str = "qlm",
 ) -> Run:
     if on_error not in ("fail", "floor"):
@@ -436,8 +433,8 @@ def _rerank(
             if on_error == "fail":
                 raise
             logger.warning("provider failed on doc %s, query %s; scoring at floor %g",
-                           doc.id, query.id, logprob_floor)
-            return logprob_floor
+                           doc.id, query.id, LOGPROB_FLOOR)
+            return LOGPROB_FLOOR
 
     if max_workers > 1 and len(pairs) > 1:
         scores = iter(_map_windowed(score_pair, pairs, max_workers))

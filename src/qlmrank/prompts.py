@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .corpus import Document
+from .corpus import Document, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -137,8 +137,7 @@ def load_catalog(path: str) -> PromptCatalog:
     Each entry carries model_family, dataset, body and optional
     system_prefix, suffix, and fewshot (array of exactly 3 triples).
     """
-    with open(path, encoding="utf-8") as f:
-        objects = json.load(f)
+    objects = read_json(path)
     if not isinstance(objects, list):
         raise CatalogError(f"{path}: catalog must be a JSON array of entries")
     return _catalog_from_objects(objects)

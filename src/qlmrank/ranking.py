@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Document, FormatError, _sort_ranking
+from .corpus import Document, FormatError, _sort_ranking, read_json
 
 INDEX_FORMAT_VERSION = 3
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
@@ -446,11 +446,7 @@ def _resize(data: bytes, width: int, new_width: int) -> bytearray:
 def load_index(path: str) -> InvertedIndex:
     """Read save_index's JSON. A file of another shape, or with a value
     build_index cannot make, raises FormatError naming the path."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    payload = read_json(path)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if type(version) is not int or version != INDEX_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported index format version {version!r}")

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import threading
@@ -70,14 +71,20 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+@contextlib.contextmanager
+def serving(server):
+    """Run `server` on a thread with an empty StubHandler script, then stop it."""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     StubHandler.script = []
     StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture
+def stub_server():
+    with serving(HTTPServer(("127.0.0.1", 0), StubHandler)) as server:
+        yield f"http://127.0.0.1:{server.server_port}"

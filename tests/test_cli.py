@@ -582,6 +582,7 @@ class TestMalformedInput:
                               "fewshot must be a list of objects"),
         "triple-field-not-string": ([{**ENTRY, "fewshot": [{**TRIPLE, "good_question": 7}] * 3}],
                                     "few-shot example fields must all be non-empty strings"),
+        "not-json": ("[{", "invalid JSON"),  # raw text, as in INDEX_CASES
     }
 
     @staticmethod
@@ -671,13 +672,57 @@ class TestMalformedInput:
     def test_catalog(self, dataset, capsys, case):
         entries, message = self.CATALOG_CASES[case]
         catalog = dataset["dir"] / "catalog.json"
-        catalog.write_text(json.dumps(entries))
+        catalog.write_text(entries if isinstance(entries, str) else json.dumps(entries))
         outdir = dataset["dir"] / "out"
         config = self.make_config(dataset, outdir, catalog=str(catalog), fewshot=True)
         capsys.readouterr()
         code = run_cli("pipeline", "--config", config)
-        self.assert_data_error(code, capsys.readouterr().err, message)
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"{catalog}: {message}" if isinstance(entries, str) else message)
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("name, verb", [
+        ("corpus", "index"), ("stopwords", "index"), ("queries", "search"), ("index", "search"),
+        ("qrels", "eval"), ("run", "eval"), ("config", "pipeline"), ("catalog", "pipeline")])
+    def test_not_utf8(self, dataset, capsys, name, verb):
+        # every input is read as UTF-8: a \xff byte is a data error that names the file
+        d = dataset["dir"]
+        files = {**dataset, "stopwords": d / "stopwords.txt", "index": d / "index.json",
+                 "run": d / "run.trec", "catalog": d / "catalog.json", "config": d / "config.json"}
+        files["stopwords"].write_text("the\n", encoding="utf-8")
+        files["catalog"].write_text(json.dumps([self.ENTRY]), encoding="utf-8")
+        self.make_config(dataset, d / "out", catalog=str(files["catalog"]), fewshot=True)
+        assert run_cli("index", "--corpus", files["corpus"], "--out", files["index"]) == 0
+        assert run_cli("search", "--index", files["index"], "--queries", files["queries"],
+                       "--out", files["run"]) == 0
+        out = d / "out"
+        argv = {"index": ["--corpus", files["corpus"], "--stopwords", files["stopwords"],
+                          "--out", out],
+                "search": ["--index", files["index"], "--queries", files["queries"], "--out", out],
+                "eval": ["--run", files["run"], "--qrels", files["qrels"], "--out", out],
+                "pipeline": ["--config", files["config"]]}[verb]
+        with open(files[name], "ab") as f:
+            f.write(b"\xff\n")
+        capsys.readouterr()
+        code = run_cli(verb, *argv)
+        self.assert_data_error(code, capsys.readouterr().err, f"{files[name]}: not UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("q0 Q0 d3 1 2.0 bm25\nq0 Q0 d3 2 1.0 bm25\n",
+         "run 'bm25', query q0: duplicate doc id 'd3'"),
+        ("q0 Q0 d3 1 nan bm25\n", "run 'bm25', query q0, doc d3: non-finite score"),
+        ("q0 Q0 d3 1 -inf bm25\n", "run 'bm25', query q0, doc d3: non-finite score"),
+    ], ids=["duplicate-doc", "nan-score", "inf-score"])
+    def test_run_level(self, dataset, capsys, lines, message):
+        # fuse over two runs of one tag: only the path says which file is bad
+        good, bad = dataset["dir"] / "good.trec", dataset["dir"] / "bad.trec"
+        good.write_text("q0 Q0 d3 1 1.0 bm25\n", encoding="utf-8")
+        bad.write_text(lines, encoding="utf-8")
+        out = dataset["dir"] / "fused.trec"
+        code = run_cli("fuse", "--run-a", good, "--run-b", bad, "--out", out, "--alpha", "0.5")
+        self.assert_data_error(code, capsys.readouterr().err, f"{bad}: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, row, message", [
         ("corpus", {"_id": "a b", "text": "x"},

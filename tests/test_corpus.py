@@ -1,6 +1,8 @@
+import gc
 import os
 import random
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,17 @@ class TestLoadCorpus:
         path.write_text('{"_id":"d1","text":"ok"}\nnot json\n', encoding="utf-8")
         with pytest.raises(FormatError, match=":2"):
             load_corpus(str(path))
+
+    def test_reader_stopped_early_closes_its_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"_id":"d1","text":"ok"}\nnot json\n{"_id":"d3","text":"ok"}\n',
+                        encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(FormatError, match=":2: malformed corpus line"):
+                load_corpus(str(path))
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_order_preserved(self, write_jsonl):
         rows = [{"_id": f"d{i}", "text": f"body {i}"} for i in range(50)]

@@ -3,14 +3,17 @@ against an in-process stub server (see conftest.StubHandler)."""
 
 import gc
 import json
+import shutil
+import ssl
+import subprocess
 import threading
 import time
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from conftest import StubHandler
+from conftest import StubHandler, serving
 from qlmrank.corpus import Document, Query, Run
 from qlmrank.likelihood import (
     LikelihoodRequest,
@@ -97,12 +100,6 @@ def test_negative_infinity_floored_with_warning(stub_server, caplog):
         result = provider(REQUEST)
     assert result.logprobs == (-1.0, -100.0)
     assert "floored" in caplog.text
-
-
-def test_custom_floor(stub_server):
-    StubHandler.script = [(200, {"tokens": ["a"], "logprobs": [-1e999]})]
-    provider = RemoteProvider(stub_server, backoff=0.0, logprob_floor=-50.0)
-    assert provider(REQUEST).logprobs == (-50.0,)
 
 
 def test_transient_failure_then_success_retries(stub_server):
@@ -257,3 +254,42 @@ def test_connection_dropped_after_answer_is_reopened(keep_alive_server):
 def test_malformed_endpoint_rejected(endpoint):
     with pytest.raises(ValueError, match="endpoint must be an http:// or https:// URL"):
         RemoteProvider(endpoint)
+
+
+@pytest.fixture
+def tls_stub_server(tmp_path):
+    """StubHandler served over TLS with a fresh self-signed certificate for
+    localhost: (endpoint, certificate path)."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                    "-subj", "/CN=localhost",
+                    "-addext", "subjectAltName=DNS:localhost,IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)], check=True, capture_output=True)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    with serving(server):
+        yield f"https://localhost:{server.server_port}", cert
+
+
+def test_https_trusts_the_certificate_ssl_cert_file_names(tls_stub_server, monkeypatch):
+    endpoint, cert = tls_stub_server
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # read when the provider builds its context
+    StubHandler.script = [(200, {"tokens": ["x"], "logprobs": [-0.5]})]
+    provider = RemoteProvider(endpoint, attempts=1)
+    assert provider(REQUEST).logprobs == (-0.5,)
+    provider.close()
+    assert StubHandler.requests_seen[0][0] == "/v1/loglikelihood"
+
+
+def test_https_rejects_an_unverified_certificate(tls_stub_server, monkeypatch):
+    endpoint, _ = tls_stub_server
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    provider = RemoteProvider(endpoint, attempts=1)
+    with pytest.raises(TransportError, match="certificate verify failed"):
+        provider(REQUEST)
+    provider.close()
+    assert StubHandler.requests_seen == []
