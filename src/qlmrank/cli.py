@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import logging
@@ -27,11 +28,13 @@ import typing
 from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
 from typing import Literal
 
-from . import corpus as corpus_io, fusion, likelihood, prompts, ranking
-from .corpus import FormatError, Run
+# likelihood and prompts are imported where used: the verbs that never re-rank skip them
+from . import corpus as corpus_io, fusion, ranking
+from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, FormatError, ProviderError, Run
 from .evaluation import format_report, ndcg_at_k, significance_matrix
-from .likelihood import ProviderError
-from .prompts import CatalogError
+
+if typing.TYPE_CHECKING:
+    from . import likelihood, prompts
 
 logger = logging.getLogger(__name__)
 
@@ -165,6 +168,8 @@ def _search(inverted: ranking.InvertedIndex, queries: str, out: str, ranker: str
 def _remote_provider(endpoint: str | None, auth_token: str | None) -> likelihood.RemoteProvider:
     """The provider of `endpoint` (default $QLMRANK_ENDPOINT); a missing or
     malformed endpoint is a usage error. Building it opens no connection."""
+    from . import likelihood
+
     endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"remote provider needs --endpoint or ${ENDPOINT_ENV}")
@@ -179,6 +184,8 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
                   ) -> tuple[prompts.PromptTemplate, list[prompts.FewShotExample] | None]:
     """The template of model_family/dataset and, if fewshot, the dataset's
     few-shot triples, from the catalog at `catalog` or the shipped one."""
+    from . import prompts
+
     prompt_catalog = (prompts.load_catalog(_require_file(catalog, "prompt catalog"))
                       if catalog else prompts.default_catalog())
     return (prompt_catalog.template(model_family, dataset),
@@ -188,11 +195,13 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
 def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str, dataset: str,
                provider: Literal["bigram", "remote"] = "bigram", endpoint: str | None = None,
                auth_token: str | None = None, catalog: str | None = None, depth: int = 100,
-               doc_max_chars: int = prompts.DEFAULT_DOC_MAX_CHARS, fewshot: bool = False,
+               doc_max_chars: int = DEFAULT_DOC_MAX_CHARS, fewshot: bool = False,
                on_error: Literal["fail", "floor"] = "fail",
-               max_workers: int = likelihood.DEFAULT_MAX_WORKERS, tag: str = "qlm",
+               max_workers: int = DEFAULT_MAX_WORKERS, tag: str = "qlm",
                stats_out: str | None = None) -> None:
     """query-likelihood re-ranking of a candidate run"""
+    from . import likelihood
+
     remote = _remote_provider(endpoint, auth_token) if provider == "remote" else None
     docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
     query_list = corpus_io.load_queries(_require_file(queries, "queries"))
@@ -323,15 +332,15 @@ class _PipelineKeys:
     rerank_alpha: float = fusion.RERANK_ALPHA
 
     @classmethod
-    def load(cls, path: str, overrides: dict | None = None) -> PipelineConfig:
+    def load(cls, path: str, overrides: dict | None = None) -> _PipelineKeys:
         """Read and check a config, with non-None `overrides` winning; every
         check runs here, before any stage touches the disk."""
         data = corpus_io.read_json(_require_file(path, "config"))
         if not isinstance(data, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        checked = {name: _checked(name, value, CONFIG_TYPES.get(name))
-                   for name, value in data.items()}
+        types = typing.get_type_hints(cls)
+        checked = {name: _checked(name, value, types.get(name)) for name, value in data.items()}
         missing = [f.name for f in fields(cls) if f.name not in data
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
@@ -349,13 +358,22 @@ class _PipelineKeys:
         return config
 
 
-_HINTS = {run: typing.get_type_hints(run) for run, _ in VERB_KEYS.values()}
-PipelineConfig = make_dataclass("PipelineConfig", bases=(_PipelineKeys,), kw_only=True, fields=[
-    (key, _HINTS[run][kw],
-     dc_field(default=MISSING if param.default is param.empty else param.default))
-    for key, (run, kw) in VERB_KEYS.items() for param in [inspect.signature(run).parameters[kw]]],
-    namespace={"__module__": __name__})  # make_dataclass sets no module before Python 3.12
-CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
+@functools.cache
+def _pipeline_config() -> type[_PipelineKeys]:
+    """PipelineConfig, made on first use: the verbs that run no pipeline skip making it."""
+    hints = {run: typing.get_type_hints(run) for run, _ in VERB_KEYS.values()}
+    return make_dataclass("PipelineConfig", bases=(_PipelineKeys,), kw_only=True, fields=[
+        (key, hints[run][kw],
+         dc_field(default=MISSING if param.default is param.empty else param.default))
+        for key, (run, kw) in VERB_KEYS.items()
+        for param in [inspect.signature(run).parameters[kw]]],
+        namespace={"__module__": __name__})  # make_dataclass sets no module before Python 3.12
+
+
+def __getattr__(name: str):
+    if name == "PipelineConfig":
+        return _pipeline_config()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_pipeline(config: str, **overrides) -> None:
@@ -364,7 +382,7 @@ def run_pipeline(config: str, **overrides) -> None:
     index -> search -> (hybrid fuse) -> rerank -> interpolate -> evaluate ->
     significance, from the config file at `config` and the config keys in
     `overrides`. Every intermediate run is persisted for audit or re-fusion."""
-    cfg = PipelineConfig.load(config, overrides)
+    cfg = _pipeline_config().load(config, overrides)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     def out(name: str) -> str:
@@ -437,20 +455,24 @@ def _add_param(p: argparse.ArgumentParser, name: str, hint, default, help: str |
                        default=None if required else default, help=help)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """One subcommand per VERBS entry, one flag per run_* keyword; `pipeline`'s
-    **overrides become the PIPELINE_FLAGS config keys, each optional."""
+    **overrides become the PIPELINE_FLAGS config keys, each optional. Given
+    `only`, the other subcommands get no flags: parsing `only`'s needs none."""
     parser = _Parser(prog="qlmrank",
                      description="Zero-shot retrieval, query-likelihood re-ranking, "
                                  "fusion, and evaluation over BEIR-format data.")
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, run in VERBS.items():
         p = sub.add_parser(verb, help=(run.__doc__ or "").split("\n")[0])
+        if only not in (None, verb):
+            continue
         hints = typing.get_type_hints(run)
         for name, param in inspect.signature(run).parameters.items():
             if param.kind is param.VAR_KEYWORD:
+                types = typing.get_type_hints(_pipeline_config())
                 for key in PIPELINE_FLAGS:
-                    _add_param(p, key, CONFIG_TYPES[key], None, None)
+                    _add_param(p, key, types[key], None, None)
             else:
                 _add_param(p, name, hints[name], param.default, _HELP.get(verb, {}).get(name))
     return parser
@@ -466,7 +488,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     try:
-        args = vars(build_parser().parse_args(argv))
+        argv = sys.argv[1:] if argv is None else argv
+        # the verb is the first argument that is not an option: the top level has only -h
+        only = next((arg for arg in argv if not arg.startswith("-")), None)
+        args = vars(build_parser(only).parse_args(argv))
         verb = VERBS[args.pop("command")]
         for name, value in args.items():
             _check_rule(name, value, "--" + name.replace("_", "-"))
@@ -478,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (FormatError, CatalogError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # FormatError and CatalogError included
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return 0

@@ -16,9 +16,16 @@ from typing import Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_DOC_MAX_CHARS = 4000  # a prompt's document text is cut to this many characters
+DEFAULT_MAX_WORKERS = 8  # concurrent requests to a remote provider
+
 
 class FormatError(ValueError):
     """Malformed input data: an input file, or a value of the data model."""
+
+
+class ProviderError(RuntimeError):
+    """Base for likelihood-provider failures."""
 
 
 def _check_id(kind: str, value: str) -> None:
@@ -97,6 +104,15 @@ def _sort_ranking(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
     # Score descending, doc id ascending on ties: the one tie-break rule
     # used everywhere so rankings are reproducible.
     return sorted(pairs, key=lambda p: (-p[1], p[0]))
+
+
+def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
+    """_sort_ranking(pairs)[:k], sorting only the pairs that score at least
+    the k-th best score."""
+    if len(pairs) > k:
+        kth = sorted([s for _, s in pairs], reverse=True)[k - 1]
+        pairs = [pair for pair in pairs if pair[1] >= kth]
+    return _sort_ranking(pairs)[:k]
 
 
 @dataclass

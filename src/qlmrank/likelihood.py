@@ -22,9 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import Document, Query, Run
+from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query, Run
 from .prompts import (
-    DEFAULT_DOC_MAX_CHARS,
     FewShotExample,
     PromptTemplate,
     render_fewshot,
@@ -35,13 +34,8 @@ from .ranking import words
 logger = logging.getLogger(__name__)
 
 LOGPROB_FLOOR = -100.0
-DEFAULT_MAX_WORKERS = 8
 
 UNK = "<unk>"
-
-
-class ProviderError(RuntimeError):
-    """Base for likelihood-provider failures."""
 
 
 class TransportError(ProviderError):

@@ -13,12 +13,11 @@ import json
 import logging
 from dataclasses import dataclass
 
-from .corpus import Document, read_json
+from .corpus import DEFAULT_DOC_MAX_CHARS, Document, read_json
 
 logger = logging.getLogger(__name__)
 
 DOC_PLACEHOLDER = "{doc}"
-DEFAULT_DOC_MAX_CHARS = 4000
 
 
 class CatalogError(ValueError):
@@ -140,7 +139,10 @@ def load_catalog(path: str) -> PromptCatalog:
     objects = read_json(path)
     if not isinstance(objects, list):
         raise CatalogError(f"{path}: catalog must be a JSON array of entries")
-    return _catalog_from_objects(objects)
+    try:
+        return _catalog_from_objects(objects)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from None
 
 
 def save_catalog(catalog: PromptCatalog, path: str) -> None:

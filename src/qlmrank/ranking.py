@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Document, FormatError, _sort_ranking, read_json
+from .corpus import Document, FormatError, _top_k, read_json
 
 INDEX_FORMAT_VERSION = 3
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
@@ -356,15 +356,6 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
         taken += len(fresh)
         last = s
     return _top_k(shortlist, k)
-
-
-def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
-    """_sort_ranking(pairs)[:k], sorting only the pairs that score at least
-    the k-th best score."""
-    if len(pairs) > k:
-        kth = sorted([s for _, s in pairs], reverse=True)[k - 1]
-        pairs = [pair for pair in pairs if pair[1] >= kth]
-    return _sort_ranking(pairs)[:k]
 
 
 def save_index(index: InvertedIndex, path: str) -> None:

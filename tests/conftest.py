@@ -74,7 +74,9 @@ class StubHandler(BaseHTTPRequestHandler):
 @contextlib.contextmanager
 def serving(server):
     """Run `server` on a thread with an empty StubHandler script, then stop it."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll: 0.5 s at the default interval
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     StubHandler.script = []
     StubHandler.requests_seen = []
@@ -82,6 +84,7 @@ def serving(server):
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

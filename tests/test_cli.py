@@ -1,4 +1,5 @@
 import argparse
+import ast
 import base64
 import json
 import os
@@ -577,9 +578,10 @@ class TestMalformedInput:
                             "template body, system_prefix and suffix must be strings"),
         "dataset-not-string": ([{**ENTRY, "dataset": ["trecc"]}],
                                "model_family and dataset must be strings"),
-        "fewshot-not-list": ([{**ENTRY, "fewshot": TRIPLE}], "fewshot must be a list of objects"),
+        "fewshot-not-list": ([{**ENTRY, "fewshot": TRIPLE}],
+                             "llama/trecc: fewshot must be a list of objects"),
         "triple-not-object": ([{**ENTRY, "fewshot": [list(TRIPLE.values())] * 3}],
-                              "fewshot must be a list of objects"),
+                              "llama/trecc: fewshot must be a list of objects"),
         "triple-field-not-string": ([{**ENTRY, "fewshot": [{**TRIPLE, "good_question": 7}] * 3}],
                                     "few-shot example fields must all be non-empty strings"),
         "not-json": ("[{", "invalid JSON"),  # raw text, as in INDEX_CASES
@@ -677,8 +679,7 @@ class TestMalformedInput:
         config = self.make_config(dataset, outdir, catalog=str(catalog), fewshot=True)
         capsys.readouterr()
         code = run_cli("pipeline", "--config", config)
-        self.assert_data_error(code, capsys.readouterr().err,
-                               f"{catalog}: {message}" if isinstance(entries, str) else message)
+        self.assert_data_error(code, capsys.readouterr().err, f"{catalog}: {message}")
         assert not outdir.exists()
 
     @pytest.mark.parametrize("name, verb", [
@@ -752,19 +753,66 @@ class TestMalformedInput:
         assert not outdir.exists()
 
 
-def test_cli_import_leaves_out_the_http_stack():
-    # only a remote provider needs http.client and ssl, only a threaded re-rank
-    # concurrent.futures and only evaluation statistics: importing the CLI loads none
+def _loaded_after(code, *argv):
+    """The qlmrank.* modules and the lazily imported standard modules that a
+    fresh interpreter has loaded after running `code` with sys.argv[1:] = argv."""
     src = os.path.dirname(os.path.dirname(qlmrank.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qlmrank.cli; print(sorted({'http.client', 'ssl', 'concurrent.futures',"
-         " 'statistics'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True)
+        [sys.executable, "-c", code + "\nprint(sorted(m for m in sys.modules if m.startswith("
+         "('qlmrank.', 'http.client', 'ssl', 'concurrent.futures', 'statistics'))))",
+         *map(str, argv)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])  # after any report the verb printed
+
+
+BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion", "qlmrank.ranking"]
+
+
+@pytest.mark.parametrize("verb", ["index", "search", "fuse", "eval", "sigtest", "sweep", "rerank"])
+def test_each_verb_imports_only_what_it_runs(dataset, verb):
+    # only rerank and pipeline load likelihood and prompts; only a remote provider
+    # http.client and ssl, only a threaded re-rank concurrent.futures, and only
+    # the verbs that evaluate statistics
+    d, index, run = dataset["dir"], dataset["dir"] / "index.json", dataset["dir"] / "a.trec"
+    assert run_cli("index", "--corpus", dataset["corpus"], "--out", index) == 0
+    assert run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", run) == 0
+    (d / "b.trec").write_text(run.read_text())
+    qrels = ["--qrels", dataset["qrels"]]
+    argv = {
+        "index": ["--corpus", dataset["corpus"], "--out", d / "index2.json"],
+        "search": ["--index", index, "--queries", dataset["queries"], "--out", d / "c.trec"],
+        "fuse": ["--run-a", run, "--run-b", d / "b.trec", "--alpha", "0.2", "--out", d / "f.trec"],
+        "eval": ["--run", run, *qrels, "--out", d / "eval.tsv"],
+        "sigtest": [run, d / "b.trec", *qrels, "--out", d / "sig.txt"],
+        "sweep": ["--run-a", run, "--run-b", d / "b.trec", *qrels, "--out", d / "sweep.tsv"],
+        "rerank": ["--run", run, "--corpus", dataset["corpus"], "--queries", dataset["queries"],
+                   "--model-family", "llama", "--dataset", "trecc", "--out", d / "r.trec"],
+    }[verb]
+    loaded = _loaded_after("import sys, qlmrank.cli\nassert qlmrank.cli.main(sys.argv[1:]) == 0",
+                           verb, *argv)
+    expected = BASE + (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
+                       if verb == "rerank" else [])
+    expected += ["statistics"] if verb in ("eval", "sigtest", "sweep") else []
+    assert loaded == sorted(expected)
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # nor any module that no verb needs; the package loads a module only for a name used
+    assert _loaded_after("import sys, qlmrank") == []
+    assert _loaded_after("import sys, qlmrank.cli") == BASE
+    assert _loaded_after("import sys\nfrom qlmrank import load_qrels") == ["qlmrank.corpus"]
+
+
+def test_package_names_are_their_modules_objects():
+    assert len(qlmrank.__all__) == len(set(qlmrank.__all__)) == 49
+    for name in qlmrank.__all__:
+        value = getattr(qlmrank, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(qlmrank.__all__) <= set(dir(qlmrank))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        qlmrank.nope
 
 
 class TestAtomicWrite:

@@ -207,6 +207,32 @@ class TestSweepAlpha:
         values = {ndcg for _, ndcg in rows}
         assert len(values) == 1
 
+    # few distinct scores tie fused scores at and around rank k; a query can be
+    # in one run only, hold one score throughout, or hold fewer than k documents
+    DOCS = [f"d{i}" for i in range(8)]
+    TIED_RUNS = st.dictionaries(
+        st.sampled_from(["q1", "q2", "q3"]),
+        st.dictionaries(st.sampled_from(DOCS),
+                        st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-9.0, 9.0)),
+    ).map(Run.from_scores)
+
+    @settings(deadline=None, max_examples=300)
+    @given(TIED_RUNS, TIED_RUNS,
+           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                    max_size=4),
+           st.dictionaries(st.sampled_from(["q1", "q2", "q3"]),
+                           st.dictionaries(st.sampled_from(DOCS), st.integers(0, 3))),
+           st.integers(1, 10))
+    def test_equals_evaluating_each_interpolation(self, a, b, alphas, judged, k):
+        qrels = QrelSet({**judged, "q4": {"d0": 1}})  # q4 is in no run: always evaluable
+        assert sweep_alpha(a, b, alphas, qrels, k=k) == [
+            (alpha, ndcg_at_k(interpolate(a, b, alpha), qrels, k=k).mean) for alpha in alphas]
+
+    def test_k_below_one_is_rejected(self):
+        run = Run({"q": [("d1", 1.0)]})
+        with pytest.raises(ValueError, match="k must be >= 1, got -3"):
+            sweep_alpha(run, run, [0.5], self.qrels, k=-3)
+
     def test_format_is_two_column_tsv(self):
         text = format_sweep([(0.0, 0.5), (0.5, 0.75)])
         lines = text.strip().splitlines()

@@ -185,12 +185,8 @@ def keep_alive_server():
     server.lock = threading.Lock()
     server.connections = server.open = server.requests = 0
     server.close_after_answer = False
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    with serving(server):
+        yield server
 
 
 def rerank_200_pairs(provider):
