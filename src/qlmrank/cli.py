@@ -2,9 +2,11 @@
 
 Verbs: index, search, rerank, fuse, eval, sigtest, sweep, pipeline. Every
 command is a pure file-to-file transformation: identical inputs and flags
-produce byte-identical outputs. Each output is staged to a fresh temp file
-beside it, fsynced and renamed into place, so interrupted or concurrent
-runs never leave truncated files.
+produce byte-identical outputs. This module opens no file: the corpus
+module's readers open every input, so a missing or unreadable one fails
+with an error naming it, and its atomic writer (corpus.open_atomic) every
+output, so interrupted or concurrent runs never leave truncated files.
+Only `pipeline` checks that its inputs exist, before it makes output_dir.
 
 A parameter has one declaration, its run_* keyword: build_parser makes its
 flag from it, VERB_KEYS its config key's type and default, and a Literal
@@ -21,9 +23,7 @@ import inspect
 import json
 import logging
 import os
-import pathlib
 import sys
-import tempfile
 import typing
 from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
 from typing import Literal
@@ -90,40 +90,12 @@ def _params(cls, prefix: str, **values):
         raise UsageError(f"{prefix}{exc}") from None
 
 
-# mkstemp makes 0600 files; outputs get the mode open() gives: 0o666 less the umask
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
-def atomic_write(path: str, write: typing.Callable[[str], object]) -> None:
-    """Produce `path` by write(tmp), where tmp is a fresh temp file in the
-    same directory, then fsync it and rename it over `path`. On any failure
-    the temp file is removed and the old `path` is left as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        try:
-            os.fchmod(fd, 0o666 & ~_UMASK)
-            write(tmp)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_text(path: str | None, text: str) -> str:
     """Write `text` atomically to `path`, if one is given; return `text`."""
     if path:
-        atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
+        with corpus_io.open_atomic(path) as f:
+            f.write(text)
     return text
-
-
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise FormatError(f"{what} not found: {path}")
-    return path
 
 
 # --- Verbs: run_<verb>'s keywords are its flags, its docstring's first line its help ---
@@ -133,12 +105,11 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
     """build an inverted index from a corpus
 
     Returns the index it wrote to `out`, for pipeline's search."""
-    words = frozenset(line.strip() for _, line in corpus_io.read_lines(
-        _require_file(stopwords, "stopword list"))) if stopwords else frozenset()
+    words = (frozenset(line.strip() for _, line in corpus_io.read_lines(stopwords))
+             if stopwords else frozenset())
     analyzer = ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
-    docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
-    index = ranking.build_index(docs, analyzer)
-    atomic_write(out, lambda tmp: ranking.save_index(index, tmp))
+    index = ranking.build_index(corpus_io.load_corpus(corpus), analyzer)
+    ranking.save_index(index, out)
     logger.info("indexed %d documents, %d terms -> %s", index.n_docs, len(index.postings), out)
     return index
 
@@ -150,18 +121,17 @@ def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "diri
     # both are built, so a bad --mu fails under bm25 too, before any file is read
     params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
               "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
-    _search(ranking.load_index(_require_file(index, "index")), queries, out, ranker, k,
-            params, tag)
+    _search(ranking.load_index(index), queries, out, ranker, k, params, tag)
 
 
 def _search(inverted: ranking.InvertedIndex, queries: str, out: str, ranker: str, k: int,
             params: ranking.Bm25Params | ranking.DirichletParams, tag: str | None) -> None:
     """run_search's work on an index already in memory."""
-    query_list = corpus_io.load_queries(_require_file(queries, "queries"))
+    query_list = corpus_io.load_queries(queries)
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
     run = Run({query.id: search(inverted, params, query.text, k=k) for query in query_list},
               tag=tag or ranker)
-    atomic_write(out, lambda tmp: corpus_io.write_run(run, tmp))
+    corpus_io.write_run(run, out)
     logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
 
 
@@ -186,8 +156,7 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
     few-shot triples, from the catalog at `catalog` or the shipped one."""
     from . import prompts
 
-    prompt_catalog = (prompts.load_catalog(_require_file(catalog, "prompt catalog"))
-                      if catalog else prompts.default_catalog())
+    prompt_catalog = prompts.load_catalog(catalog) if catalog else prompts.default_catalog()
     return (prompt_catalog.template(model_family, dataset),
             prompt_catalog.fewshot_for(dataset) if fewshot else None)
 
@@ -203,9 +172,9 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
     from . import likelihood
 
     remote = _remote_provider(endpoint, auth_token) if provider == "remote" else None
-    docs = corpus_io.load_corpus(_require_file(corpus, "corpus"))
-    query_list = corpus_io.load_queries(_require_file(queries, "queries"))
-    first_stage = corpus_io.read_run(_require_file(run, "candidate run"))
+    docs = corpus_io.load_corpus(corpus)
+    query_list = corpus_io.load_queries(queries)
+    first_stage = corpus_io.read_run(run)
     template, triples = _prompt_setup(catalog, model_family, dataset, fewshot)
     logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
 
@@ -221,7 +190,7 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
     finally:
         if remote is not None:
             remote.close()
-    atomic_write(out, lambda tmp: corpus_io.write_run(reranked, tmp))
+    corpus_io.write_run(reranked, out)
     # one provider request per pair scored, floored failures included
     pairs = sum(len(ranking) for ranking in reranked.entries.values())
     logger.info("reranked %d queries -> %s | provider_requests=%d",
@@ -231,17 +200,14 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
 
 def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None = None) -> None:
     """min-max normalize and interpolate two runs"""
-    a = corpus_io.read_run(_require_file(run_a, "run A"))
-    b = corpus_io.read_run(_require_file(run_b, "run B"))
-    fused = fusion.interpolate(a, b, alpha, tag=tag)
-    atomic_write(out, lambda tmp: corpus_io.write_run(fused, tmp))
+    a, b = corpus_io.read_run(run_a), corpus_io.read_run(run_b)
+    corpus_io.write_run(fusion.interpolate(a, b, alpha, tag=tag), out)
     logger.info("fused %s + %s at alpha=%g -> %s", a.tag, b.tag, alpha, out)
 
 
 def run_eval(run: str, qrels: str, k: int = 10, out: str | None = None) -> str:
     """nDCG@k of a run against qrels"""
-    report = ndcg_at_k(corpus_io.read_run(_require_file(run, "run")),
-                       corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
+    report = ndcg_at_k(corpus_io.read_run(run), corpus_io.load_qrels(qrels), k=k)
     text = _write_text(out, format_report(report))
     logger.info("nDCG@%d = %.4f over %d queries", k, report.mean, report.evaluated_query_count)
     return text
@@ -253,9 +219,9 @@ def run_sigtest(runs: list[str], qrels: str, k: int = 10, alpha_level: float = 0
     """pairwise paired t-tests between runs"""
     if len(runs) < 2:
         raise UsageError("sigtest needs at least 2 run files")
-    judged = corpus_io.load_qrels(_require_file(qrels, "qrels"))
-    named = [(os.path.splitext(os.path.basename(path))[0],
-              corpus_io.read_run(_require_file(path, "run"))) for path in runs]
+    judged = corpus_io.load_qrels(qrels)
+    named = [(os.path.splitext(os.path.basename(path))[0], corpus_io.read_run(path))
+             for path in runs]
     if len({name for name, _ in named}) != len(named):
         raise UsageError("run file basenames must be unique (they name the rows)")
     return _write_text(out, significance_matrix(named, judged, k=k, alpha_level=alpha_level,
@@ -266,9 +232,8 @@ def run_sweep(run_a: str, run_b: str, qrels: str,
               alphas: list[float] = [i / 10 for i in range(11)],  # shared: never mutated
               k: int = 10, out: str | None = None) -> str:
     """nDCG@k across interpolation weights"""
-    rows = fusion.sweep_alpha(corpus_io.read_run(_require_file(run_a, "run A")),
-                              corpus_io.read_run(_require_file(run_b, "run B")), alphas,
-                              corpus_io.load_qrels(_require_file(qrels, "qrels")), k=k)
+    rows = fusion.sweep_alpha(corpus_io.read_run(run_a), corpus_io.read_run(run_b), alphas,
+                              corpus_io.load_qrels(qrels), k=k)
     return _write_text(out, fusion.format_sweep(rows))
 
 
@@ -335,7 +300,7 @@ class _PipelineKeys:
     def load(cls, path: str, overrides: dict | None = None) -> _PipelineKeys:
         """Read and check a config, with non-None `overrides` winning; every
         check runs here, before any stage touches the disk."""
-        data = corpus_io.read_json(_require_file(path, "config"))
+        data = corpus_io.read_json(path)
         if not isinstance(data, dict):
             raise UsageError(f"{path}: config must be a JSON object")
         data.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -349,8 +314,8 @@ class _PipelineKeys:
         paths = [(name, getattr(config, name))
                  for name in ("corpus", "queries", "qrels", "external_run", "catalog")]
         for name, path in paths + [("analyzer.stopwords", config.analyzer.get("stopwords"))]:
-            if path:
-                _require_file(path, name)
+            if path and not os.path.isfile(path):
+                raise FormatError(f"{name} not found: {path}")
         # the re-rank stage's own checks, in its order
         if config.provider == "remote":
             _remote_provider(config.endpoint, config.auth_token)
@@ -504,7 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
     except (OSError, ValueError, KeyError) as exc:  # FormatError and CatalogError included
-        print(f"data error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"data error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+              file=sys.stderr)
         return EXIT_DATA
     return 0
 

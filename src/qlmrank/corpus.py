@@ -2,17 +2,22 @@
 
 Documents, queries, qrels, and runs are the currency every other module
 trades in. Loaders are pure functions over files; loaded objects are
-treated as immutable. Every input file of the package is opened here, by
-read_lines or read_json, so one that does not decode or parse is named.
+treated as immutable. Every file of the package is opened here: inputs by
+read_lines or read_json, so one that is missing, does not decode or does
+not parse is named, and outputs by open_atomic, so an interrupted or
+concurrent write never leaves a truncated file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +158,37 @@ class Run:
         return [did for did, _ in self.entries.get(query_id, [])]
 
 
+# mkstemp makes 0600 files; outputs get the mode open() gives: 0o666 less the umask
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+@contextlib.contextmanager
+def open_atomic(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file that becomes `path` when the block ends: a fresh
+    temp file beside `path`, fsynced and renamed over it. On any failure
+    the temp file is removed and the old `path` is left as it was; an
+    OSError that names no file, or the temp file, is raised naming `path`."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        with open(fd, "w", encoding="utf-8") as f:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            yield f
+            f.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        # the caller never saw the temp file's name: mkstemp's error names a name
+        # it tried, os.replace's the temp file and `path`, a failed write none
+        if isinstance(exc, OSError) and exc.errno and (
+                tmp is None or exc.filename in (None, tmp)):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
 def read_lines(path: str) -> Iterator[tuple[int, str]]:
     """(physical line number, line) for each non-blank line of a UTF-8 file.
     Undecodable bytes raise FormatError naming the path."""
@@ -271,10 +307,11 @@ def write_run(run: Run, path: str) -> None:
     Scores are serialized with repr precision, so read_run(write_run(r))
     reproduces orderings and scores exactly. A tag that is not one word
     would add columns, so it raises FormatError before the file is opened.
+    The file is written atomically (see open_atomic).
     """
     if run.tag.split() != [run.tag]:
         raise FormatError(f"run tag {run.tag!r} must be one word without whitespace")
-    with open(path, "w", encoding="utf-8") as f:
+    with open_atomic(path) as f:
         for qid, pairs in run.entries.items():
             for rank, (did, score) in enumerate(pairs, 1):
                 f.write(f"{qid} Q0 {did} {rank} {score!r} {run.tag}\n")

@@ -326,8 +326,8 @@ class BigramLm:
         except KeyError:
             pass
         tokens = words(request.continuation)
-        if not tokens:
-            raise ValueError("continuation has no word tokens")
+        if not tokens:  # a failure of this pair, which on_error="floor" scores at the floor
+            raise ProviderError(f"continuation {request.continuation!r} has no word tokens")
         memo = self._logprobs
         logprobs = []
         for token in tokens:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import importlib.resources
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .corpus import DEFAULT_DOC_MAX_CHARS, Document, read_json
+from .corpus import DEFAULT_DOC_MAX_CHARS, Document, open_atomic, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -146,31 +146,18 @@ def load_catalog(path: str) -> PromptCatalog:
 
 
 def save_catalog(catalog: PromptCatalog, path: str) -> None:
-    """Serialize a catalog so load_catalog(save_catalog(c)) == c."""
-    objects = []
+    """Serialize a catalog so load_catalog(save_catalog(c)) == c, atomically
+    (see open_atomic). A dataset's few-shot triples go on its first entry."""
+    objects, emitted = [], set()
     for (family, dataset), template in catalog.entries.items():
-        obj: dict = {
-            "model_family": family,
-            "dataset": dataset,
-            "system_prefix": template.system_prefix,
-            "body": template.body,
-            "suffix": template.suffix,
-        }
-        objects.append(obj)
-    emitted: set[str] = set()
-    for obj in objects:
-        dataset = obj["dataset"]
+        obj: dict = {"model_family": family, "dataset": dataset,
+                     "system_prefix": template.system_prefix, "body": template.body,
+                     "suffix": template.suffix}
         if dataset in catalog.fewshot and dataset not in emitted:
-            obj["fewshot"] = [
-                {
-                    "document": t.document,
-                    "good_question": t.good_question,
-                    "bad_question": t.bad_question,
-                }
-                for t in catalog.fewshot[dataset]
-            ]
+            obj["fewshot"] = [asdict(t) for t in catalog.fewshot[dataset]]
             emitted.add(dataset)
-    with open(path, "w", encoding="utf-8") as f:
+        objects.append(obj)
+    with open_atomic(path) as f:
         json.dump(objects, f, indent=2, ensure_ascii=False)
         f.write("\n")
 

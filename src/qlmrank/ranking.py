@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Document, FormatError, _top_k, read_json
+from .corpus import Document, FormatError, _top_k, open_atomic, read_json
 
 INDEX_FORMAT_VERSION = 3
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
@@ -362,7 +362,8 @@ def save_index(index: InvertedIndex, path: str) -> None:
     """Persist the index as versioned, canonical JSON: doc ids once, the
     terms in sorted order, and every integer array packed (see _pack).
     positions and tfs are the postings of all terms, concatenated in terms
-    order, and df holds each term's share. Everything round-trips exactly."""
+    order, and df holds each term's share. Everything round-trips exactly.
+    The file is written atomically (see open_atomic)."""
     terms = sorted(index.postings)
     positions, tfs = array("I"), array("I")
     for term in terms:
@@ -381,7 +382,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
     }
     # one dumps call runs the C encoder; json.dump streams through Python
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as f:
+    with open_atomic(path) as f:
         f.write(text)
 
 

@@ -1,9 +1,9 @@
 import argparse
 import ast
 import base64
+import errno
 import json
 import os
-import pathlib
 import struct
 import subprocess
 import sys
@@ -12,9 +12,9 @@ import threading
 import pytest
 
 import qlmrank
-from qlmrank import ranking
-from qlmrank.cli import atomic_write, build_parser, main
-from qlmrank.corpus import read_run
+from qlmrank import prompts, ranking
+from qlmrank.cli import build_parser, main
+from qlmrank.corpus import Document, Run, open_atomic, read_run, write_run
 
 
 @pytest.fixture
@@ -194,6 +194,29 @@ class TestRerankAndFuse:
         first_run = read_run(str(first))
         for qid in first_run.query_ids():
             assert set(fused_run.doc_ids(qid)) >= set(first_run.doc_ids(qid))
+
+    @pytest.mark.parametrize("on_error", ["fail", "floor"])
+    def test_bigram_query_without_word_tokens(self, dataset, capsys, caplog, on_error):
+        # a pair the bigram model cannot score fails like a provider call: exit 3, or the floor
+        queries, run = dataset["dir"] / "odd.jsonl", dataset["dir"] / "odd.trec"
+        queries.write_text(json.dumps({"_id": "q9", "text": "\u00bf\u00bf??"}) + "\n",
+                           encoding="utf-8")
+        run.write_text("q9 Q0 d1 1 2.0 bm25\nq9 Q0 d2 2 1.0 bm25\n", encoding="utf-8")
+        out = dataset["dir"] / "reranked.trec"
+        capsys.readouterr()
+        code = run_cli("rerank", "--run", run, "--corpus", dataset["corpus"], "--queries", queries,
+                       "--out", out, "--model-family", "llama", "--dataset", "trecc",
+                       "--on-error", on_error)
+        if on_error == "fail":
+            assert code == 3 and not out.exists()
+            assert capsys.readouterr().err == (
+                "provider error: continuation ' \u00bf\u00bf??' has no word tokens\n")
+        else:
+            assert code == 0
+            assert read_run(str(out)).entries == {"q9": [("d1", -100.0), ("d2", -100.0)]}
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+                f"provider failed on doc {doc}, query q9; scoring at floor -100"
+                for doc in ("d1", "d2")]
 
     def test_fuse_alpha_out_of_range_is_usage_error(self, dataset):
         first = self._first_stage(dataset)
@@ -742,6 +765,59 @@ class TestMalformedInput:
         self.assert_data_error(code, capsys.readouterr().err, message)
         assert not out.exists()
 
+    # each verb's input flags (a positional run of sigtest's is "runs")
+    INPUTS = {"index": ["--corpus", "--stopwords"], "search": ["--index", "--queries"],
+              "rerank": ["--run", "--corpus", "--queries", "--catalog"],
+              "fuse": ["--run-a", "--run-b"], "eval": ["--run", "--qrels"],
+              "sigtest": ["runs", "--qrels"], "sweep": ["--run-a", "--run-b", "--qrels"]}
+
+    def verb_argv(self, dataset, verb, missing):
+        """Arguments that run `verb` on real inputs, but for input flag
+        `missing`, which names no file, and write its output to `out`."""
+        d = dataset["dir"]
+        (d / "stopwords.txt").write_text("the\n", encoding="utf-8")
+        (d / "catalog.json").write_text(json.dumps([self.ENTRY]), encoding="utf-8")
+        assert run_cli("index", "--corpus", dataset["corpus"], "--out", d / "index.json") == 0
+        assert run_cli("search", "--index", d / "index.json", "--queries", dataset["queries"],
+                       "--out", d / "run.trec") == 0
+        (d / "b.trec").write_text((d / "run.trec").read_text())  # sigtest names rows by file
+        inputs = {"--corpus": dataset["corpus"], "--stopwords": d / "stopwords.txt",
+                  "--index": d / "index.json", "--queries": dataset["queries"],
+                  "--run": d / "run.trec", "--catalog": d / "catalog.json",
+                  "--run-a": d / "run.trec", "--run-b": d / "run.trec", "runs": d / "run.trec",
+                  "--qrels": dataset["qrels"]}
+        inputs[missing] = d / "missing"
+        argv = [verb, *[arg for flag in self.INPUTS[verb] if flag != "runs"
+                        for arg in (flag, inputs[flag])], "--out", d / "out"]
+        return argv + {"rerank": ["--model-family", "llama", "--dataset", "trecc"],
+                       "fuse": ["--alpha", "0.5"], "sigtest": [inputs["runs"], d / "b.trec"]
+                       }.get(verb, [])
+
+    @pytest.mark.parametrize("verb, flag", [(verb, flag) for verb, flags in INPUTS.items()
+                                            for flag in flags])
+    def test_missing_input(self, dataset, capsys, verb, flag):
+        argv = self.verb_argv(dataset, verb, flag)
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        missing = dataset["dir"] / "missing"
+        assert capsys.readouterr().err == (
+            f"data error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'\n")
+        assert not (dataset["dir"] / "out").exists()
+        assert not [p for p in os.listdir(dataset["dir"]) if p.endswith(".tmp")]
+
+    def test_key_error_prints_its_message(self, dataset, capsys):
+        # str() of a KeyError would quote the message
+        run, out = dataset["dir"] / "run.trec", dataset["dir"] / "out.trec"
+        run.write_text("q1 Q0 nosuchdoc 1 1.0 bm25\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("rerank", "--run", run, "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", out,
+                       "--model-family", "llama", "--dataset", "trecc")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: candidate doc id 'nosuchdoc' not in the document lookup\n")
+        assert not out.exists()
+
     def test_missing_stopword_file(self, dataset, capsys):
         outdir = dataset["dir"] / "out"
         missing = dataset["dir"] / "stopwords.txt"
@@ -819,14 +895,10 @@ class TestAtomicWrite:
     def test_failing_writer_keeps_old_content_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "run.trec"
         target.write_text("old\n", encoding="utf-8")
-
-        def failing(tmp):
-            with open(tmp, "w", encoding="utf-8") as f:
-                f.write("half a fi")
-            raise OSError("disk full")
-
         with pytest.raises(OSError, match="disk full"):
-            atomic_write(str(target), failing)
+            with open_atomic(str(target)) as f:
+                f.write("half a fi")
+                raise OSError("disk full")
         assert target.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["run.trec"]
 
@@ -837,7 +909,8 @@ class TestAtomicWrite:
 
         def writer(text):
             for _ in range(5):
-                atomic_write(target, lambda tmp: pathlib.Path(tmp).write_text(text))
+                with open_atomic(target) as f:
+                    f.write(text)
                 with open(target, encoding="utf-8") as f:
                     seen.append(f.read())
 
@@ -851,6 +924,45 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["run.trec"]
 
     def test_new_file_gets_the_mode_open_gives(self, tmp_path):
-        atomic_write(str(tmp_path / "a"), lambda tmp: pathlib.Path(tmp).write_text("x"))
+        with open_atomic(str(tmp_path / "a")) as f:
+            f.write("x")
         (tmp_path / "b").write_text("x")
         assert os.stat(tmp_path / "a").st_mode == os.stat(tmp_path / "b").st_mode
+
+    @pytest.mark.parametrize("writer", ["write_run", "save_index", "save_catalog"])
+    def test_library_writer_failing_mid_write_keeps_old_file(self, tmp_path, monkeypatch,
+                                                             writer):
+        target = tmp_path / "out"
+        target.write_text("old\n", encoding="utf-8")
+        write, value = {
+            "write_run": (write_run, Run({"q1": [("d1", 1.0)]})),
+            "save_index": (ranking.save_index,
+                           ranking.build_index([Document("d1", "", "a b")], ranking.Analyzer())),
+            "save_catalog": (prompts.save_catalog, prompts.default_catalog()),
+        }[writer]
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError) as raised:
+            write(value, str(target))
+        # the error names the file the caller asked for, not the temp file
+        assert str(raised.value) == f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{target}'"
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_write_error_names_the_given_path(self, dataset, capsys, monkeypatch, where):
+        d = dataset["dir"]
+        run = d / "run.trec"
+        run.write_text("q1 Q0 d1 1 1.0 bm25\n", encoding="utf-8")
+        (d / "outdir").mkdir()
+        monkeypatch.chdir(d)
+        out = {"missing-directory": str(d / "nodir" / "b.trec"), "a-directory": "outdir"}[where]
+        capsys.readouterr()
+        assert run_cli("eval", "--run", run, "--qrels", dataset["qrels"], "--out", out) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: [Errno ") and line.endswith(f": '{out}'")
+        assert not [p for p in os.listdir(d) if p.endswith(".tmp")]
+        assert os.listdir(d / "outdir") == []

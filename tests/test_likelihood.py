@@ -137,8 +137,9 @@ class TestBigramLm:
             BigramLm.train(["...", "!!"])
 
     def test_empty_continuation_rejected(self):
+        # a failure of the pair, like any provider's: on_error decides what it costs
         lm = BigramLm.train(["a b"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ProviderError, match=r"^continuation '\.\.\.' has no word tokens$"):
             lm(LikelihoodRequest(context="a", continuation="..."))
 
     @given(st.lists(st.one_of(
