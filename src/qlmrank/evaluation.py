@@ -1,8 +1,9 @@
 """nDCG@k evaluation and paired significance testing.
 
-nDCG follows the trec_eval convention: exponential gain (2^rel - 1),
-log2(rank + 1) discount, ideal DCG from the full judged set, queries
-without a positive judgment excluded. The t-test tail probability is
+nDCG uses exponential gain (2^rel - 1), a log2(rank + 1) discount, ideal
+DCG from the full judged set, and excludes queries without a positive
+judgment. trec_eval's ndcg_cut uses the grade itself as the gain, so the
+two agree on binary qrels only. The t-test tail probability is
 computed from a regularized incomplete beta evaluation so the package
 stays dependency-free here.
 """

@@ -310,40 +310,97 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     """Top-k documents by Dirichlet query likelihood: the same list, scores
     included, as scoring every document with dirichlet_qlm_score and
     truncating. Smoothing gives nonzero scores without term overlap, so an
-    all-OOV query yields doc-id order with zero scores.
+    all-OOV query yields doc-id order with zero scores. A mu so small or so
+    large that a query term's smoothed probability underflows to 0 or
+    overflows to inf raises ValueError.
 
-    Documents holding a query term are scored exactly. Every other
-    document scores by its length alone, so each distinct length is scored
-    once and only the best length groups, enough to fill k and every group
-    tied with the last one taken, join the final ranking.
+    One pass over the query terms' postings estimates every score in the
+    rank-equivalent form of Zhai and Lafferty (SIGIR 2001), with
+    s_t = mu * cf_t / total and c_t the count of term t in the query:
+        sum_t c_t ln s_t - (sum_t c_t) ln(dl + mu)
+          + sum of c_t (ln(tf + s_t) - ln s_t) over the terms d holds.
+    A document holding no query term scores by its length alone, so each
+    distinct length is one group. Only the documents and groups whose
+    estimate can reach the top k are scored exactly, and only the best
+    groups, enough to fill k and every group tied with the last one taken,
+    join the final ranking.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     mu = params.mu
+    log = math.log
     lengths = index._docs_by_length
-    # (count, mu * cf / total, tf by doc position) per query term in Counter order
-    terms = [(count, mu * index.cf(term) / index.total_terms, dict(zip(*index.postings[term])))
-             for term, count in Counter(index.analyzer.tokenize(query)).items()
-             if term in index.postings]
-    touched_set = {pos for _, _, tf_map in terms for pos in tf_map}
-    touched = list(touched_set)
-    touched_len = [index.doc_len[pos] for pos in touched]
-    # dirichlet_qlm_score's sum, one query term at a time in Counter order, for
-    # each document holding a query term and for each length a document in no
+    doc_len = index.doc_len
+    longest = max(lengths) + mu
+    terms = []  # (count, s = mu * cf / total, positions, tfs) per query term in Counter order
+    for term, count in Counter(index.analyzer.tokenize(query)).items():
+        if term in index.postings:
+            smoothed = mu * index.cf(term) / index.total_terms
+            if not 0.0 < smoothed / longest < math.inf:
+                raise ValueError(f"mu={mu!r} is out of range: term {term!r} gets smoothed "
+                                 f"probability mu * cf / total / (dl + mu) = "
+                                 f"{smoothed / longest!r} in the longest document")
+            terms.append((count, smoothed, *index.postings[term]))
+
+    # Estimate, one step per posting. The gain is ln(tf + s) - ln s, not
+    # log1p(tf / s): tf / s overflows for a subnormal s.
+    log_dl = {dl: log(dl + mu) for dl in lengths}
+    tokens = sum(count for count, *_ in terms)
+    base = 0.0  # sum_t c_t ln s_t
+    magnitude = tokens * max(map(abs, log_dl.values()))
+    underflow = 0.0
+    gains: dict[int, float] = {}  # by doc position, for the documents holding a query term
+    for count, smoothed, positions, tfs in terms:
+        log_s = log(smoothed)
+        base += count * log_s
+        gain = {tf: count * (log(tf + smoothed) - log_s) for tf in set(tfs)}
+        magnitude += count * (2 * abs(log_s) + log(max(gain) + smoothed))  # max(gain): top tf
+        underflow += count * math.ulp(0.0) / (smoothed / longest)
+        for pos, tf in zip(positions, tfs):
+            gains[pos] = gains.get(pos, 0.0) + gain[tf]
+    estimate = {dl: base - tokens * ln for dl, ln in log_dl.items()}
+    estimates = [estimate[doc_len[pos]] + g for pos, g in gains.items()]
+
+    # Floor. Let X(d) be d's score as the exact fold below computes it, E(d)
+    # its estimate, and R(d) the real sum both round (over the same floats
+    # s_t, tf + s_t and dl + mu). With m terms, unit roundoff u = 2**-53 and
+    # ln correct to 1 ulp, to first order in u:
+    #   |E(d) - R(d)| <= (m + 5) u M
+    #   |X(d) - R(d)| <= (m + 2) u M + 2 u C + U
+    # where C = sum_t c_t, M (magnitude) bounds the summed magnitudes of the
+    # addends of either sum for every document, and U (underflow) bounds
+    # what the fold loses where s_t / (dl + mu) is subnormal, so rounded by
+    # up to 2**-1075 absolute, not 2**-53 relative: ln of such a quotient q
+    # errs by at most 2**-1074 / q, and q >= s_t / (max dl + mu).
+    # So |E(d) - X(d)| <= delta = (2m + 7) u M + 2 u C + U for every d. If
+    # E_k is the k-th best estimate, k documents have exact scores at least
+    # E_k - delta, so a document or group with E < E_k - 2 delta scores below
+    # all k and cannot reach the top k. The margin is 2 delta, with the u
+    # terms eight times over.
+    floor = -math.inf
+    if len(gains) >= k:
+        margin = (len(terms) + 4) * 2**-48 * (magnitude + tokens) + 2 * underflow
+        floor = sorted(estimates)[-k] - margin
+    keep = [pos for pos, e in zip(gains, estimates) if e >= floor]
+    keep_len = [doc_len[pos] for pos in keep]
+    by_length = {dl: 0.0 for dl, e in estimate.items() if e >= floor}
+
+    # dirichlet_qlm_score's sum, one query term at a time in Counter order,
+    # for each kept document and for each kept length that a document in no
     # posting can have (tf 0): every score is bit-identical to the oracle's
-    scores = [0.0] * len(touched)
-    by_length = dict.fromkeys(lengths, 0.0)
-    for count, smoothed, tf_map in terms:
-        absent = {dl: count * math.log(smoothed / (dl + mu)) for dl in lengths}
+    needed = by_length.keys() | set(keep_len)
+    scores = [0.0] * len(keep)
+    for count, smoothed, positions, tfs in terms:
+        absent = {dl: count * log(smoothed / (dl + mu)) for dl in needed}
         by_length = {dl: s + absent[dl] for dl, s in by_length.items()}
-        tf_of = tf_map.get
-        scores = [s + (count * math.log((tf + smoothed) / (dl + mu)) if (tf := tf_of(pos))
+        tf_of = dict(zip(positions, tfs)).get
+        scores = [s + (count * log((tf + smoothed) / (dl + mu)) if (tf := tf_of(pos))
                        else absent[dl])
-                  for s, pos, dl in zip(scores, touched, touched_len)]
+                  for s, pos, dl in zip(scores, keep, keep_len)]
 
     doc_ids = index.doc_ids
-    shortlist = [(doc_ids[pos], s) for pos, s in zip(touched, scores)]
-    groups = sorted(((by_length[dl], group) for dl, group in lengths.items()),
+    shortlist = [(doc_ids[pos], s) for pos, s in zip(keep, scores)]
+    groups = sorted(((s, lengths[dl]) for dl, s in by_length.items()),
                     key=lambda group: -group[0])
     # a non-posting doc left out scores below `last`, and k others score at least `last`
     taken = 0
@@ -351,7 +408,7 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     for s, group in groups:
         if taken >= k and s != last:
             break
-        fresh = [(doc_ids[pos], s) for pos in group if pos not in touched_set]
+        fresh = [(doc_ids[pos], s) for pos in group if pos not in gains]
         shortlist += fresh
         taken += len(fresh)
         last = s

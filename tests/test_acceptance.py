@@ -19,7 +19,7 @@ import time
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import StubHandler
+from http_stub import StubHandler
 from qlmrank.cli import main as cli_main
 from qlmrank.corpus import Document, QrelSet, Query, Run, read_run
 from qlmrank.evaluation import ndcg_at_k, paired_ttest

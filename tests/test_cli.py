@@ -77,6 +77,23 @@ class TestIndexAndSearch:
         run = read_run(str(run_path))
         assert len(run.doc_ids("q1")) == 5  # dirichlet scores every document
 
+    @pytest.mark.parametrize("mu, term, value", [("1e-323", "apple", "0.0"),
+                                                 ("1e308", "trees", "inf")])
+    def test_dirichlet_mu_out_of_range_names_mu_and_term(self, dataset, capsys, mu, term,
+                                                         value):
+        # "apple" has cf 1 and "trees" cf 2 of 28 tokens: mu * cf / total is 0 for
+        # the first mu and inf for the second
+        index = dataset["dir"] / "index.json"
+        run_path = dataset["dir"] / "dir.trec"
+        run_cli("index", "--corpus", dataset["corpus"], "--out", index)
+        capsys.readouterr()
+        assert run_cli("search", "--index", index, "--queries", dataset["queries"],
+                       "--out", run_path, "--ranker", "dirichlet", "--mu", mu) == 2
+        assert capsys.readouterr().err == (
+            f"data error: mu={float(mu)!r} is out of range: term {term!r} gets smoothed "
+            f"probability mu * cf / total / (dl + mu) = {value} in the longest document\n")
+        assert not run_path.exists()
+
     def test_search_is_deterministic(self, dataset):
         index = dataset["dir"] / "index.json"
         run_cli("index", "--corpus", dataset["corpus"], "--out", index)

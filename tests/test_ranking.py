@@ -352,10 +352,25 @@ def tie_heavy_corpora(draw):
     return docs, query
 
 
-@settings(max_examples=150, deadline=None)
-@given(tie_heavy_corpora(), st.sampled_from([0.5, 10.0, 1000.0]))
-def test_dirichlet_search_is_exhaustive_scoring_truncated(corpus, mu):
-    docs, query = corpus
+@st.composite
+def cancelling_corpora(draw):
+    """Queries that repeat each term up to 20 times, documents made only of
+    query terms (where the estimate's ln s and gain terms cancel the most)
+    beside documents of other words, and duplicate documents, so that
+    several documents tie at the k-th score."""
+    query_terms = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                                unique=True))
+    query = " ".join(term for term in query_terms for _ in range(draw(st.integers(1, 20))))
+    query_only = st.lists(st.sampled_from(query_terms), min_size=1, max_size=8)
+    mixed = st.lists(st.sampled_from(query_terms + ["x", "y"]), min_size=1, max_size=8)
+    bodies = draw(st.lists(st.one_of(query_only, mixed), min_size=1, max_size=8))
+    bodies += draw(st.lists(st.sampled_from(bodies), max_size=8))  # duplicates
+    ids = draw(st.permutations(range(len(bodies))))
+    docs = [Document(f"d{i:02d}", "", " ".join(body)) for i, body in zip(ids, bodies)]
+    return docs, query
+
+
+def assert_dirichlet_search_is_truncated_scoring(docs, query, mu):
     index = build_index(docs)
     params = DirichletParams(mu=mu)
     terms = index.analyzer.tokenize(query)
@@ -363,6 +378,28 @@ def test_dirichlet_search_is_exhaustive_scoring_truncated(corpus, mu):
                           for d in docs])
     for k in range(1, len(docs) + 3):
         assert dirichlet_search(index, params, query, k) == full[:k]
+
+
+# mu = 1e-310 makes every s = mu * cf / total subnormal; at mu = 1e-307 some
+# tf / s overflow to inf and others do not
+DIRICHLET_MUS = [1e-310, 1e-307, 1e-3, 0.5, 10.0, 1000.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_corpora(), st.sampled_from(DIRICHLET_MUS))
+def test_dirichlet_search_is_exhaustive_scoring_truncated(corpus, mu):
+    assert_dirichlet_search_is_truncated_scoring(*corpus, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_corpora(), st.sampled_from(DIRICHLET_MUS))
+# s = 1e-307 * cf / 26: tf / s overflows for a00's six a's, not for a01's
+# single a and b, so a gain written log1p(tf / s) puts a00 above a01
+@example(([Document("a00", "", "a a a a a a"), Document("a01", "", "a b"),
+           Document("a02", "", "b b"), Document("a03", "", "x x x x x x x x"),
+           Document("a04", "", "y y y y y y y y")], "a b"), 1e-307)
+def test_dirichlet_search_survives_cancellation_repeats_and_ties(corpus, mu):
+    assert_dirichlet_search_is_truncated_scoring(*corpus, mu)
 
 
 @settings(max_examples=150, deadline=None)

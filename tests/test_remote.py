@@ -1,5 +1,5 @@
 """Wire-protocol conformance for the remote logprobs client, exercised
-against an in-process stub server (see conftest.StubHandler)."""
+against an in-process stub server (see http_stub.StubHandler)."""
 
 import gc
 import json
@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from conftest import StubHandler, serving
+from http_stub import StubHandler, serving
 from qlmrank.corpus import Document, Query, Run
 from qlmrank.likelihood import (
     LikelihoodRequest,
