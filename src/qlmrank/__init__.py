@@ -14,7 +14,7 @@ _EXPORTS = {
                "load_qrels", "load_queries", "read_run", "write_run"),
     "evaluation": ("EvalReport", "SigResult", "ndcg_at_k", "paired_ttest",
                    "significance_matrix"),
-    "fusion": ("interpolate", "minmax_normalize", "sweep_alpha", "truncate"),
+    "fusion": ("interpolate", "minmax_normalize", "sweep_alpha"),
     "likelihood": ("BigramLm", "LikelihoodRequest", "LikelihoodResult", "ProtocolError",
                    "ProviderError", "RemoteProvider", "TransportError", "make_request",
                    "rerank", "rerank_run", "score_query_likelihood"),

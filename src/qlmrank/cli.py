@@ -6,7 +6,8 @@ produce byte-identical outputs. This module opens no file: the corpus
 module's readers open every input, so a missing or unreadable one fails
 with an error naming it, and its atomic writer (corpus.open_atomic) every
 output, so interrupted or concurrent runs never leave truncated files.
-Only `pipeline` checks that its inputs exist, before it makes output_dir.
+`pipeline` reads every input before it makes output_dir, then hands each
+stage's result to the next in memory.
 
 A parameter has one declaration, its run_* keyword: build_parser makes its
 flag from it, VERB_KEYS its config key's type and default, and a Literal
@@ -30,7 +31,7 @@ from typing import Literal
 
 # likelihood and prompts are imported where used: the verbs that never re-rank skip them
 from . import corpus as corpus_io, fusion, ranking
-from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, FormatError, ProviderError, Run
+from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, ProviderError, Run
 from .evaluation import format_report, ndcg_at_k, significance_matrix
 
 if typing.TYPE_CHECKING:
@@ -101,17 +102,20 @@ def _write_text(path: str | None, text: str) -> str:
 # --- Verbs: run_<verb>'s keywords are its flags, its docstring's first line its help ---
 
 def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | None = None,
-              stem: bool = False) -> ranking.InvertedIndex:
-    """build an inverted index from a corpus
-
-    Returns the index it wrote to `out`, for pipeline's search."""
-    words = (frozenset(line.strip() for _, line in corpus_io.read_lines(stopwords))
-             if stopwords else frozenset())
-    analyzer = ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
+              stem: bool = False) -> None:
+    """build an inverted index from a corpus"""
+    analyzer = _analyzer(lowercase, stopwords, stem)
     index = ranking.build_index(corpus_io.load_corpus(corpus), analyzer)
     ranking.save_index(index, out)
     logger.info("indexed %d documents, %d terms -> %s", index.n_docs, len(index.postings), out)
-    return index
+
+
+def _analyzer(lowercase: bool = True, stopwords: str | None = None,
+              stem: bool = False) -> ranking.Analyzer:
+    """The analyzer of run_index's keywords; reads the stopword file, if one is given."""
+    words = (frozenset(line.strip() for _, line in corpus_io.read_lines(stopwords))
+             if stopwords else frozenset())
+    return ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
 
 
 def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "dirichlet"] = "bm25",
@@ -121,18 +125,19 @@ def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "diri
     # both are built, so a bad --mu fails under bm25 too, before any file is read
     params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
               "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
-    _search(ranking.load_index(index), queries, out, ranker, k, params, tag)
+    _search(ranking.load_index(index), corpus_io.load_queries(queries), out, ranker, k, params, tag)
 
 
-def _search(inverted: ranking.InvertedIndex, queries: str, out: str, ranker: str, k: int,
-            params: ranking.Bm25Params | ranking.DirichletParams, tag: str | None) -> None:
-    """run_search's work on an index already in memory."""
-    query_list = corpus_io.load_queries(queries)
+def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], out: str,
+            ranker: str, k: int, params: ranking.Bm25Params | ranking.DirichletParams,
+            tag: str | None) -> Run:
+    """run_search's work on an index and queries in memory: returns the run it wrote to `out`."""
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
     run = Run({query.id: search(inverted, params, query.text, k=k) for query in query_list},
               tag=tag or ranker)
     corpus_io.write_run(run, out)
     logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
+    return run
 
 
 def _remote_provider(endpoint: str | None, auth_token: str | None) -> likelihood.RemoteProvider:
@@ -157,8 +162,10 @@ def _prompt_setup(catalog: str | None, model_family: str, dataset: str, fewshot:
     from . import prompts
 
     prompt_catalog = prompts.load_catalog(catalog) if catalog else prompts.default_catalog()
-    return (prompt_catalog.template(model_family, dataset),
-            prompt_catalog.fewshot_for(dataset) if fewshot else None)
+    template = prompt_catalog.template(model_family, dataset)
+    triples = prompt_catalog.fewshot_for(dataset) if fewshot else None
+    logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
+    return template, triples
 
 
 def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str, dataset: str,
@@ -169,24 +176,30 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
                max_workers: int = DEFAULT_MAX_WORKERS, tag: str = "qlm",
                stats_out: str | None = None) -> None:
     """query-likelihood re-ranking of a candidate run"""
-    from . import likelihood
-
     remote = _remote_provider(endpoint, auth_token) if provider == "remote" else None
     docs = corpus_io.load_corpus(corpus)
     query_list = corpus_io.load_queries(queries)
     first_stage = corpus_io.read_run(run)
     template, triples = _prompt_setup(catalog, model_family, dataset, fewshot)
-    logger.info("prompt: %s/%s, %s", model_family, dataset, "fewshot" if triples else "zeroshot")
+    _rerank(remote, docs, query_list, first_stage, template, out, stats_out, fewshot=triples,
+            depth=depth, doc_max_chars=doc_max_chars, on_error=on_error,
+            max_workers=max_workers, tag=tag)
+
+
+def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Document],
+            query_list: list[corpus_io.Query], first_stage: Run, template: prompts.PromptTemplate,
+            out: str, stats_out: str | None, **options) -> Run:
+    """run_rerank's work on inputs in memory, scored by `remote`, which it closes, or else
+    by a bigram model of `docs`; `options` go to rerank_run. Returns the run it wrote."""
+    from . import likelihood
 
     provider_fn = remote or likelihood.BigramLm.train(
         [f"{d.title} {d.body}" if d.title else d.body for d in docs])
-    if provider == "bigram":
-        max_workers = 1  # pure Python: threads would only contend for the GIL
+    if remote is None:
+        options["max_workers"] = 1  # pure Python: threads would only contend for the GIL
     try:
-        reranked = likelihood.rerank_run(
-            provider_fn, template, query_list, first_stage, {d.id: d for d in docs},
-            depth=depth, doc_max_chars=doc_max_chars, fewshot=triples,
-            max_workers=max_workers, on_error=on_error, tag=tag)
+        reranked = likelihood.rerank_run(provider_fn, template, query_list, first_stage,
+                                         {d.id: d for d in docs}, **options)
     finally:
         if remote is not None:
             remote.close()
@@ -196,6 +209,7 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
     logger.info("reranked %d queries -> %s | provider_requests=%d",
                 len(reranked.entries), out, pairs)
     _write_text(stats_out, json.dumps({"requests": pairs}) + "\n")
+    return reranked
 
 
 def run_fuse(run_a: str, run_b: str, out: str, alpha: float, tag: str | None = None) -> None:
@@ -298,8 +312,8 @@ class _PipelineKeys:
 
     @classmethod
     def load(cls, path: str, overrides: dict | None = None) -> _PipelineKeys:
-        """Read and check a config, with non-None `overrides` winning; every
-        check runs here, before any stage touches the disk."""
+        """Read and check a config, with non-None `overrides` winning: its keys,
+        their JSON types, choices and RULES. run_pipeline's readers check its files."""
         data = corpus_io.read_json(path)
         if not isinstance(data, dict):
             raise UsageError(f"{path}: config must be a JSON object")
@@ -310,17 +324,7 @@ class _PipelineKeys:
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise UsageError(f"{path}: missing required config keys {missing}")
-        config = cls(**checked)
-        paths = [(name, getattr(config, name))
-                 for name in ("corpus", "queries", "qrels", "external_run", "catalog")]
-        for name, path in paths + [("analyzer.stopwords", config.analyzer.get("stopwords"))]:
-            if path and not os.path.isfile(path):
-                raise FormatError(f"{name} not found: {path}")
-        # the re-rank stage's own checks, in its order
-        if config.provider == "remote":
-            _remote_provider(config.endpoint, config.auth_token)
-        _prompt_setup(config.catalog, config.model_family, config.dataset, config.fewshot)
-        return config
+        return cls(**checked)
 
 
 @functools.cache
@@ -346,33 +350,42 @@ def run_pipeline(config: str, **overrides) -> None:
 
     index -> search -> (hybrid fuse) -> rerank -> interpolate -> evaluate ->
     significance, from the config file at `config` and the config keys in
-    `overrides`. Every intermediate run is persisted for audit or re-fusion."""
+    `overrides`. Every intermediate run is persisted for audit or re-fusion,
+    never read back: each stage takes the last one's result from memory."""
     cfg = _pipeline_config().load(config, overrides)
+    remote = _remote_provider(cfg.endpoint, cfg.auth_token) if cfg.provider == "remote" else None
+    docs = corpus_io.load_corpus(cfg.corpus)
+    query_list = corpus_io.load_queries(cfg.queries)
+    qrels = corpus_io.load_qrels(cfg.qrels)
+    external = corpus_io.read_run(cfg.external_run) if cfg.external_run else None
+    analyzer = _analyzer(**cfg.analyzer)
+    template, triples = _prompt_setup(cfg.catalog, cfg.model_family, cfg.dataset, cfg.fewshot)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     def out(name: str) -> str:
         return os.path.join(cfg.output_dir, name)
 
-    # search takes the index just built; index.json is written as an artifact
-    inverted = run_index(cfg.corpus, out("index.json"), **cfg.analyzer)
-    _search(inverted, cfg.queries, out("first_stage.trec"), cfg.first_stage, cfg.depth,
-            cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet, tag=None)
-
-    candidates = out("first_stage.trec")
-    if cfg.external_run:
+    inverted = ranking.build_index(docs, analyzer)
+    ranking.save_index(inverted, out("index.json"))  # for audit: search takes it from memory
+    candidates = _search(inverted, query_list, out("first_stage.trec"), cfg.first_stage, cfg.depth,
+                         cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet, tag=None)
+    if external is not None:
         # rerank takes the top `depth` of the hybrid run via its own depth cut
-        run_fuse(out("first_stage.trec"), cfg.external_run, out("hybrid.trec"),
-                 alpha=cfg.hybrid_alpha, tag="hybrid")
-        candidates = out("hybrid.trec")
+        candidates = fusion.interpolate(candidates, external, cfg.hybrid_alpha, tag="hybrid")
+        corpus_io.write_run(candidates, out("hybrid.trec"))
 
-    run_rerank(candidates, out=out("reranked.trec"), stats_out=out("provider_stats.json"),
-               **{keyword: getattr(cfg, key)
-                  for key, (run, keyword) in VERB_KEYS.items() if run is run_rerank})
-    run_fuse(candidates, out("reranked.trec"), out("fused.trec"), alpha=cfg.rerank_alpha)
-    run_eval(out("fused.trec"), cfg.qrels, k=cfg.eval_k, out=out("eval.tsv"))
-    run_sigtest([candidates, out("reranked.trec"), out("fused.trec")], cfg.qrels,
-                k=cfg.eval_k, alpha_level=cfg.alpha_level, correction=cfg.correction,
-                out=out("significance.txt"))
+    reranked = _rerank(remote, docs, query_list, candidates, template, out("reranked.trec"),
+                       out("provider_stats.json"), fewshot=triples, depth=cfg.depth,
+                       doc_max_chars=cfg.doc_max_chars, on_error=cfg.on_error,
+                       max_workers=cfg.max_workers)
+    fused = fusion.interpolate(candidates, reranked, cfg.rerank_alpha)
+    corpus_io.write_run(fused, out("fused.trec"))
+    _write_text(out("eval.tsv"), format_report(ndcg_at_k(fused, qrels, k=cfg.eval_k)))
+    # sigtest names each run's row by its file
+    rows = [("hybrid" if cfg.external_run else "first_stage", candidates), ("reranked", reranked),
+            ("fused", fused)]
+    _write_text(out("significance.txt"), significance_matrix(
+        rows, qrels, k=cfg.eval_k, alpha_level=cfg.alpha_level, correction=cfg.correction).render())
     logger.info("pipeline complete -> %s", cfg.output_dir)
 
 
@@ -460,8 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         verb = VERBS[args.pop("command")]
         for name, value in args.items():
             _check_rule(name, value, "--" + name.replace("_", "-"))
-        text = verb(**args)  # a report, or run_index's index
-        sys.stdout.write(text if isinstance(text, str) else "")
+        sys.stdout.write(verb(**args) or "")  # a report, if the verb makes one
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -126,7 +126,9 @@ class Run:
 
     Entries are normalized on construction: within each query, doc ids are
     unique, scores finite, and the list is sorted by score descending with
-    ties broken by ascending doc id.
+    ties broken by ascending doc id. A query whose ranking is empty is
+    absent, as it is from a run file, so a run that holds a line equals
+    read_run of its file.
     """
 
     entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
@@ -143,13 +145,9 @@ class Run:
                 if not math.isfinite(score):
                     raise FormatError(f"run {self.tag!r}, query {qid}, doc {did}: non-finite score")
                 seen.add(did)
-            normalized[qid] = _sort_ranking(pairs)
+            if pairs:
+                normalized[qid] = _sort_ranking(pairs)
         self.entries = normalized
-
-    @classmethod
-    def from_scores(cls, scores: dict[str, dict[str, float]], tag: str = "run") -> Run:
-        """Build a run from {query id: {doc id: score}} mappings."""
-        return cls({qid: list(docs.items()) for qid, docs in scores.items()}, tag=tag)
 
     def query_ids(self) -> list[str]:
         return list(self.entries)

@@ -35,7 +35,6 @@ def minmax_normalize(run: Run) -> Run:
     entries = {
         qid: list(_minmax(pairs).items())
         for qid, pairs in run.entries.items()
-        if pairs
     }
     return Run(entries, tag=run.tag)
 
@@ -70,13 +69,6 @@ def interpolate(run_a: Run, run_b: Run, alpha: float, tag: str | None = None) ->
     """
     entries = _fused(_union(run_a, run_b), alpha)
     return Run(entries, tag=f"fuse-{alpha:g}({run_a.tag},{run_b.tag})" if tag is None else tag)
-
-
-def truncate(run: Run, k: int) -> Run:
-    """Keep each query's top k entries."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return Run({qid: pairs[:k] for qid, pairs in run.entries.items()}, tag=run.tag)
 
 
 def sweep_alpha(run_a: Run, run_b: Run, alphas: list[float], qrels: QrelSet,

@@ -271,12 +271,11 @@ class BigramLm:
     contributes exactly one bigram; that makes P(.|w) a proper distribution
     over vocabulary + UNK:  P(v|w) = (c(w,v) + 1) / (c(w) + V + 1).
 
-    Calls memoize each context's last word, keyed by the context string;
+    Calls memoize each context's last word, keyed by the context string, and
     each finished result, keyed by (that last word, the continuation), since
-    the bigram chain sees no more of the context; and each (prev, word) log
-    probability, as computed by `logprob`. Memory grows with the distinct
-    contexts, (last word, continuation) pairs and word pairs scored. The
-    memos never change an answer; callers on concurrent threads can at worst
+    the bigram chain sees no more of the context. Memory grows with the
+    distinct contexts and (last word, continuation) pairs scored. The memos
+    never change an answer; callers on concurrent threads can at worst
     compute the same value twice.
     """
 
@@ -285,7 +284,6 @@ class BigramLm:
         self.bigrams = bigrams
         self.vocab = set(unigrams)
         self.vocab_size = len(self.vocab)
-        self._logprobs: dict[tuple[str | None, str], float] = {}
         self._last_words: dict[str, str | None] = {}
         self._results: dict[tuple[str | None, str], LikelihoodResult] = {}
 
@@ -328,17 +326,9 @@ class BigramLm:
         tokens = words(request.continuation)
         if not tokens:  # a failure of this pair, which on_error="floor" scores at the floor
             raise ProviderError(f"continuation {request.continuation!r} has no word tokens")
-        memo = self._logprobs
-        logprobs = []
-        for token in tokens:
-            try:
-                logprob = memo[prev, token]
-            except KeyError:
-                logprob = memo[prev, token] = self.logprob(token, prev)
-            logprobs.append(logprob)
-            prev = token
-        result = self._results[key] = LikelihoodResult(tokens=tuple(tokens),
-                                                       logprobs=tuple(logprobs))
+        # each word given the one before it; the first word's is the context's last
+        logprobs = tuple(map(self.logprob, tokens, [prev, *tokens[:-1]]))
+        result = self._results[key] = LikelihoodResult(tokens=tuple(tokens), logprobs=logprobs)
         return result
 
 

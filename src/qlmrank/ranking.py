@@ -291,18 +291,29 @@ def dirichlet_qlm_score(index: InvertedIndex, params: DirichletParams,
     sum over query tokens of ln((tf + mu * cf/total) / (dl + mu)).
 
     Tokens absent from the whole collection are skipped (contribute 0)
-    rather than producing -inf.
+    rather than producing -inf; a mu out of range raises ValueError.
     """
     dl = index.doc_len[index.position(doc_id)]
+    longest = max(index._docs_by_length) + params.mu
     score = 0.0
     for term, count in Counter(query_terms).items():
-        cf = index.cf(term)
-        if cf == 0:
+        if index.cf(term) == 0:
             continue
         tf = index.term_frequency(term, doc_id)
-        p = (tf + params.mu * cf / index.total_terms) / (dl + params.mu)
+        p = (tf + _smoothed(index, params.mu, term, longest)) / (dl + params.mu)
         score += count * math.log(p)
     return score
+
+
+def _smoothed(index: InvertedIndex, mu: float, term: str, longest: float) -> float:
+    """mu * cf / total of a collection term; ValueError naming mu and the term if its
+    smoothed probability in the longest document, that / `longest`, is 0 or inf."""
+    smoothed = mu * index.cf(term) / index.total_terms
+    if not 0.0 < smoothed / longest < math.inf:
+        raise ValueError(f"mu={mu!r} is out of range: term {term!r} gets smoothed "
+                         f"probability mu * cf / total / (dl + mu) = "
+                         f"{smoothed / longest!r} in the longest document")
+    return smoothed
 
 
 def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
@@ -335,12 +346,7 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     terms = []  # (count, s = mu * cf / total, positions, tfs) per query term in Counter order
     for term, count in Counter(index.analyzer.tokenize(query)).items():
         if term in index.postings:
-            smoothed = mu * index.cf(term) / index.total_terms
-            if not 0.0 < smoothed / longest < math.inf:
-                raise ValueError(f"mu={mu!r} is out of range: term {term!r} gets smoothed "
-                                 f"probability mu * cf / total / (dl + mu) = "
-                                 f"{smoothed / longest!r} in the longest document")
-            terms.append((count, smoothed, *index.postings[term]))
+            terms.append((count, _smoothed(index, mu, term, longest), *index.postings[term]))
 
     # Estimate, one step per posting. The gain is ln(tf + s) - ln s, not
     # log1p(tf / s): tf / s overflows for a subnormal s.

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import base64
+import dataclasses
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ import threading
 import pytest
 
 import qlmrank
-from qlmrank import prompts, ranking
+from qlmrank import cli, corpus, likelihood, prompts, ranking
 from qlmrank.cli import build_parser, main
 from qlmrank.corpus import Document, Run, open_atomic, read_run, write_run
 
@@ -382,6 +383,103 @@ class TestPipeline:
         assert run_cli("pipeline", "--config", config) == 0
         hybrid = read_run(str(outdir / "hybrid.trec"))
         assert "d4" in hybrid.doc_ids("q1")
+
+    def write_external(self, dataset):
+        external = dataset["dir"] / "external.trec"
+        external.write_text("".join(f"{qid} Q0 d{d} {rank} {9.0 - rank} ext\n"
+                                    for qid in ("q0", "q1", "q2", "q3")
+                                    for rank, d in enumerate((4, 2), 1)), encoding="utf-8")
+        return external
+
+    def test_hybrid_query_without_first_stage_hit_matches_manual_chain(self, dataset):
+        # q0 comes first but BM25 finds nothing for it: its empty first-stage ranking
+        # must not put it first in the hybrid run, where the run file read back has none
+        queries = dataset["dir"] / "queries0.jsonl"
+        queries.write_text(json.dumps({"_id": "q0", "text": "zebras"}) + "\n"
+                           + (dataset["dir"] / "queries.jsonl").read_text(encoding="utf-8"),
+                           encoding="utf-8")
+        external, piped, manual = (self.write_external(dataset), dataset["dir"] / "piped",
+                                   dataset["dir"] / "manual")
+        config = self.make_config(dataset, piped, queries=str(queries), external_run=str(external))
+        assert run_cli("pipeline", "--config", config) == 0
+        manual.mkdir()
+        m = {name: manual / name for name in os.listdir(piped)}
+        chain = [
+            ["index", "--corpus", dataset["corpus"], "--out", m["index.json"]],
+            ["search", "--index", m["index.json"], "--queries", queries, "--k", 4,
+             "--out", m["first_stage.trec"]],
+            ["fuse", "--run-a", m["first_stage.trec"], "--run-b", external, "--alpha", 0.5,
+             "--tag", "hybrid", "--out", m["hybrid.trec"]],
+            ["rerank", "--run", m["hybrid.trec"], "--corpus", dataset["corpus"],
+             "--queries", queries, "--model-family", "llama", "--dataset", "trecc",
+             "--depth", 4, "--out", m["reranked.trec"], "--stats-out", m["provider_stats.json"]],
+            ["fuse", "--run-a", m["hybrid.trec"], "--run-b", m["reranked.trec"], "--alpha", 0.2,
+             "--out", m["fused.trec"]],
+            ["eval", "--run", m["fused.trec"], "--qrels", dataset["qrels"], "--out", m["eval.tsv"]],
+            ["sigtest", m["hybrid.trec"], m["reranked.trec"], m["fused.trec"],
+             "--qrels", dataset["qrels"], "--out", m["significance.txt"]],
+        ]
+        for argv in chain:
+            assert run_cli(*argv) == 0
+        assert read_run(str(m["hybrid.trec"])).query_ids()[-1] == "q0"
+        assert sorted(m) == sorted(os.listdir(manual))
+        for name, path in m.items():
+            assert (piped / name).read_bytes() == path.read_bytes(), name
+
+    def test_pipeline_reads_each_input_once_and_no_run_back(self, dataset, monkeypatch):
+        external = self.write_external(dataset)
+        reads = []
+
+        def reader(name, original):
+            def read(path):
+                reads.append(name)
+                assert name != "read_run" or path == str(external), f"read back {path}"
+                return original(path)
+            return read
+        for name in ("load_corpus", "load_queries", "load_qrels", "read_run"):
+            monkeypatch.setattr(corpus, name, reader(name, getattr(corpus, name)))
+        config = self.make_config(dataset, dataset["dir"] / "out", external_run=str(external))
+        assert run_cli("pipeline", "--config", config) == 0
+        assert reads == ["load_corpus", "load_queries", "load_qrels", "read_run"]
+
+    def test_stages_take_the_last_ones_result_from_memory(self, dataset, monkeypatch):
+        # another writer replaces first_stage.trec while the re-rank runs: the
+        # fused run and its reports do not change
+        clean, disturbed = dataset["dir"] / "clean", dataset["dir"] / "disturbed"
+        assert run_cli("pipeline", "--config", self.make_config(dataset, clean)) == 0
+        original = likelihood.rerank_run
+
+        def disturbing(*args, **kwargs):
+            reranked = original(*args, **kwargs)
+            write_run(Run({"q1": [("d2", 1.0)]}, tag="other"), str(disturbed / "first_stage.trec"))
+            return reranked
+        monkeypatch.setattr(likelihood, "rerank_run", disturbing)
+        assert run_cli("pipeline", "--config", self.make_config(dataset, disturbed)) == 0
+        assert (disturbed / "first_stage.trec").read_text() == "q1 Q0 d2 1 1.0 other\n"
+        for name in ("fused.trec", "eval.tsv", "significance.txt"):
+            assert (disturbed / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_every_config_key_reaches_its_stage(self, dataset, monkeypatch, stub_server):
+        # the pipeline names each key it passes on: one it never reads would be dropped
+        read = set()
+
+        class Recording:
+            def __init__(self, config):
+                self.config = config
+
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(self.config, name)
+        load = cli._PipelineKeys.load.__func__
+        monkeypatch.setattr(cli._PipelineKeys, "load",
+                            classmethod(lambda cls, *args: Recording(load(cls, *args))))
+        remote = {"provider": "remote", "endpoint": stub_server, "auth_token": "t",
+                  "on_error": "floor", "first_stage": "dirichlet",
+                  "external_run": str(self.write_external(dataset))}
+        for extra in ({}, remote):
+            config = self.make_config(dataset, dataset["dir"] / "out", **extra)
+            assert run_cli("pipeline", "--config", config) == 0
+        assert read == {field.name for field in dataclasses.fields(cli.PipelineConfig)}
 
 
 def test_usage_error_on_unknown_command():
@@ -835,14 +933,44 @@ class TestMalformedInput:
             "data error: candidate doc id 'nosuchdoc' not in the document lookup\n")
         assert not out.exists()
 
-    def test_missing_stopword_file(self, dataset, capsys):
-        outdir = dataset["dir"] / "out"
-        missing = dataset["dir"] / "stopwords.txt"
-        config = self.make_config(dataset, outdir, analyzer={"stopwords": str(missing)})
+    def assert_pipeline_input_missing(self, dataset, capsys, **change):
+        # the line the verbs print for a missing input, before output_dir is made
+        outdir, missing = dataset["dir"] / "out", dataset["dir"] / "missing"
+        config = self.make_config(dataset, outdir, **{
+            key: {"stopwords": str(missing)} if key == "analyzer" else str(missing)
+            for key in change})
         capsys.readouterr()
-        code = run_cli("pipeline", "--config", config)
-        self.assert_data_error(code, capsys.readouterr().err,
-                               f"analyzer.stopwords not found: {missing}")
+        assert run_cli("pipeline", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"data error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'\n")
+        assert not outdir.exists()
+
+    def test_missing_stopword_file(self, dataset, capsys):
+        self.assert_pipeline_input_missing(dataset, capsys, analyzer=True)
+
+    @pytest.mark.parametrize("key", ["corpus", "queries", "qrels", "external_run", "catalog"])
+    def test_missing_pipeline_input(self, dataset, capsys, key):
+        self.assert_pipeline_input_missing(dataset, capsys, **{key: True})
+
+    @pytest.mark.parametrize("change, code, message", [
+        ({"provider": "remote", "corpus": "missing"}, 1, "remote provider needs --endpoint"),
+        ({"qrels": "missing", "catalog": "missing"}, 2, "missing/qrels"),
+        ({"analyzer": {"stopwords": "missing"}, "model_family": "gpt9"}, 2, "missing/stopwords"),
+    ], ids=["endpoint-before-files", "inputs-before-catalog", "stopwords-before-prompt"])
+    def test_pipeline_checks_in_rerank_order(self, dataset, capsys, monkeypatch, change, code,
+                                             message):
+        # the first failing check names its input; no later one runs
+        monkeypatch.delenv("QLMRANK_ENDPOINT", raising=False)
+        d = dataset["dir"]
+        (d / "missing").mkdir()
+        change = {key: {"stopwords": str(d / "missing" / "stopwords")} if key == "analyzer"
+                  else str(d / "missing" / key) if value == "missing" else value
+                  for key, value in change.items()}
+        outdir = d / "out"
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", self.make_config(dataset, outdir, **change)) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert message in line
         assert not outdir.exists()
 
 
@@ -863,7 +991,8 @@ def _loaded_after(code, *argv):
 BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion", "qlmrank.ranking"]
 
 
-@pytest.mark.parametrize("verb", ["index", "search", "fuse", "eval", "sigtest", "sweep", "rerank"])
+@pytest.mark.parametrize("verb", ["index", "search", "fuse", "eval", "sigtest", "sweep", "rerank",
+                                  "pipeline"])
 def test_each_verb_imports_only_what_it_runs(dataset, verb):
     # only rerank and pipeline load likelihood and prompts; only a remote provider
     # http.client and ssl, only a threaded re-rank concurrent.futures, and only
@@ -882,12 +1011,13 @@ def test_each_verb_imports_only_what_it_runs(dataset, verb):
         "sweep": ["--run-a", run, "--run-b", d / "b.trec", *qrels, "--out", d / "sweep.tsv"],
         "rerank": ["--run", run, "--corpus", dataset["corpus"], "--queries", dataset["queries"],
                    "--model-family", "llama", "--dataset", "trecc", "--out", d / "r.trec"],
+        "pipeline": ["--config", TestPipeline().make_config(dataset, d / "out")],
     }[verb]
     loaded = _loaded_after("import sys, qlmrank.cli\nassert qlmrank.cli.main(sys.argv[1:]) == 0",
                            verb, *argv)
     expected = BASE + (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
-                       if verb == "rerank" else [])
-    expected += ["statistics"] if verb in ("eval", "sigtest", "sweep") else []
+                       if verb in ("rerank", "pipeline") else [])
+    expected += ["statistics"] if verb in ("eval", "sigtest", "sweep", "pipeline") else []
     assert loaded == sorted(expected)
 
 
@@ -899,7 +1029,7 @@ def test_cli_import_leaves_out_the_http_stack():
 
 
 def test_package_names_are_their_modules_objects():
-    assert len(qlmrank.__all__) == len(set(qlmrank.__all__)) == 49
+    assert len(qlmrank.__all__) == len(set(qlmrank.__all__)) == 48
     for name in qlmrank.__all__:
         value = getattr(qlmrank, name)
         assert getattr(sys.modules[value.__module__], name) is value, name

@@ -210,14 +210,18 @@ class TestRunFiles:
             read_run(str(path))
 
     @settings(deadline=None)
-    @given(st.dictionaries(TOKENS, st.dictionaries(TOKENS, FINITE, min_size=1), min_size=1),
-           TOKENS)
+    @given(st.dictionaries(TOKENS, st.dictionaries(TOKENS, FINITE)).filter(
+               lambda scores: any(scores.values())), TOKENS)
     def test_read_run_inverts_write_run(self, scores, tag):
-        run = Run.from_scores(scores, tag=tag)
+        # a run handed from stage to stage in memory equals the file written of it, in
+        # query order too, even where a query has an empty ranking: the file cannot hold it
+        run = Run({qid: list(docs.items()) for qid, docs in scores.items()}, tag=tag)
+        assert list(run.entries) == [qid for qid, docs in scores.items() if docs]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.trec")
             write_run(run, path)
-            assert read_run(path) == run
+            read = read_run(path)
+        assert read == run and list(read.entries) == list(run.entries)
 
     def test_random_round_trips(self, tmp_path):
         rng = random.Random(42)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlmrank.corpus import QrelSet, Run
 from qlmrank.evaluation import ndcg_at_k
-from qlmrank.fusion import format_sweep, interpolate, minmax_normalize, sweep_alpha, truncate
+from qlmrank.fusion import format_sweep, interpolate, minmax_normalize, sweep_alpha
 
 
 def scores_of(run, qid):
@@ -20,12 +20,17 @@ def random_run(rng, qids, doc_pool=20, tag="r"):
     return Run(entries, tag=tag)
 
 
+def run_of(scores):
+    """The run of {query id: {doc id: score}}."""
+    return Run({qid: list(docs.items()) for qid, docs in scores.items()})
+
+
 # runs over a few queries and a small doc pool, so that two runs share documents
 RUNS = st.dictionaries(
     st.sampled_from(["q1", "q2", "q3"]),
     st.dictionaries(st.text("abcdef", min_size=1, max_size=2),
                     st.floats(allow_nan=False, allow_infinity=False)),
-).map(Run.from_scores)
+).map(run_of)
 
 
 def restricted_order(run, qid, universe):
@@ -161,25 +166,6 @@ class TestInterpolate:
             interpolate(a, a, alpha=1.5)
 
 
-class TestTruncate:
-    def test_prefix_kept(self):
-        run = Run({"q": [(f"d{i:03d}", 150.0 - i) for i in range(150)]})
-        cut = truncate(run, 100)
-        assert cut.doc_ids("q") == run.doc_ids("q")[:100]
-
-    def test_short_lists_unchanged(self):
-        run = Run({"q": [("d1", 2.0), ("d2", 1.0)]})
-        assert truncate(run, 100).entries == run.entries
-
-    def test_k_one_keeps_argmax(self):
-        run = Run({"q": [("d1", 1.0), ("d2", 9.0)]})
-        assert truncate(run, 1).doc_ids("q") == ["d2"]
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            truncate(Run({"q": [("d1", 1.0)]}), 0)
-
-
 class TestSweepAlpha:
     qrels = QrelSet({"q": {"d1": 2, "d2": 1, "d3": 0}})
 
@@ -214,7 +200,7 @@ class TestSweepAlpha:
         st.sampled_from(["q1", "q2", "q3"]),
         st.dictionaries(st.sampled_from(DOCS),
                         st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-9.0, 9.0)),
-    ).map(Run.from_scores)
+    ).map(run_of)
 
     @settings(deadline=None, max_examples=300)
     @given(TIED_RUNS, TIED_RUNS,

@@ -242,7 +242,7 @@ class TestBigramMemo:
         assert calls == Counter({("a", "b"): 1, ("b", "c"): 1})
 
     @pytest.mark.parametrize("fewshot", [False, True])
-    def test_one_logprob_per_distinct_pair_across_a_run(self, monkeypatch, fewshot):
+    def test_one_logprob_chain_per_distinct_last_word_and_query(self, monkeypatch, fewshot):
         from qlmrank.prompts import FewShotExample, render_fewshot, render_prompt
         docs = {f"d{i}": Document(f"d{i}", "", f"the {w} sat on mat {i % 3}")
                 for i, w in enumerate(["cat", "dog", "cat", "bird", "dog", "cat"])}
@@ -263,17 +263,16 @@ class TestBigramMemo:
 
         prompts = {did: render_fewshot(template, triples, doc) if fewshot
                    else render_prompt(template, doc) for did, doc in docs.items()}
-        expected, scored = set(), 0
-        for query in queries:
-            for prompt in prompts.values():
-                prev = (words(prompt) or [None])[-1]
-                for token in words(query.text):
-                    expected.add((prev, token))
-                    prev = token
-                    scored += 1
-        assert set(calls) == expected
-        assert max(calls.values()) == 1
-        assert len(calls) < scored
+        # each (prev, word) of the chain of each distinct (last word, query), once
+        chains = {((words(prompt) or [None])[-1], query.text)
+                  for query in queries for prompt in prompts.values()}
+        expected = Counter()
+        for prev, text in chains:
+            for token in words(text):
+                expected[prev, token] += 1
+                prev = token
+        assert calls == expected
+        assert calls.total() < sum(len(prompts) * len(words(q.text)) for q in queries)
         assert last_words == Counter(set(prompts.values()))
 
     @pytest.mark.parametrize("fewshot", [True, False])

@@ -277,6 +277,17 @@ class TestDirichlet:
     def test_oov_terms_skipped(self, c3_index):
         assert dirichlet_qlm_score(c3_index, DirichletParams(mu=10), ["z"], "d1") == 0.0
 
+    @pytest.mark.parametrize("mu, value", [(1e-323, "0.0"), (1e308, "inf")])
+    def test_mu_out_of_range_names_mu_and_term(self, mu, value):
+        # the scorer raises what the search raises, not a bare math domain error or inf
+        index = build_index([Document("d1", "", "a b a"), Document("d2", "", "b c")])
+        message = (f"mu={mu!r} is out of range: term 'a' gets smoothed probability "
+                   f"mu * cf / total / (dl + mu) = {value} in the longest document")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dirichlet_qlm_score(index, DirichletParams(mu=mu), ["a"], "d2")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dirichlet_search(index, DirichletParams(mu=mu), "a")
+
     def test_additive_over_repeated_terms(self, c3_index):
         params = DirichletParams(mu=10)
         single = dirichlet_qlm_score(c3_index, params, ["a"], "d1")
