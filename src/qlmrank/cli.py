@@ -195,8 +195,6 @@ def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Docum
 
     provider_fn = remote or likelihood.BigramLm.train(
         [f"{d.title} {d.body}" if d.title else d.body for d in docs])
-    if remote is None:
-        options["max_workers"] = 1  # pure Python: threads would only contend for the GIL
     try:
         reranked = likelihood.rerank_run(provider_fn, template, query_list, first_stage,
                                          {d.id: d for d in docs}, **options)
@@ -409,8 +407,7 @@ _HELP = {
                "endpoint": f"logprobs endpoint (default ${ENDPOINT_ENV})",
                "auth_token": f"bearer token (default ${AUTH_TOKEN_ENV})",
                "catalog": "prompt catalog JSON (default: shipped catalog)",
-               "max_workers": "concurrent requests to the remote provider "
-                              "(the bigram provider always scores serially)",
+               "max_workers": "concurrent provider requests",
                "stats_out": "write provider request stats JSON here"},
     "fuse": {"alpha": "weight on run A (run B gets 1 - alpha)"},
     "eval": {"out": "write the per-query TSV report here"},

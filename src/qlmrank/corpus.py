@@ -277,7 +277,8 @@ def read_run(path: str) -> Run:
     """Read a 6-column TREC run file: qid Q0 docid rank score tag.
 
     The returned Run is re-sorted per the run invariant (score descending,
-    doc id ascending on ties); the file's rank column is not trusted.
+    doc id ascending on ties); the file's rank column is not trusted. The
+    tag is the first line's, so a file with no line reads as Run({}, tag="run").
     """
     entries: dict[str, list[tuple[str, float]]] = {}
     tag: str | None = None
@@ -305,7 +306,8 @@ def write_run(run: Run, path: str) -> None:
     Scores are serialized with repr precision, so read_run(write_run(r))
     reproduces orderings and scores exactly. A tag that is not one word
     would add columns, so it raises FormatError before the file is opened.
-    The file is written atomically (see open_atomic).
+    The file is written atomically (see open_atomic). A run with no line
+    writes an empty file, which keeps no tag: read_run gives Run({}, tag="run").
     """
     if run.tag.split() != [run.tag]:
         raise FormatError(f"run tag {run.tag!r} must be one word without whitespace")

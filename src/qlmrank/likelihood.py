@@ -12,10 +12,10 @@ a deterministic add-one-smoothed bigram model for offline use and testing.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import math
+import queue
 import threading
 import time
 from collections import Counter
@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 LOGPROB_FLOOR = -100.0
 
 UNK = "<unk>"
+
+# RemoteProvider tries a request ATTEMPTS times at most, sleeping BACKOFF_S, 2 * BACKOFF_S, ...
+ATTEMPTS, BACKOFF_S = 3, 0.5
 
 
 class TransportError(ProviderError):
@@ -133,20 +136,14 @@ class RemoteProvider:
         self,
         endpoint: str,
         auth_token: str | None = None,
-        attempts: int = 3,
-        backoff: float = 0.5,
         timeout: float = 30.0,
     ):
         import http.client
         from urllib.parse import urlsplit
 
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
         self.url = endpoint.rstrip("/") + "/v1/loglikelihood"
         self._headers = {"Content-Type": "application/json",
                          **({"Authorization": f"Bearer {auth_token}"} if auth_token else {})}
-        self.attempts = attempts
-        self.backoff = backoff
         self._local = threading.local()
         self._lock = threading.Lock()
         self._conns: list[http.client.HTTPConnection] = []  # every thread's, for close()
@@ -203,25 +200,25 @@ class RemoteProvider:
         body = json.dumps({"context": request.context,
                            "continuation": request.continuation}).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(self.attempts):
+        for attempt in range(ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 self._local.conn.close()
                 last_error = exc
                 logger.warning("request to %s failed (attempt %d/%d): %s",
-                               self.url, attempt + 1, self.attempts, exc)
+                               self.url, attempt + 1, ATTEMPTS, exc)
                 continue
             if status == 200:
                 return self._decode(data)
             if status >= 500 or status == 429:
                 last_error = TransportError(f"{self.url} answered {status}")
-                logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, self.attempts)
+                logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, ATTEMPTS)
                 continue
             raise TransportError(f"{self.url} answered {status}")
-        raise TransportError(f"{self.url} unreachable after {self.attempts} attempts: "
+        raise TransportError(f"{self.url} unreachable after {ATTEMPTS} attempts: "
                              f"{last_error}")
 
     def _decode(self, data: bytes) -> LikelihoodResult:
@@ -364,14 +361,14 @@ def rerank_run(
 ) -> Run:
     """Re-rank the top `depth` candidates of every query in a run.
 
-    All (query, doc) pairs of the run form one work list, scored serially
-    when max_workers is 1 and otherwise on one pool of max_workers threads;
+    All (query, doc) pairs of the run form one work list, which the calling
+    thread and max_workers - 1 helper threads score, whatever the provider;
     results do not depend on request scheduling order. Each document's
     prompt is rendered once, whatever the number of queries it serves.
 
     Keyword arguments: doc_max_chars, fewshot (guidance triples, or None
     for zero-shot), max_workers, tag, and on_error: "fail" propagates the
-    first provider failure and submits no further pairs, "floor" scores
+    first provider failure and no thread takes a further pair, "floor" scores
     each failing pair at LOGPROB_FLOOR instead. Queries without
     first-stage candidates are omitted.
     """
@@ -420,38 +417,40 @@ def _rerank(
                            doc.id, query.id, LOGPROB_FLOOR)
             return LOGPROB_FLOOR
 
-    if max_workers > 1 and len(pairs) > 1:
-        scores = iter(_map_windowed(score_pair, pairs, max_workers))
-    else:
-        scores = iter([score_pair(pair) for pair in pairs])
+    scores = iter(_map_pairs(score_pair, pairs, max_workers))
     return Run({query.id: [(did, next(scores)) for did, _ in candidates]
                 for query, candidates in work}, tag=tag)
 
 
-def _map_windowed(fn: Callable[[tuple[Query, Document]], float],
-                  items: list[tuple[Query, Document]], max_workers: int) -> list[float]:
-    """[fn(item) for item in items] on one pool of max_workers threads.
+def _map_pairs(fn: Callable[[tuple[Query, Document]], float],
+               items: list[tuple[Query, Document]], max_workers: int) -> list[float]:
+    """[fn(item) for item in items], computed by the calling thread and at most
+    max_workers - 1 helper threads that each take the next item off one queue
+    and store its result by index. After a failure no thread takes an item;
+    the first exception is raised once the helpers have joined."""
+    todo = queue.SimpleQueue()
+    for entry in enumerate(items):
+        todo.put(entry)
+    results = [0.0] * len(items)
+    failures: list[BaseException] = []
 
-    At most two items per thread are submitted ahead of their results, so
-    the first exception, raised here, cancels the few that are queued and
-    leaves the rest of the list unsubmitted.
-    """
-    # imported on use, like RemoteProvider's HTTP stack: only a threaded re-rank needs it
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    results: list[float] = [0.0] * len(items)
-    todo = iter(enumerate(items))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        pending = {pool.submit(fn, item): i
-                   for i, item in itertools.islice(todo, 2 * max_workers)}
+    def drain() -> None:
         try:
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results[pending.pop(future)] = future.result()
-                for i, item in itertools.islice(todo, len(done)):
-                    pending[pool.submit(fn, item)] = i
-        finally:
-            for future in pending:
-                future.cancel()
+            while not failures:
+                try:
+                    i, item = todo.get_nowait()
+                except queue.Empty:
+                    return
+                results[i] = fn(item)
+        except BaseException as exc:  # KeyboardInterrupt too: it stops the helpers as well
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(max_workers, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return results

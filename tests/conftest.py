@@ -55,6 +55,20 @@ def make_query(qid="q1", text="a"):
 
 
 @pytest.fixture
+def no_backoff(monkeypatch):
+    """RemoteProvider retries without sleeping between attempts."""
+    from qlmrank import likelihood
+    monkeypatch.setattr(likelihood, "BACKOFF_S", 0.0)
+
+
+@pytest.fixture
+def one_attempt(monkeypatch):
+    """RemoteProvider tries each request once, so no retry can hide a failure."""
+    from qlmrank import likelihood
+    monkeypatch.setattr(likelihood, "ATTEMPTS", 1)
+
+
+@pytest.fixture
 def stub_server():
     with serving(HTTPServer(("127.0.0.1", 0), StubHandler)) as server:
         yield f"http://127.0.0.1:{server.server_port}"

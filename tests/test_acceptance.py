@@ -430,12 +430,12 @@ def test_criterion_08_end_to_end_determinism(tmp_path, capsys):
 # Criterion 9: wire-protocol conformance against the stub server
 # ---------------------------------------------------------------------------
 
-def test_criterion_09_wire_protocol(stub_server, caplog):
+def test_criterion_09_wire_protocol(stub_server, caplog, no_backoff):
     request = LikelihoodRequest(context="ctx", continuation=" q")
 
     # success path decodes tokens and logprobs
     StubHandler.script = [(200, {"tokens": ["q"], "logprobs": [-0.5]})]
-    provider = RemoteProvider(stub_server, attempts=3, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     assert provider(request).logprobs == (-0.5,)
 
     # token/logprob length mismatch is a protocol error
@@ -455,7 +455,7 @@ def test_criterion_09_wire_protocol(stub_server, caplog):
     assert provider(request).logprobs == (-1.0,)
     assert len(StubHandler.requests_seen) == 2
 
-    # attempts are capped: three 503s exhaust attempts=3
+    # attempts are capped: three 503s exhaust the 3 attempts
     StubHandler.requests_seen = []
     StubHandler.script = [(503, {}), (503, {}), (503, {})]
     with pytest.raises(TransportError):

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 import qlmrank
+from http_stub import StubHandler
 from qlmrank import cli, corpus, likelihood, prompts, ranking
 from qlmrank.cli import build_parser, main
 from qlmrank.corpus import Document, Run, open_atomic, read_run, write_run
@@ -274,6 +275,18 @@ class TestEvalSigtestSweep:
     def test_sigtest_needs_two_runs(self, dataset):
         bm25, _ = self._runs(dataset)
         assert run_cli("sigtest", bm25, "--qrels", dataset["qrels"]) == 1
+
+    def test_sigtest_needs_unique_basenames(self, dataset, capsys):
+        bm25, _ = self._runs(dataset)
+        (dataset["dir"] / "other").mkdir()
+        twin = dataset["dir"] / "other" / bm25.name
+        twin.write_text(bm25.read_text())
+        out = dataset["dir"] / "sig.txt"
+        capsys.readouterr()
+        assert run_cli("sigtest", bm25, twin, "--qrels", dataset["qrels"], "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: run file basenames must be unique (they name the rows)\n")
+        assert not out.exists()
 
     def test_sweep(self, dataset):
         bm25, dirichlet = self._runs(dataset)
@@ -992,11 +1005,11 @@ BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion",
 
 
 @pytest.mark.parametrize("verb", ["index", "search", "fuse", "eval", "sigtest", "sweep", "rerank",
-                                  "pipeline"])
-def test_each_verb_imports_only_what_it_runs(dataset, verb):
+                                  "rerank-remote", "pipeline"])
+def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
     # only rerank and pipeline load likelihood and prompts; only a remote provider
-    # http.client and ssl, only a threaded re-rank concurrent.futures, and only
-    # the verbs that evaluate statistics
+    # http.client and ssl, and only the verbs that evaluate statistics; no re-rank,
+    # at any --max-workers, loads concurrent.futures
     d, index, run = dataset["dir"], dataset["dir"] / "index.json", dataset["dir"] / "a.trec"
     assert run_cli("index", "--corpus", dataset["corpus"], "--out", index) == 0
     assert run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", run) == 0
@@ -1012,11 +1025,17 @@ def test_each_verb_imports_only_what_it_runs(dataset, verb):
         "rerank": ["--run", run, "--corpus", dataset["corpus"], "--queries", dataset["queries"],
                    "--model-family", "llama", "--dataset", "trecc", "--out", d / "r.trec"],
         "pipeline": ["--config", TestPipeline().make_config(dataset, d / "out")],
-    }[verb]
+    }
+    if verb == "rerank-remote":  # every pair answered, on 4 threads
+        argv[verb] = argv["rerank"] + ["--provider", "remote", "--max-workers", "4",
+                                       "--endpoint", request.getfixturevalue("stub_server")]
+        StubHandler.script = [(200, {"tokens": ["x"], "logprobs": [-1.0]})] * len(
+            run.read_text().splitlines())
     loaded = _loaded_after("import sys, qlmrank.cli\nassert qlmrank.cli.main(sys.argv[1:]) == 0",
-                           verb, *argv)
+                           verb.removesuffix("-remote"), *argv[verb])
     expected = BASE + (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
-                       if verb in ("rerank", "pipeline") else [])
+                       if verb in ("rerank", "rerank-remote", "pipeline") else [])
+    expected += ["http.client", "ssl"] if verb == "rerank-remote" else []
     expected += ["statistics"] if verb in ("eval", "sigtest", "sweep", "pipeline") else []
     assert loaded == sorted(expected)
 

@@ -18,6 +18,7 @@ from qlmrank.corpus import (
     read_run,
     write_run,
 )
+from qlmrank.fusion import interpolate
 
 # ids and tags as read_run splits a line: no whitespace, nothing UTF-8 cannot encode
 TOKENS = st.text(st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace()),
@@ -41,6 +42,16 @@ class TestLoadCorpus:
             {"_id": "d1", "text": "y"},
         ])
         with pytest.raises(FormatError, match="duplicate"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ({"_id": "", "text": "x"}, "id must be non-empty"),
+        ({"_id": "d1", "title": 7, "text": "x"}, "title and body must be strings"),
+        ({"_id": "d1", "text": ["x"]}, "title and body must be strings"),
+    ], ids=["empty-id", "title-not-string", "body-not-string"])
+    def test_bad_field_names_its_line(self, write_jsonl, row, message):
+        path = write_jsonl("corpus.jsonl", [{"_id": "d0", "text": "ok"}, row])
+        with pytest.raises(FormatError, match=f":2: malformed corpus line .*{message}"):
             load_corpus(path)
 
     def test_malformed_line_names_line_number(self, tmp_path):
@@ -78,6 +89,11 @@ class TestLoadQueries:
         with pytest.raises(FormatError):
             load_queries(path)
 
+    def test_empty_id_rejected(self, write_jsonl):
+        path = write_jsonl("queries.jsonl", [{"_id": "", "text": "what is x"}])
+        with pytest.raises(FormatError, match=":1: malformed query line .*id must be non-empty"):
+            load_queries(path)
+
     def test_full_benchmark_query_count(self, write_jsonl):
         # the 4-dataset evaluation set size this toolkit targets
         rows = [{"_id": f"q{i}", "text": f"query {i}"} for i in range(1347)]
@@ -96,6 +112,14 @@ class TestLoadQrels:
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t-1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="negative"):
+            load_qrels(str(path))
+
+    @pytest.mark.parametrize("line", ["q1\td1\n", "q1\td1\t1\textra\n", "q1 d1 1\n"],
+                             ids=["two", "four", "space-separated"])
+    def test_wrong_column_count_rejected(self, tmp_path, line):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q1\td0\t1\n" + line, encoding="utf-8")
+        with pytest.raises(FormatError, match=":2: expected 3 tab-separated columns"):
             load_qrels(str(path))
 
     def test_header_skipped(self, tmp_path):
@@ -222,6 +246,20 @@ class TestRunFiles:
             write_run(run, path)
             read = read_run(path)
         assert read == run and list(read.entries) == list(run.entries)
+
+    def test_empty_run_is_an_empty_file_that_reads_back_untagged(self, tmp_path):
+        # the tag lives only in a run's lines, so a run without one loses it; fused with
+        # another empty run, as the pipeline re-ranks an empty run, it writes no line either
+        path, fused = str(tmp_path / "run.trec"), str(tmp_path / "fused.trec")
+        empty = Run({"q1": []}, tag="bm25")
+        write_run(empty, path)
+        assert (tmp_path / "run.trec").read_bytes() == b""
+        read = read_run(path)
+        assert read == Run({}, tag="run") != empty
+        for run in (empty, read):
+            fusion = interpolate(run, Run({}, tag="qlm"), 0.2)
+            write_run(fusion, fused)
+            assert (tmp_path / "fused.trec").read_bytes() == b""
 
     def test_random_round_trips(self, tmp_path):
         rng = random.Random(42)

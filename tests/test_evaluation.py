@@ -314,6 +314,20 @@ class TestSignificanceMatrix:
         with pytest.raises(ValueError):
             significance_matrix(runs, self.make_qrels(["q1", "q2"]))
 
+    def test_at_most_26_runs(self):
+        # each run's row is named by one letter
+        qids = ["q1", "q2", "q3"]
+        runs = _runs_from_scores({f"r{i}": {qid: i % 2 == 0 for qid in qids} for i in range(27)})
+        assert len(significance_matrix(runs[:26], self.make_qrels(qids)).beats) == 26
+        with pytest.raises(ValueError, match="at most 26 runs"):
+            significance_matrix(runs, self.make_qrels(qids))
+
+    def test_duplicate_run_names_rejected(self):
+        qids = ["q1", "q2"]
+        runs = _runs_from_scores({"x": {qid: True for qid in qids}})
+        with pytest.raises(ValueError, match="run names must be unique"):
+            significance_matrix(runs * 2, self.make_qrels(qids))
+
     def test_unknown_correction_rejected(self):
         qids = ["q1", "q2"]
         runs = _runs_from_scores({

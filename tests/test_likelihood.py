@@ -438,6 +438,14 @@ class TestRerankRun:
         assert sorted(out.doc_ids("q2")) == ["d0", "d1"]
         assert out.tag == "qlm"
 
+    def test_unknown_on_error_rejected_before_any_call(self):
+        docs = {"d1": Document("d1", "", "alpha")}
+        calls = []
+        with pytest.raises(ValueError, match="on_error must be 'fail' or 'floor', got 'skip'"):
+            rerank_run(pair_provider(calls), PromptTemplate(body="{doc}"), [Query("q1", "alpha")],
+                       Run({"q1": [("d1", 1.0)]}), docs, on_error="skip")
+        assert calls == []
+
     def test_queries_missing_from_run_are_omitted(self):
         docs = {"d1": Document("d1", "", "alpha")}
         lm = BigramLm.train(["alpha"])

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from qlmrank.corpus import Document
@@ -140,6 +143,38 @@ class TestCatalog:
             f'"fewshot": [{triple}, {triple}]}}]'
         )
         with pytest.raises(CatalogError, match="exactly 3"):
+            load_catalog(str(path))
+
+    @pytest.mark.parametrize("key", ["model_family", "dataset", "body", "good_question"])
+    def test_entry_missing_a_key_rejected(self, tmp_path, key):
+        triple = {"document": "d", "good_question": "g", "bad_question": "b"}
+        entry = {"model_family": "m", "dataset": "d", "body": "{doc}", "fewshot": [triple] * 3}
+        entry = {k: v for k, v in entry.items() if k != key}
+        if key == "good_question":
+            entry["fewshot"] = [{k: v for k, v in triple.items() if k != key}] * 3
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([entry]))
+        message = f"{re.escape(str(path))}: catalog entry missing key '{key}'"
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(str(path))
+
+    def test_conflicting_fewshot_lists_for_one_dataset_rejected(self, tmp_path):
+        def entry(family, good):
+            triple = {"document": "d", "good_question": good, "bad_question": "b"}
+            return {"model_family": family, "dataset": "d", "body": "{doc}",
+                    "fewshot": [triple] * 3}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([entry("m1", "g"), entry("m2", "g")]))
+        assert len(load_catalog(str(path)).fewshot_for("d")) == 3  # the same list twice is fine
+        path.write_text(json.dumps([entry("m1", "g"), entry("m2", "other")]))
+        with pytest.raises(CatalogError, match="dataset 'd': conflicting few-shot lists"):
+            load_catalog(str(path))
+
+    @pytest.mark.parametrize("text", ['{"model_family": "m"}', '"m"', "null"])
+    def test_catalog_that_is_not_an_array_rejected(self, tmp_path, text):
+        path = tmp_path / "catalog.json"
+        path.write_text(text)
+        with pytest.raises(CatalogError, match="catalog must be a JSON array of entries"):
             load_catalog(str(path))
 
     def test_default_catalog_round_trips(self, tmp_path):

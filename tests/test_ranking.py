@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlmrank import ranking
-from qlmrank.corpus import Document, _sort_ranking
+from qlmrank.corpus import Document, FormatError, _sort_ranking
 from qlmrank.ranking import (
     Analyzer,
     Bm25Params,
@@ -159,6 +159,11 @@ class TestBuildIndex:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             build_index([])
+
+    def test_duplicate_id_rejected(self):
+        docs = [Document("d1", "", "a"), Document("d2", "", "b"), Document("d1", "", "c")]
+        with pytest.raises(FormatError, match="duplicate document id 'd1'"):
+            build_index(docs)
 
     def test_title_is_indexed(self):
         index = build_index([Document("d1", "alpha", "beta")])

@@ -26,10 +26,12 @@ from qlmrank.prompts import PromptTemplate
 
 REQUEST = LikelihoodRequest(context="some prompt", continuation=" what is x")
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 
 def test_success_path(stub_server):
     StubHandler.script = [(200, {"tokens": ["what", "?"], "logprobs": [-2.0, -0.5]})]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     result = provider(REQUEST)
     assert result.tokens == ("what", "?")
     assert result.logprobs == (-2.0, -0.5)
@@ -37,7 +39,7 @@ def test_success_path(stub_server):
 
 def test_request_shape_and_auth_header(stub_server):
     StubHandler.script = [(200, {"tokens": ["x"], "logprobs": [-1.0]})]
-    provider = RemoteProvider(stub_server, auth_token="secret", backoff=0.0)
+    provider = RemoteProvider(stub_server, auth_token="secret")
     provider(REQUEST)
     path, body, headers = StubHandler.requests_seen[0]
     assert path == "/v1/loglikelihood"
@@ -47,14 +49,14 @@ def test_request_shape_and_auth_header(stub_server):
 
 def test_length_mismatch_is_protocol_error(stub_server):
     StubHandler.script = [(200, {"tokens": ["a", "b"], "logprobs": [-1.0, -2.0, -3.0]})]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with pytest.raises(ProtocolError):
         provider(REQUEST)
 
 
 def test_missing_keys_is_protocol_error(stub_server):
     StubHandler.script = [(200, {"wrong": []})]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with pytest.raises(ProtocolError):
         provider(REQUEST)
 
@@ -74,7 +76,7 @@ MALFORMED_PAYLOADS = {
 def test_malformed_payload_is_protocol_error(stub_server, case):
     payload, message = MALFORMED_PAYLOADS[case]
     StubHandler.script = [(200, payload)]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with pytest.raises(ProtocolError, match=message):
         provider(REQUEST)
     assert len(StubHandler.requests_seen) == 1  # a malformed answer is not retried
@@ -86,7 +88,7 @@ def test_malformed_payload_scores_at_the_floor_under_on_error_floor(stub_server)
                           (200, {"tokens": ["x", "y"], "logprobs": [-1.0, -2.0]})]
     docs = {did: Document(did, "", f"body {did}") for did in ("d1", "d2")}
     first_stage = Run({"q1": [("d1", 2.0), ("d2", 1.0)]})
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     out = rerank_run(provider, PromptTemplate(body="{doc}"), [Query("q1", "what")],
                      first_stage, docs, max_workers=1, on_error="floor")
     provider.close()
@@ -95,7 +97,7 @@ def test_malformed_payload_scores_at_the_floor_under_on_error_floor(stub_server)
 
 def test_negative_infinity_floored_with_warning(stub_server, caplog):
     StubHandler.script = [(200, {"tokens": ["a", "b"], "logprobs": [-1.0, -1e999]})]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with caplog.at_level("WARNING"):
         result = provider(REQUEST)
     assert result.logprobs == (-1.0, -100.0)
@@ -107,7 +109,7 @@ def test_transient_failure_then_success_retries(stub_server):
         (503, {"error": "busy"}),
         (200, {"tokens": ["x"], "logprobs": [-0.25]}),
     ]
-    provider = RemoteProvider(stub_server, attempts=3, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     result = provider(REQUEST)
     assert result.logprobs == (-0.25,)
     assert len(StubHandler.requests_seen) == 2
@@ -115,7 +117,7 @@ def test_transient_failure_then_success_retries(stub_server):
 
 def test_retry_budget_exhausted(stub_server):
     StubHandler.script = [(503, {}), (503, {}), (503, {})]
-    provider = RemoteProvider(stub_server, attempts=3, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with pytest.raises(TransportError):
         provider(REQUEST)
     assert len(StubHandler.requests_seen) == 3
@@ -123,14 +125,14 @@ def test_retry_budget_exhausted(stub_server):
 
 def test_client_error_not_retried(stub_server):
     StubHandler.script = [(404, {}), (200, {"tokens": ["x"], "logprobs": [-1.0]})]
-    provider = RemoteProvider(stub_server, attempts=3, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     with pytest.raises(TransportError):
         provider(REQUEST)
     assert len(StubHandler.requests_seen) == 1
 
 
 def test_unreachable_endpoint():
-    provider = RemoteProvider("http://127.0.0.1:1", attempts=2, backoff=0.0, timeout=0.5)
+    provider = RemoteProvider("http://127.0.0.1:1", timeout=0.5)
     with pytest.raises(TransportError):
         provider(REQUEST)
 
@@ -138,7 +140,7 @@ def test_unreachable_endpoint():
 def test_identical_requests_identical_results(stub_server):
     payload = {"tokens": ["a", "b"], "logprobs": [-1.5, -2.5]}
     StubHandler.script = [(200, payload), (200, payload)]
-    provider = RemoteProvider(stub_server, backoff=0.0)
+    provider = RemoteProvider(stub_server)
     assert provider(REQUEST) == provider(REQUEST)
 
 
@@ -198,9 +200,8 @@ def rerank_200_pairs(provider):
                       max_workers=16)
 
 
-def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server):
-    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
-                              attempts=1)
+def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server, one_attempt):
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
     out = rerank_200_pairs(provider)
     provider.close()
     assert sum(len(ranking) for ranking in out.entries.values()) == 200
@@ -208,9 +209,8 @@ def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server):
     assert 1 <= keep_alive_server.connections <= 16
 
 
-def test_close_ends_the_connections_of_every_thread(keep_alive_server):
-    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
-                              attempts=1)
+def test_close_ends_the_connections_of_every_thread(keep_alive_server, one_attempt):
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         provider(REQUEST)  # this thread's connection, besides the pool's
@@ -234,10 +234,9 @@ def all_closed(server, timeout=5.0):
     return server.open == 0
 
 
-def test_connection_dropped_after_answer_is_reopened(keep_alive_server):
+def test_connection_dropped_after_answer_is_reopened(keep_alive_server, one_attempt):
     keep_alive_server.close_after_answer = True
-    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}",
-                              attempts=1)
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
     assert provider(REQUEST).logprobs == (-1.0,)
     assert provider(REQUEST).logprobs == (-1.0,)
     provider.close()
@@ -271,20 +270,21 @@ def tls_stub_server(tmp_path):
         yield f"https://localhost:{server.server_port}", cert
 
 
-def test_https_trusts_the_certificate_ssl_cert_file_names(tls_stub_server, monkeypatch):
+def test_https_trusts_the_certificate_ssl_cert_file_names(tls_stub_server, one_attempt,
+                                                           monkeypatch):
     endpoint, cert = tls_stub_server
     monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # read when the provider builds its context
     StubHandler.script = [(200, {"tokens": ["x"], "logprobs": [-0.5]})]
-    provider = RemoteProvider(endpoint, attempts=1)
+    provider = RemoteProvider(endpoint)
     assert provider(REQUEST).logprobs == (-0.5,)
     provider.close()
     assert StubHandler.requests_seen[0][0] == "/v1/loglikelihood"
 
 
-def test_https_rejects_an_unverified_certificate(tls_stub_server, monkeypatch):
+def test_https_rejects_an_unverified_certificate(tls_stub_server, one_attempt, monkeypatch):
     endpoint, _ = tls_stub_server
     monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-    provider = RemoteProvider(endpoint, attempts=1)
+    provider = RemoteProvider(endpoint)
     with pytest.raises(TransportError, match="certificate verify failed"):
         provider(REQUEST)
     provider.close()
