@@ -22,7 +22,7 @@ from typing import Callable, Iterator, TextIO
 logger = logging.getLogger(__name__)
 
 DEFAULT_DOC_MAX_CHARS = 4000  # a prompt's document text is cut to this many characters
-DEFAULT_MAX_WORKERS = 8  # concurrent requests to a remote provider
+DEFAULT_MAX_WORKERS = 8  # threads that score re-rank pairs, whatever the provider
 
 
 class FormatError(ValueError):
@@ -208,7 +208,7 @@ def read_json(path: str) -> object:
             return json.load(f)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -221,7 +221,7 @@ def _load_jsonl(path: str, line_kind: str, id_kind: str,
     for lineno, line in read_lines(path):
         try:
             item = make(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, FormatError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, FormatError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed {line_kind} line ({exc})") from exc
         if item.id in seen:
             raise FormatError(f"{path}:{lineno}: duplicate {id_kind} id {item.id!r}")

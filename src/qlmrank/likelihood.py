@@ -124,9 +124,11 @@ class RemoteProvider:
     (connection errors, 5xx, 429) are retried with exponential backoff;
     other non-200 answers and malformed payloads fail immediately.
 
-    Each calling thread keeps one keep-alive connection. A reused one that
-    the server has dropped is reopened once without counting an attempt.
-    `close` ends the connections of every thread.
+    Keep-alive connections wait in one idle list that every thread and call
+    shares: a request takes one, or opens one, and puts it back when it
+    ends, closed if its POST failed. So it holds at most as many as it ever
+    had requests in flight at once. A reused one that the server has
+    dropped is reopened once without counting an attempt.
     Proxy variables and .netrc are not read. The standard library's HTTP
     stack is imported when a provider is built, so the package and its
     offline verbs load without it.
@@ -144,9 +146,7 @@ class RemoteProvider:
         self.url = endpoint.rstrip("/") + "/v1/loglikelihood"
         self._headers = {"Content-Type": "application/json",
                          **({"Authorization": f"Bearer {auth_token}"} if auth_token else {})}
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._conns: list[http.client.HTTPConnection] = []  # every thread's, for close()
+        self._idle: list[http.client.HTTPConnection] = []  # append and pop are atomic
         try:
             url = urlsplit(self.url)
             if url.scheme not in ("http", "https") or not url.hostname:
@@ -165,78 +165,77 @@ class RemoteProvider:
                              f"got {endpoint!r}") from None
         self._path = url.path
 
-    def _post(self, body: bytes) -> tuple[int, bytes]:
-        """One POST on this thread's connection: (status, body). A reused socket
-        found dropped (RemoteDisconnected is a ConnectionResetError) is reopened."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._open()
-            with self._lock:
-                self._conns.append(conn)
+    def _post(self, conn, body: bytes) -> tuple[int, bytes]:
+        """One POST on `conn`: (status, body), closing `conn` if it fails. A reused
+        socket found dropped (RemoteDisconnected is a ConnectionResetError) is reopened."""
         reused = conn.sock is not None
         try:
-            conn.request("POST", self._path, body, self._headers)
-            response = conn.getresponse()
-        except (ConnectionResetError, BrokenPipeError):
-            if not reused:
-                raise
-            conn.close()  # the next request opens a new socket
-            conn.request("POST", self._path, body, self._headers)
-            response = conn.getresponse()
-        return response.status, response.read()
+            try:
+                conn.request("POST", self._path, body, self._headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                conn.close()  # the next request opens a new socket
+                conn.request("POST", self._path, body, self._headers)
+                response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
 
     def close(self) -> None:
-        """Close the connections of every thread. Call it with no request in
-        flight; a later request opens a new connection."""
-        with self._lock:
-            conns, self._conns = self._conns, []
-            self._local = threading.local()
-        for conn in conns:
-            conn.close()
+        """Close the idle connections; call it with no request in flight."""
+        while self._idle:
+            self._idle.pop().close()
 
     def __call__(self, request: LikelihoodRequest) -> LikelihoodResult:
         import http.client
 
         body = json.dumps({"context": request.context,
                            "continuation": request.continuation}).encode("utf-8")
-        last_error: Exception | None = None
-        for attempt in range(ATTEMPTS):
-            if attempt:
-                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
-            try:
-                status, data = self._post(body)
-            except (OSError, http.client.HTTPException) as exc:
-                self._local.conn.close()
-                last_error = exc
-                logger.warning("request to %s failed (attempt %d/%d): %s",
-                               self.url, attempt + 1, ATTEMPTS, exc)
-                continue
-            if status == 200:
-                return self._decode(data)
-            if status >= 500 or status == 429:
-                last_error = TransportError(f"{self.url} answered {status}")
-                logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, ATTEMPTS)
-                continue
-            raise TransportError(f"{self.url} answered {status}")
-        raise TransportError(f"{self.url} unreachable after {ATTEMPTS} attempts: "
-                             f"{last_error}")
+        try:
+            conn = self._idle.pop()
+        except IndexError:  # none idle
+            conn = self._open()
+        try:
+            last_error: Exception | None = None
+            for attempt in range(ATTEMPTS):
+                if attempt:
+                    time.sleep(BACKOFF_S * 2 ** (attempt - 1))
+                try:
+                    status, data = self._post(conn, body)
+                except (OSError, http.client.HTTPException) as exc:
+                    last_error = exc
+                    logger.warning("request to %s failed (attempt %d/%d): %s",
+                                   self.url, attempt + 1, ATTEMPTS, exc)
+                    continue
+                if status == 200:
+                    return self._decode(data)
+                if status >= 500 or status == 429:
+                    last_error = TransportError(f"{self.url} answered {status}")
+                    logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, ATTEMPTS)
+                    continue
+                raise TransportError(f"{self.url} answered {status}")
+            raise TransportError(f"{self.url} unreachable after {ATTEMPTS} attempts: "
+                                 f"{last_error}")
+        finally:
+            self._idle.append(conn)
 
     def _decode(self, data: bytes) -> LikelihoodResult:
         try:
-            payload = json.loads(data)
+            # an integer parses as its float literal would: -1e400 floors, 1e400 fails
+            payload = json.loads(data, parse_int=float)
             tokens, logprobs = payload["tokens"], payload["logprobs"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ProtocolError(f"malformed response from {self.url}: {exc}") from exc
         if (not isinstance(tokens, list) or not tokens
                 or not all(isinstance(t, str) for t in tokens)):
             raise ProtocolError(f"tokens from {self.url} must be a non-empty list of strings")
-        # a JSON number only: bool is an int subclass, and float() would take "12" too
-        if not isinstance(logprobs, list) or not all(type(v) in (int, float) for v in logprobs):
+        # every JSON number is a float now; a bool or a string such as "12" is not
+        if not isinstance(logprobs, list) or not all(type(v) is float for v in logprobs):
             raise ProtocolError(f"logprobs from {self.url} must be a list of numbers")
-        return LikelihoodResult(
-            tokens=tuple(tokens),
-            logprobs=tuple(floor_logprobs([float(v) for v in logprobs])),
-        )
+        return LikelihoodResult(tuple(tokens), tuple(floor_logprobs(logprobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +371,8 @@ def rerank_run(
     each failing pair at LOGPROB_FLOOR instead. Queries without
     first-stage candidates are omitted.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
     return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
 
@@ -389,6 +390,8 @@ def _rerank(
 ) -> Run:
     if on_error not in ("fail", "floor"):
         raise ValueError(f"on_error must be 'fail' or 'floor', got {on_error!r}")
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     # the prompt depends on the document only, never on the query
     prompts: dict[str, str] = {}
     pairs: list[tuple[Query, Document]] = []

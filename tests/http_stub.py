@@ -9,8 +9,9 @@ from http.server import BaseHTTPRequestHandler
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, payload) responses; records
-    request bodies for assertions."""
+    """Replays a scripted list of (status, payload) responses, sending a
+    bytes payload as it is and any other as JSON; records request bodies
+    for assertions."""
 
     script = []
     requests_seen = []
@@ -23,7 +24,7 @@ class StubHandler(BaseHTTPRequestHandler):
             status, payload = StubHandler.script.pop(0)
         else:
             status, payload = 200, {"tokens": [], "logprobs": []}
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

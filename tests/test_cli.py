@@ -169,7 +169,7 @@ class TestRerankAndFuse:
         assert capsys.readouterr().err == f"error: --max-workers must be >= 1, got {workers}\n"
         assert not (dataset["dir"] / "x.trec").exists()
 
-    def test_unreachable_remote_is_provider_error(self, dataset):
+    def test_unreachable_remote_is_provider_error(self, dataset, no_backoff):
         first = self._first_stage(dataset)
         code = run_cli("rerank", "--run", first, "--corpus", dataset["corpus"],
                        "--queries", dataset["queries"],
@@ -188,7 +188,7 @@ class TestRerankAndFuse:
                        "--model-family", "llama", "--dataset", "trecc")
         assert code == 1
 
-    def test_endpoint_read_from_environment(self, dataset, monkeypatch):
+    def test_endpoint_read_from_environment(self, dataset, monkeypatch, no_backoff):
         # unreachable endpoint from the env var: proves the var is honored
         monkeypatch.setenv("QLMRANK_ENDPOINT", "http://127.0.0.1:1")
         first = self._first_stage(dataset)
@@ -360,7 +360,7 @@ class TestPipeline:
         assert capsys.readouterr().err == f"error: max_workers must be >= 1, got {workers}\n"
         assert not outdir.exists()
 
-    def test_provider_down_exits_3_but_keeps_first_stage(self, dataset):
+    def test_provider_down_exits_3_but_keeps_first_stage(self, dataset, no_backoff):
         outdir = dataset["dir"] / "out4"
         config = self.make_config(dataset, outdir, provider="remote",
                                   endpoint="http://127.0.0.1:1")
@@ -858,6 +858,45 @@ class TestMalformedInput:
         capsys.readouterr()
         code = run_cli(verb, *argv)
         self.assert_data_error(code, capsys.readouterr().err, f"{files[name]}: not UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["config", "index", "catalog", "corpus", "queries",
+                                      "payload"])
+    def test_json_nested_too_deep(self, dataset, capsys, request, name):
+        # json's parser raises RecursionError on it: malformed JSON like any other
+        d, deep = dataset["dir"], "[" * 100_000
+        out, run, index, catalog = d / "out", d / "run.trec", d / "index.json", d / "catalog.json"
+        config = self.make_config(dataset, out, catalog=str(catalog))
+        catalog.write_text(json.dumps([self.ENTRY]), encoding="utf-8")
+        run.write_text("q1 Q0 d1 1 1.0 bm25\n", encoding="utf-8")
+        rerank = ["rerank", "--run", run, "--corpus", dataset["corpus"], "--queries",
+                  dataset["queries"], "--model-family", "llama", "--dataset", "trecc",
+                  "--out", out]
+        argv, prefix = {  # the JSON files are replaced, the JSONL ones get one more line
+            "config": (["pipeline", "--config", config], f"data error: {config}: invalid JSON ("),
+            "index": (["search", "--index", index, "--queries", dataset["queries"], "--out", out],
+                      f"data error: {index}: invalid JSON ("),
+            "catalog": (["pipeline", "--config", config], f"data error: {catalog}: invalid JSON ("),
+            "corpus": (["index", "--corpus", dataset["corpus"], "--out", out],
+                       f"data error: {dataset['corpus']}:6: malformed corpus line ("),
+            "queries": (rerank, f"data error: {dataset['queries']}:4: malformed query line ("),
+            "payload": (rerank, "provider error: malformed response from "),
+        }[name]
+        if name == "payload":
+            argv += ["--provider", "remote", "--endpoint", request.getfixturevalue("stub_server")]
+            StubHandler.script = [(200, deep.encode())]
+        elif name in ("corpus", "queries"):
+            with open(dataset[name], "a", encoding="utf-8") as f:
+                f.write(deep + "\n")
+        else:
+            {"config": config, "index": index, "catalog": catalog}[name].write_text(deep)
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == (3 if name == "payload" else 2)
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(prefix) and "maximum recursion depth exceeded" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, message", [

@@ -438,12 +438,19 @@ class TestRerankRun:
         assert sorted(out.doc_ids("q2")) == ["d0", "d1"]
         assert out.tag == "qlm"
 
-    def test_unknown_on_error_rejected_before_any_call(self):
-        docs = {"d1": Document("d1", "", "alpha")}
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"on_error": "skip"}, "on_error must be 'fail' or 'floor', got 'skip'"),
+        ({"depth": 0}, "depth must be >= 1, got 0"),
+        ({"depth": -1}, "depth must be >= 1, got -1"),
+        ({"max_workers": 0}, "max_workers must be >= 1, got 0"),
+        ({"max_workers": -2}, "max_workers must be >= 1, got -2"),
+    ], ids=["on-error-skip", "depth-0", "depth-minus-1", "max-workers-0", "max-workers-minus-2"])
+    def test_invalid_argument_rejected_before_any_call(self, kwargs, message):
+        docs = {"d1": Document("d1", "", "alpha"), "d2": Document("d2", "", "beta")}
         calls = []
-        with pytest.raises(ValueError, match="on_error must be 'fail' or 'floor', got 'skip'"):
+        with pytest.raises(ValueError, match=message):
             rerank_run(pair_provider(calls), PromptTemplate(body="{doc}"), [Query("q1", "alpha")],
-                       Run({"q1": [("d1", 1.0)]}), docs, on_error="skip")
+                       Run({"q1": [("d1", 2.0), ("d2", 1.0)]}), docs, **kwargs)
         assert calls == []
 
     def test_queries_missing_from_run_are_omitted(self):

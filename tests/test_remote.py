@@ -2,10 +2,12 @@
 against an in-process stub server (see http_stub.StubHandler)."""
 
 import gc
+import http.client
 import json
 import shutil
 import ssl
 import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -20,6 +22,7 @@ from qlmrank.likelihood import (
     ProtocolError,
     RemoteProvider,
     TransportError,
+    rerank,
     rerank_run,
 )
 from qlmrank.prompts import PromptTemplate
@@ -69,6 +72,10 @@ MALFORMED_PAYLOADS = {
     "tokens-empty": ({"tokens": [], "logprobs": []}, "tokens"),
     "tokens-not-strings": ({"tokens": [1], "logprobs": [-1.0]}, "tokens"),
     "not-an-object": ([], "malformed response"),
+    "nested-too-deep": (b"[" * 100_000, "malformed response .*maximum recursion depth"),
+    # parsed as 1e400 is: not a finite float
+    "logprob-integer-above-float-range": (
+        b'{"tokens": ["a"], "logprobs": [1' + b"0" * 400 + b"]}", "non-finite logprob inf"),
 }
 
 
@@ -102,6 +109,14 @@ def test_negative_infinity_floored_with_warning(stub_server, caplog):
         result = provider(REQUEST)
     assert result.logprobs == (-1.0, -100.0)
     assert "floored" in caplog.text
+
+
+def test_integer_below_float_range_floored_as_its_float_literal(stub_server):
+    # -1 followed by 400 zeros parses as -1e400 does, to -inf, which floors
+    StubHandler.script = [(200, b'{"tokens": ["a", "b"], "logprobs": [-1.0, -1'
+                                + b"0" * 400 + b"]}")]
+    provider = RemoteProvider(stub_server)
+    assert provider(REQUEST).logprobs == (-1.0, -100.0)
 
 
 def test_transient_failure_then_success_retries(stub_server):
@@ -201,19 +216,40 @@ def rerank_200_pairs(provider):
 
 
 def test_keep_alive_connections_at_most_one_per_worker(keep_alive_server, one_attempt):
+    # each run starts new helper threads; they take the connections the last run left idle
     provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
-    out = rerank_200_pairs(provider)
+    for _ in range(3):
+        out = rerank_200_pairs(provider)
+        assert sum(len(ranking) for ranking in out.entries.values()) == 200
     provider.close()
-    assert sum(len(ranking) for ranking in out.entries.values()) == 200
-    assert keep_alive_server.requests == 200
+    assert keep_alive_server.requests == 600
     assert 1 <= keep_alive_server.connections <= 16
 
 
-def test_close_ends_the_connections_of_every_thread(keep_alive_server, one_attempt):
+def test_repeated_rerank_calls_reuse_idle_connections(keep_alive_server, one_attempt):
+    # a short switch interval interleaves the threads' takes from and puts to the idle list
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
+    docs = {f"d{i}": Document(f"d{i}", "", f"body {i}") for i in range(20)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for j in range(25):
+            out = rerank(provider, PromptTemplate(body="{doc}"), Query(f"q{j}", f"query {j}"),
+                         [(did, 0.0) for did in docs], docs, max_workers=8)
+            assert len(out.entries[f"q{j}"]) == 20
+    finally:
+        sys.setswitchinterval(interval)
+    provider.close()
+    assert keep_alive_server.requests == 500
+    assert 1 <= keep_alive_server.connections <= 8
+    assert all_closed(keep_alive_server)  # close() reached every connection: none was lost
+
+
+def test_close_ends_every_idle_connection(keep_alive_server, one_attempt):
     provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        provider(REQUEST)  # this thread's connection, besides the pool's
+        provider(REQUEST)  # its connection goes idle, for the pool's threads to take
         rerank_200_pairs(provider)
         provider.close()
         gc.collect()
@@ -238,6 +274,25 @@ def test_connection_dropped_after_answer_is_reopened(keep_alive_server, one_atte
     keep_alive_server.close_after_answer = True
     provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
     assert provider(REQUEST).logprobs == (-1.0,)
+    assert provider(REQUEST).logprobs == (-1.0,)
+    provider.close()
+    assert keep_alive_server.requests == 2
+    assert keep_alive_server.connections == 2
+
+
+def test_request_cut_short_closes_its_connection(keep_alive_server, one_attempt, monkeypatch):
+    # Ctrl-C after the POST went out: the connection goes back to the idle list
+    # closed, so the next request reconnects instead of failing on a half exchange
+    provider = RemoteProvider(f"http://127.0.0.1:{keep_alive_server.server_port}")
+    getresponse = http.client.HTTPConnection.getresponse
+
+    def interrupted(conn):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        provider(REQUEST)
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", getresponse)
     assert provider(REQUEST).logprobs == (-1.0,)
     provider.close()
     assert keep_alive_server.requests == 2
