@@ -11,7 +11,7 @@ stage's result to the next in memory.
 
 A parameter has one declaration, its run_* keyword: build_parser makes its
 flag from it, VERB_KEYS its config key's type and default, and a Literal
-hint gives its choices. RULES holds every other value rule.
+hint gives its choices. corpus.RULES holds every other value rule, the library's too.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
 """
@@ -31,7 +31,8 @@ from typing import Literal
 
 # likelihood and prompts are imported where used: the verbs that never re-rank skip them
 from . import corpus as corpus_io, fusion, ranking
-from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, ProviderError, Run
+from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, RULES, ProviderError, Run,
+                     check_value)
 from .evaluation import format_report, ndcg_at_k, significance_matrix
 
 if typing.TYPE_CHECKING:
@@ -44,14 +45,6 @@ AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
 
 EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
 
-# the value rule of each parameter that has one: (test, what the error says)
-RULES: dict[str, tuple[typing.Callable[[typing.Any], bool], str]] = {
-    **{name: (lambda v: v >= 1, "must be >= 1")
-       for name in ("k", "depth", "max_workers", "doc_max_chars")},
-    **{name: (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-       for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level")},
-    "tag": (lambda v: v.split() == [v], "must be one word without whitespace"),
-}
 # the keys of the config's analyzer section: run_index's analyzer keywords
 ANALYZER_KEYS = ("lowercase", "stopwords", "stem")
 # the config keys `pipeline` also takes as flags
@@ -72,23 +65,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_rule(name: str, value, spelled: str) -> None:
-    """Apply `name`'s RULES entry to a value or a list; errors say `spelled`.
-    A config key that renames a keyword (VERB_KEYS) takes the keyword's rule."""
-    name = VERB_KEYS[name][1] if name in VERB_KEYS else name
-    if name not in RULES or value is None:
-        return
-    test, rule = RULES[name]
-    for v in value if isinstance(value, list) else [value]:
-        if not test(v):
-            raise UsageError(f"{spelled} {rule}, got {v!r}")
-
-
-def _params(cls, prefix: str, **values):
-    # a ranking parameter class's ValueError starts with the field's name
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise UsageError(f"{prefix}{exc}") from None
+    """Apply `name`'s RULES entry, if it has one, to a value or a list; errors say
+    `spelled`. A config key that renames a keyword (VERB_KEYS) takes the keyword's
+    rule, a section key (bm25.k1) the rule of its last part."""
+    name = VERB_KEYS[name][1] if name in VERB_KEYS else name.rpartition(".")[2]
+    if name in RULES and value is not None:
+        try:
+            check_value(name, value, spelled)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _write_text(path: str | None, text: str) -> str:
@@ -122,9 +107,7 @@ def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "diri
                k: int = 100, k1: float = ranking.Bm25Params.k1, b: float = ranking.Bm25Params.b,
                mu: float = ranking.DirichletParams.mu, tag: str | None = None) -> None:
     """first-stage lexical retrieval"""
-    # both are built, so a bad --mu fails under bm25 too, before any file is read
-    params = {"bm25": _params(ranking.Bm25Params, "--", k1=k1, b=b),
-              "dirichlet": _params(ranking.DirichletParams, "--", mu=mu)}[ranker]
+    params = ranking.Bm25Params(k1, b) if ranker == "bm25" else ranking.DirichletParams(mu)
     _search(ranking.load_index(index), corpus_io.load_queries(queries), out, ranker, k, params, tag)
 
 
@@ -193,8 +176,7 @@ def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Docum
     by a bigram model of `docs`; `options` go to rerank_run. Returns the run it wrote."""
     from . import likelihood
 
-    provider_fn = remote or likelihood.BigramLm.train(
-        [f"{d.title} {d.body}" if d.title else d.body for d in docs])
+    provider_fn = remote or likelihood.BigramLm.train([d.text() for d in docs])
     try:
         reranked = likelihood.rerank_run(provider_fn, template, query_list, first_stage,
                                          {d.id: d for d in docs}, **options)
@@ -280,7 +262,7 @@ def _checked(name: str, value, hint):
         keys = (typing.get_type_hints(kind) if is_dataclass(kind) else
                 {k: v for k, v in typing.get_type_hints(run_index).items() if k in ANALYZER_KEYS})
         value = {k: _checked(f"{name}.{k}", v, keys.get(k)) for k, v in value.items()}
-        return _params(kind, f"{name}.", **value) if is_dataclass(kind) else value
+        return kind(**value) if is_dataclass(kind) else value
     if (choices := _choices(hint)) and value not in choices:
         raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     _check_rule(name, value, name)

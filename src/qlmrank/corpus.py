@@ -17,12 +17,34 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DOC_MAX_CHARS = 4000  # a prompt's document text is cut to this many characters
 DEFAULT_MAX_WORKERS = 8  # threads that score re-rank pairs, whatever the provider
+MAX_GRADE = 1023  # the largest qrels grade whose nDCG gain, 2 ** grade - 1, is a finite float
+
+# the value rule of each parameter that has one, by name: (test, what the error says).
+# The library checks its arguments here, the CLI its flags and config keys.
+RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **{name: (lambda v: v >= 1, "must be >= 1")
+       for name in ("k", "depth", "max_workers", "doc_max_chars")},
+    **{name: (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+       for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level", "b")},
+    **{name: (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+       for name in ("k1", "mu")},
+    "tag": (lambda v: v.split() == [v], "must be one word without whitespace"),
+}
+
+
+def check_value(name: str, value, spelled: str | None = None) -> None:
+    """Apply RULES[name] to a value, or to each item of a list or tuple: a value
+    that breaks it raises ValueError naming `spelled`, by default `name`."""
+    test, rule = RULES[name]
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if not test(v):
+            raise ValueError(f"{spelled or name} {rule}, got {v!r}")
 
 
 class FormatError(ValueError):
@@ -85,10 +107,9 @@ class QrelSet:
                     self.add(qid, did, grade)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise FormatError(
-                f"qrels ({query_id}, {doc_id}): grade must be >= 0, got {grade}"
-            )
+        if not 0 <= grade <= MAX_GRADE:
+            raise FormatError(f"qrels ({query_id}, {doc_id}): grade must be in "
+                              f"[0, {MAX_GRADE}], got {grade}")
         self.judgments.setdefault(query_id, {})[doc_id] = grade
 
     def grade(self, query_id: str, doc_id: str) -> int | None:
@@ -208,7 +229,8 @@ def read_json(path: str) -> object:
             return json.load(f)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    # json raises RecursionError for nesting too deep, ValueError for an int of too many digits
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -221,7 +243,7 @@ def _load_jsonl(path: str, line_kind: str, id_kind: str,
     for lineno, line in read_lines(path):
         try:
             item = make(json.loads(line))
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, FormatError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:  # FormatError included
             raise FormatError(f"{path}:{lineno}: malformed {line_kind} line ({exc})") from exc
         if item.id in seen:
             raise FormatError(f"{path}:{lineno}: duplicate {id_kind} id {item.id!r}")
@@ -266,6 +288,8 @@ def load_qrels(path: str) -> QrelSet:
             raise FormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
         if grade < 0:
             raise FormatError(f"{path}:{lineno}: negative grade {grade}")
+        if grade > MAX_GRADE:
+            raise FormatError(f"{path}:{lineno}: grade {grade} is above {MAX_GRADE}")
         if qrels.grade(qid, did) is not None:
             logger.warning("%s:%d: duplicate judgment (%s, %s), keeping the later one",
                            path, lineno, qid, did)
@@ -309,8 +333,9 @@ def write_run(run: Run, path: str) -> None:
     The file is written atomically (see open_atomic). A run with no line
     writes an empty file, which keeps no tag: read_run gives Run({}, tag="run").
     """
-    if run.tag.split() != [run.tag]:
-        raise FormatError(f"run tag {run.tag!r} must be one word without whitespace")
+    test, rule = RULES["tag"]
+    if not test(run.tag):
+        raise FormatError(f"run tag {run.tag!r} {rule}")
     with open_atomic(path) as f:
         for qid, pairs in run.entries.items():
             for rank, (did, score) in enumerate(pairs, 1):

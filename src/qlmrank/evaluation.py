@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import QrelSet, Run
+from .corpus import QrelSet, Run, check_value
 
 
 @dataclass
@@ -50,12 +50,11 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
     Queries with no positively judged document are excluded. A positively
     judged query missing from the run scores 0. Unjudged retrieved
     documents have gain 0; the ideal ordering ranks all judged documents
-    by grade.
+    by grade. Grades so high that the ideal DCG overflows raise ValueError.
     """
     from statistics import fmean  # imported on use: verbs that never evaluate skip it
 
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_value("k", k)
     per_query: dict[str, float] = {}
     for qid, judged in qrels.judgments.items():
         ideal = sorted(judged.values(), reverse=True)
@@ -63,6 +62,8 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
             continue
         gains = [judged.get(did, 0) for did in run.doc_ids(qid)]
         idcg = _dcg(ideal, k)
+        if not math.isfinite(idcg):
+            raise ValueError(f"query {qid}: ideal DCG@{k} overflows (top grade {ideal[0]})")
         per_query[qid] = _dcg(gains, k) / idcg
     if not per_query:
         raise ValueError("no evaluable queries (none has a positive judgment)")
@@ -239,6 +240,7 @@ def significance_matrix(
     names = [name for name, _ in runs]
     if len(set(names)) != len(names):
         raise ValueError("run names must be unique")
+    check_value("alpha_level", alpha_level)
 
     reports = {name: ndcg_at_k(run, qrels, k=k) for name, run in runs}
     letters = {name: _LETTERS[i] for i, name in enumerate(names)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .corpus import QrelSet, Run, _top_k
+from .corpus import QrelSet, Run, _top_k, check_value
 
 RERANK_ALPHA = 0.2  # default weight on the first-stage score when fusing with a re-ranker
 HYBRID_ALPHA = 0.5  # default weight when fusing two first-stage runs
@@ -55,8 +55,6 @@ def _union(run_a: Run, run_b: Run) -> dict[str, list[tuple[str, float, float]]]:
 def _fused(union: dict[str, list[tuple[str, float, float]]],
            alpha: float) -> dict[str, list[tuple[str, float]]]:
     """Per query, (doc, alpha * a + (1 - alpha) * b) for each (doc, a, b) of a _union."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     return {qid: [(did, alpha * a + (1.0 - alpha) * b) for did, a, b in triples]
             for qid, triples in union.items()}
 
@@ -67,6 +65,7 @@ def interpolate(run_a: Run, run_b: Run, alpha: float, tag: str | None = None) ->
     Per query, the document universe is the union of both runs' documents;
     documents missing from one run contribute normalized score 0 there.
     """
+    check_value("alpha", alpha)
     entries = _fused(_union(run_a, run_b), alpha)
     return Run(entries, tag=f"fuse-{alpha:g}({run_a.tag},{run_b.tag})" if tag is None else tag)
 
@@ -83,8 +82,8 @@ def sweep_alpha(run_a: Run, run_b: Run, alphas: list[float], qrels: QrelSet,
     """
     from .evaluation import ndcg_at_k
 
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_value("k", k)
+    check_value("alphas", alphas)
     union = _union(run_a, run_b)
     rows = []
     for alpha in alphas:

@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query, Run
+from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
+                     Run, check_value)
 from .prompts import (
     FewShotExample,
     PromptTemplate,
@@ -371,8 +372,7 @@ def rerank_run(
     each failing pair at LOGPROB_FLOOR instead. Queries without
     first-stage candidates are omitted.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_value("depth", depth)
     work = [(query, first_stage.entries.get(query.id, [])[:depth]) for query in queries]
     return _rerank(provider, template, [(q, c) for q, c in work if c], doc_lookup, **kwargs)
 
@@ -390,8 +390,7 @@ def _rerank(
 ) -> Run:
     if on_error not in ("fail", "floor"):
         raise ValueError(f"on_error must be 'fail' or 'floor', got {on_error!r}")
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    check_value("max_workers", max_workers)
     # the prompt depends on the document only, never on the query
     prompts: dict[str, str] = {}
     pairs: list[tuple[Query, Document]] = []

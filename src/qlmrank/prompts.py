@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 
-from .corpus import DEFAULT_DOC_MAX_CHARS, Document, open_atomic, read_json
+from .corpus import DEFAULT_DOC_MAX_CHARS, Document, check_value, open_atomic, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -185,8 +185,7 @@ def _truncate_at_whitespace(text: str, limit: int) -> str:
 def document_text(doc: Document, doc_max_chars: int = DEFAULT_DOC_MAX_CHARS) -> str:
     """Title + newline + body (body alone if untitled), length-capped at a
     whitespace boundary when possible."""
-    if doc_max_chars < 1:
-        raise ValueError(f"doc_max_chars must be >= 1, got {doc_max_chars}")
+    check_value("doc_max_chars", doc_max_chars)
     text = doc.text()
     truncated = _truncate_at_whitespace(text, doc_max_chars)
     if len(truncated) < len(text):

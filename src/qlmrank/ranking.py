@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Document, FormatError, _top_k, open_atomic, read_json
+from .corpus import Document, FormatError, _top_k, check_value, open_atomic, read_json
 
 INDEX_FORMAT_VERSION = 3
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
@@ -111,10 +111,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k1) and self.k1 > 0):
-            raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
+        check_value("k1", self.k1)
+        check_value("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,7 @@ class DirichletParams:
     mu: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        check_value("mu", self.mu)
 
 
 @dataclass
@@ -198,7 +195,7 @@ class InvertedIndex:
 
 
 def build_index(docs: list[Document], analyzer: Analyzer | None = None) -> InvertedIndex:
-    """Index title + " " + body of every document.
+    """Index the text() of every document.
 
     Building is deterministic: identical inputs give identical doc
     positions (insertion order), lengths and postings.
@@ -213,8 +210,7 @@ def build_index(docs: list[Document], analyzer: Analyzer | None = None) -> Inver
     doc_len = array("I")
     postings: dict[str, tuple[array, array]] = {}
     for pos, doc in enumerate(docs):
-        text = f"{doc.title} {doc.body}" if doc.title else doc.body
-        tokens = analyzer.tokenize(text)
+        tokens = analyzer.tokenize(doc.text())
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             plist = postings.get(term)
@@ -260,8 +256,7 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query: str,
                 k: int = 100) -> list[tuple[str, float]]:
     """Top-k documents with positive BM25 score, ranked per the run
     invariant. Equivalent to scoring every document and truncating."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_value("k", k)
     query_terms = index.analyzer.tokenize(query)
     # bm25_term_weight's expressions, with idf hoisted per term and the
     # length norm per distinct dl: every weight is bit-identical
@@ -336,8 +331,7 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     groups, enough to fill k and every group tied with the last one taken,
     join the final ranking.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_value("k", k)
     mu = params.mu
     log = math.log
     lengths = index._docs_by_length

@@ -860,11 +860,25 @@ class TestMalformedInput:
         self.assert_data_error(code, capsys.readouterr().err, f"{files[name]}: not UTF-8")
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["config", "index", "catalog", "corpus", "queries",
-                                      "payload"])
+    JSON_FILES = ["config", "index", "catalog", "corpus", "queries"]
+
+    @pytest.mark.parametrize("name", JSON_FILES + ["payload"])
     def test_json_nested_too_deep(self, dataset, capsys, request, name):
         # json's parser raises RecursionError on it: malformed JSON like any other
-        d, deep = dataset["dir"], "[" * 100_000
+        self.assert_json_rejected(dataset, capsys, request, name, "[" * 100_000,
+                                  "maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("name", JSON_FILES)
+    def test_json_integer_too_long(self, dataset, capsys, request, name):
+        # json raises a plain ValueError, no JSONDecodeError, for an integer longer than
+        # int()'s 4,300-digit limit: malformed JSON too, naming the file (and line)
+        self.assert_json_rejected(dataset, capsys, request, name,
+                                  '{"_id": ' + "1" * 5000 + ', "text": "x"}', "(4300 digits)")
+
+    def assert_json_rejected(self, dataset, capsys, request, name, text, says):
+        """`text` replacing the JSON file `name`, or one more line of a JSONL file, or
+        the stub's payload, is malformed JSON whose one error line holds `says`."""
+        d = dataset["dir"]
         out, run, index, catalog = d / "out", d / "run.trec", d / "index.json", d / "catalog.json"
         config = self.make_config(dataset, out, catalog=str(catalog))
         catalog.write_text(json.dumps([self.ENTRY]), encoding="utf-8")
@@ -884,20 +898,41 @@ class TestMalformedInput:
         }[name]
         if name == "payload":
             argv += ["--provider", "remote", "--endpoint", request.getfixturevalue("stub_server")]
-            StubHandler.script = [(200, deep.encode())]
+            StubHandler.script = [(200, text.encode())]
         elif name in ("corpus", "queries"):
             with open(dataset[name], "a", encoding="utf-8") as f:
-                f.write(deep + "\n")
+                f.write(text + "\n")
         else:
-            {"config": config, "index": index, "catalog": catalog}[name].write_text(deep)
+            {"config": config, "index": index, "catalog": catalog}[name].write_text(text)
         capsys.readouterr()
         code = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == (3 if name == "payload" else 2)
         assert "Traceback" not in err
         [line] = err.splitlines()
-        assert line.startswith(prefix) and "maximum recursion depth exceeded" in line
+        assert line.startswith(prefix) and says in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "sigtest"])
+    @pytest.mark.parametrize("lines, message", [
+        ("q2\td1\t1024\n", "qrels.tsv:6: grade 1024 is above 1023"),
+        ("q2\td1\t1100\n", "qrels.tsv:6: grade 1100 is above 1023"),
+        (f"q2\td1\t{10 ** 23}\n", f"qrels.tsv:6: grade {10 ** 23} is above 1023"),
+        ("".join(f"q1\td{i}\t1023\n" for i in (2, 3, 4)),
+         "query q1: ideal DCG@10 overflows (top grade 1023)"),
+    ], ids=["1024", "1100", "huge", "three-at-1023"])
+    def test_grade_whose_gain_overflows(self, dataset, capsys, verb, lines, message):
+        # nDCG's gain 2 ** grade - 1 is a finite float up to grade 1023, and only
+        # three of those sum to a finite ideal DCG
+        with open(dataset["qrels"], "a", encoding="utf-8") as f:
+            f.write(lines)
+        runs = [dataset["dir"] / name for name in ("a.trec", "b.trec")]
+        for run in runs:
+            run.write_text("q1 Q0 d1 1 1.0 bm25\nq2 Q0 d2 1 1.0 bm25\n", encoding="utf-8")
+        argv = (["eval", "--run", runs[0]] if verb == "eval" else ["sigtest", *runs])
+        capsys.readouterr()
+        code = run_cli(*argv, "--qrels", dataset["qrels"])
+        self.assert_data_error(code, capsys.readouterr().err, message)
 
     @pytest.mark.parametrize("lines, message", [
         ("q0 Q0 d3 1 2.0 bm25\nq0 Q0 d3 2 1.0 bm25\n",

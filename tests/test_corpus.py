@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import tempfile
 import warnings
 
@@ -113,6 +114,18 @@ class TestLoadQrels:
         path.write_text("q1\td1\t-1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="negative"):
             load_qrels(str(path))
+
+    @pytest.mark.parametrize("grade", [1024, 1100, 10 ** 23])
+    def test_grade_above_1023_rejected(self, tmp_path, grade):
+        # nDCG's gain 2 ** grade - 1 is a finite float only up to grade 1023
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\td1\t1023\nq1\td2\t{grade}\n", encoding="utf-8")
+        message = f"{path}:2: grade {grade} is above 1023"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_qrels(str(path))
+        with pytest.raises(FormatError, match=rf"^qrels \(q1, d2\): grade must be in \[0, 1023\], "
+                                              f"got {grade}$"):
+            QrelSet({"q1": {"d1": 1023, "d2": grade}})
 
     @pytest.mark.parametrize("line", ["q1\td1\n", "q1\td1\t1\textra\n", "q1 d1 1\n"],
                              ids=["two", "four", "space-separated"])

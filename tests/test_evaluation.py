@@ -86,6 +86,16 @@ class TestNdcg:
         with pytest.raises(ValueError):
             ndcg_at_k(run, qrels)
 
+    def test_ideal_dcg_overflow_names_the_query(self):
+        # 1023 is the highest grade QrelSet takes, and one gain of 2 ** 1023 - 1 is a
+        # finite float; three sum past the largest one
+        run = Run({"q1": [("dA", 2.0), ("dB", 1.0)], "q2": [("dA", 1.0)]})
+        assert ndcg_at_k(run, QrelSet({"q1": {"dA": 1023, "dB": 1}})).mean == 1.0
+        qrels = QrelSet({"q1": {"dA": 1}, "q2": {d: 1023 for d in ("dA", "dB", "dC")}})
+        with pytest.raises(ValueError,
+                           match=r"^query q2: ideal DCG@10 overflows \(top grade 1023\)$"):
+            ndcg_at_k(run, qrels)
+
     def test_perfect_ranking_scores_one(self):
         rng = random.Random(31)
         for _ in range(25):
