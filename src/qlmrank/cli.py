@@ -172,11 +172,12 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
 def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Document],
             query_list: list[corpus_io.Query], first_stage: Run, template: prompts.PromptTemplate,
             out: str, stats_out: str | None, **options) -> Run:
-    """run_rerank's work on inputs in memory, scored by `remote`, which it closes, or else
-    by a bigram model of `docs`; `options` go to rerank_run. Returns the run it wrote."""
+    """run_rerank's work on inputs in memory, scored by `remote`, which it closes, or else by
+    a bigram model of `docs` scoped to the queries; `options` go to rerank_run. Returns the run."""
     from . import likelihood
 
-    provider_fn = remote or likelihood.BigramLm.train([d.text() for d in docs])
+    provider_fn = remote or likelihood.BigramLm.train([d.text() for d in docs],
+                                                      [q.text for q in query_list])
     try:
         reranked = likelihood.rerank_run(provider_fn, template, query_list, first_stage,
                                          {d.id: d for d in docs}, **options)
@@ -340,32 +341,34 @@ def run_pipeline(config: str, **overrides) -> None:
     external = corpus_io.read_run(cfg.external_run) if cfg.external_run else None
     analyzer = _analyzer(**cfg.analyzer)
     template, triples = _prompt_setup(cfg.catalog, cfg.model_family, cfg.dataset, cfg.fewshot)
-    os.makedirs(cfg.output_dir, exist_ok=True)
 
     def out(name: str) -> str:
         return os.path.join(cfg.output_dir, name)
 
-    inverted = ranking.build_index(docs, analyzer)
-    ranking.save_index(inverted, out("index.json"))  # for audit: search takes it from memory
-    candidates = _search(inverted, query_list, out("first_stage.trec"), cfg.first_stage, cfg.depth,
-                         cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet, tag=None)
-    if external is not None:
-        # rerank takes the top `depth` of the hybrid run via its own depth cut
-        candidates = fusion.interpolate(candidates, external, cfg.hybrid_alpha, tag="hybrid")
-        corpus_io.write_run(candidates, out("hybrid.trec"))
+    with corpus_io.locked_dir(cfg.output_dir):  # a second pipeline there writes nothing
+        inverted = ranking.build_index(docs, analyzer)
+        ranking.save_index(inverted, out("index.json"))  # for audit: search takes it from memory
+        candidates = _search(inverted, query_list, out("first_stage.trec"), cfg.first_stage,
+                             cfg.depth, cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet,
+                             tag=None)
+        if external is not None:
+            # rerank takes the top `depth` of the hybrid run via its own depth cut
+            candidates = fusion.interpolate(candidates, external, cfg.hybrid_alpha, tag="hybrid")
+            corpus_io.write_run(candidates, out("hybrid.trec"))
 
-    reranked = _rerank(remote, docs, query_list, candidates, template, out("reranked.trec"),
-                       out("provider_stats.json"), fewshot=triples, depth=cfg.depth,
-                       doc_max_chars=cfg.doc_max_chars, on_error=cfg.on_error,
-                       max_workers=cfg.max_workers)
-    fused = fusion.interpolate(candidates, reranked, cfg.rerank_alpha)
-    corpus_io.write_run(fused, out("fused.trec"))
-    _write_text(out("eval.tsv"), format_report(ndcg_at_k(fused, qrels, k=cfg.eval_k)))
-    # sigtest names each run's row by its file
-    rows = [("hybrid" if cfg.external_run else "first_stage", candidates), ("reranked", reranked),
-            ("fused", fused)]
-    _write_text(out("significance.txt"), significance_matrix(
-        rows, qrels, k=cfg.eval_k, alpha_level=cfg.alpha_level, correction=cfg.correction).render())
+        reranked = _rerank(remote, docs, query_list, candidates, template, out("reranked.trec"),
+                           out("provider_stats.json"), fewshot=triples, depth=cfg.depth,
+                           doc_max_chars=cfg.doc_max_chars, on_error=cfg.on_error,
+                           max_workers=cfg.max_workers)
+        fused = fusion.interpolate(candidates, reranked, cfg.rerank_alpha)
+        corpus_io.write_run(fused, out("fused.trec"))
+        _write_text(out("eval.tsv"), format_report(ndcg_at_k(fused, qrels, k=cfg.eval_k)))
+        # sigtest names each run's row by its file
+        rows = [("hybrid" if cfg.external_run else "first_stage", candidates),
+                ("reranked", reranked), ("fused", fused)]
+        _write_text(out("significance.txt"), significance_matrix(
+            rows, qrels, k=cfg.eval_k, alpha_level=cfg.alpha_level,
+            correction=cfg.correction).render())
     logger.info("pipeline complete -> %s", cfg.output_dir)
 
 

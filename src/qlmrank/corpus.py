@@ -11,6 +11,7 @@ concurrent write never leaves a truncated file.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import logging
 import math
@@ -208,6 +209,21 @@ def open_atomic(path: str) -> Iterator[TextIO]:
         raise
 
 
+@contextlib.contextmanager
+def locked_dir(path: str) -> Iterator[None]:
+    """Make directory `path` if it is missing and hold an exclusive flock on it for the block."""
+    os.makedirs(path, exist_ok=True)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # released when fd closes
+        except BlockingIOError:
+            raise OSError(f"{path}: in use by another pipeline") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def read_lines(path: str) -> Iterator[tuple[int, str]]:
     """(physical line number, line) for each non-blank line of a UTF-8 file.
     Undecodable bytes raise FormatError naming the path."""
@@ -271,8 +287,8 @@ def load_queries(path: str) -> list[Query]:
 def load_qrels(path: str) -> QrelSet:
     """Load tab-separated qrels: query-id <TAB> corpus-id <TAB> grade.
 
-    An optional header line is skipped. Later duplicates overwrite earlier
-    ones with a warning (tolerates concatenated qrels files).
+    Line 1 is a header, skipped, if its grade is not a number at all. Later
+    duplicates overwrite earlier ones with a warning (tolerates concatenated qrels files).
     """
     qrels = QrelSet()
     for lineno, line in read_lines(path):
@@ -283,8 +299,11 @@ def load_qrels(path: str) -> QrelSet:
         try:
             grade = int(grade_str)
         except ValueError:
-            if lineno == 1:  # optional header line
-                continue
+            try:
+                float(grade_str)  # a number, if not an integer: a malformed judgment
+            except ValueError:
+                if lineno == 1:
+                    continue
             raise FormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
         if grade < 0:
             raise FormatError(f"{path}:{lineno}: negative grade {grade}")

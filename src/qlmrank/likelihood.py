@@ -20,6 +20,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
@@ -268,6 +269,10 @@ class BigramLm:
     contributes exactly one bigram; that makes P(.|w) a proper distribution
     over vocabulary + UNK:  P(v|w) = (c(w,v) + 1) / (c(w) + V + 1).
 
+    train(texts, continuations), for requests that continue with their words,
+    counts only the bigrams ending in one of them or UNK, its `scope`. Each
+    logprob equals the full model's; a word outside the scope raises ValueError.
+
     Calls memoize each context's last word, keyed by the context string, and
     each finished result, keyed by (that last word, the continuation), since
     the bigram chain sees no more of the context. Memory grows with the
@@ -276,25 +281,31 @@ class BigramLm:
     compute the same value twice.
     """
 
-    def __init__(self, unigrams: Counter[str], bigrams: Counter[tuple[str, str]]):
+    def __init__(self, unigrams: Counter[str], bigrams: Counter[tuple[str, str]],
+                 scope: set[str] | None = None):
         self.unigrams = unigrams
         self.bigrams = bigrams
+        self.scope = scope  # None: every bigram was counted
         self.vocab = set(unigrams)
         self.vocab_size = len(self.vocab)
         self._last_words: dict[str, str | None] = {}
         self._results: dict[tuple[str | None, str], LikelihoodResult] = {}
 
     @classmethod
-    def train(cls, texts: list[str]) -> BigramLm:
+    def train(cls, texts: list[str], continuations: list[str] | None = None) -> BigramLm:
         unigrams: Counter[str] = Counter()
         bigrams: Counter[tuple[str, str]] = Counter()
+        scope = None if continuations is None else {UNK}.union(*map(words, continuations))
         for text in texts:
             tokens = words(text)
             unigrams.update(tokens)
-            bigrams.update(zip(tokens, tokens[1:] + [UNK]))
+            following = tokens[1:] + [UNK]
+            pairs = zip(tokens, following)
+            bigrams.update(pairs if scope is None else
+                           compress(pairs, map(scope.__contains__, following)))
         if not unigrams:
             raise ValueError("cannot train a bigram model on an empty corpus")
-        return cls(unigrams, bigrams)
+        return cls(unigrams, bigrams, scope)
 
     def _canon(self, word: str) -> str:
         return word if word in self.vocab else UNK
@@ -303,6 +314,8 @@ class BigramLm:
         """ln P(word | prev); prev=None means no usable context (UNK path)."""
         w = self._canon(prev) if prev is not None else UNK
         v = self._canon(word)
+        if self.scope is not None and v not in self.scope:  # its bigram counts were not kept
+            raise ValueError(f"word {word!r} is outside this bigram model's continuations")
         # c(w) counts w's occurrences as a bigram context; terminal UNKs
         # never precede anything, so their context count is 0.
         context_count = self.unigrams[w] if w != UNK else 0

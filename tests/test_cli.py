@@ -3,6 +3,7 @@ import ast
 import base64
 import dataclasses
 import errno
+import fcntl
 import json
 import os
 import struct
@@ -156,6 +157,36 @@ class TestRerankAndFuse:
                            "--dataset", "trecc", "--max-workers", workers, *fewshot) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fewshot", [[], ["--fewshot"]])
+    def test_bigram_verb_scopes_its_model_and_writes_the_full_models_run(self, dataset,
+                                                                         monkeypatch, fewshot):
+        first = self._first_stage(dataset)
+        trained = []
+        train = likelihood.BigramLm.train
+
+        def recording(texts, continuations=None):
+            trained.append(train(texts, continuations))
+            return trained[-1]
+        monkeypatch.setattr(likelihood.BigramLm, "train", staticmethod(recording))
+        out = dataset["dir"] / "reranked.trec"
+        assert run_cli("rerank", "--run", first, "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", out, "--provider", "bigram",
+                       "--model-family", "llama", "--dataset", "trecc", *fewshot) == 0
+        monkeypatch.undo()
+
+        docs = corpus.load_corpus(dataset["corpus"])
+        queries = corpus.load_queries(dataset["queries"])
+        full = likelihood.BigramLm.train([d.text() for d in docs])
+        [scoped] = trained
+        assert scoped.scope == {likelihood.UNK}.union(*(ranking.words(q.text) for q in queries))
+        assert len(scoped.bigrams) < len(full.bigrams)
+        catalog = prompts.default_catalog()
+        expected = likelihood.rerank_run(
+            full, catalog.template("llama", "trecc"), queries, read_run(str(first)),
+            {d.id: d for d in docs}, fewshot=catalog.fewshot_for("trecc") if fewshot else None)
+        write_run(expected, str(dataset["dir"] / "expected.trec"))
+        assert out.read_bytes() == (dataset["dir"] / "expected.trec").read_bytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_max_workers_below_one_is_usage_error(self, dataset, capsys, workers):
@@ -367,6 +398,21 @@ class TestPipeline:
         assert run_cli("pipeline", "--config", config) == 3
         assert (outdir / "first_stage.trec").is_file()
         assert not (outdir / "reranked.trec").exists()
+
+    def test_output_dir_another_pipeline_holds_is_left_untouched(self, dataset, capsys):
+        outdir = dataset["dir"] / "out_locked"
+        outdir.mkdir()
+        config = self.make_config(dataset, outdir)
+        fd = os.open(outdir, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            capsys.readouterr()
+            assert run_cli("pipeline", "--config", config) == 2
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == f"data error: {outdir}: in use by another pipeline\n"
+        assert os.listdir(outdir) == []
+        assert run_cli("pipeline", "--config", config) == 0  # the lock goes with its holder
 
     def test_no_tmp_files_left_behind(self, dataset):
         outdir = dataset["dir"] / "out5"

@@ -141,6 +141,15 @@ class TestLoadQrels:
         qrels = load_qrels(str(path))
         assert len(qrels) == 1
 
+    @pytest.mark.parametrize("grade", ["1.5", "1e3", "-0.5", "nan"])
+    def test_first_line_with_a_numeric_grade_is_no_header(self, tmp_path, grade):
+        # only a grade column that is not a number at all marks line 1 as a header
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"q1\td1\t{grade}\nq1\td2\t1\n", encoding="utf-8")
+        message = f"{path}:1: non-integer grade {grade!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_qrels(str(path))
+
     def test_non_integer_grade_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t1\nq2\td2\tbad\n", encoding="utf-8")

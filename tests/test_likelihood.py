@@ -7,7 +7,7 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qlmrank.likelihood as likelihood
 from qlmrank.corpus import Document, Query, Run
@@ -164,6 +164,39 @@ class TestBigramLm:
         assert lm.unigrams == unigrams
         assert lm.bigrams == bigrams
         assert lm.vocab_size == len({w for text in texts for w in words(text)})
+
+    @settings(derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "cd", "x1", "the", "."]), max_size=8)
+                    .map(" ".join), min_size=1, max_size=6),
+           st.lists(st.lists(st.sampled_from(["a", "cd", "the", "zz", "!"]), max_size=4)
+                    .map(" ".join), max_size=4))
+    @example(["a b a b"], ["b"])
+    @example(["a b a b"], [])
+    def test_scoped_model_reads_as_the_full_one(self, texts, queries):
+        assume(any(map(words, texts)))
+        full, scoped = BigramLm.train(texts), BigramLm.train(texts, queries)
+        scope = {UNK}.union(*map(words, queries))
+        assert scoped.scope == scope
+        assert scoped.bigrams == Counter({k: c for k, c in full.bigrams.items() if k[1] in scope})
+        assert (scoped.unigrams, scoped.vocab_size) == (full.unigrams, full.vocab_size)
+        # scoring a query reads (the context's last word or None, its first word), then
+        # (each word, the next); the context's last word can be any word or none
+        for prev in [None, UNK, "zz", *sorted(full.vocab)]:
+            for query in filter(words, queries):
+                request = make_request(prev or "", query)
+                assert scoped(request) == full(request)
+                assert scoped.logprob(words(query)[0], prev) == full.logprob(words(query)[0], prev)
+        for word in sorted(full.vocab - scope):
+            with pytest.raises(ValueError, match=f"^word {word!r} is outside"):
+                scoped.logprob(word, "a")
+
+    def test_scoped_model_refusal_is_not_floored(self):
+        # a ValueError is no ProviderError: on_error="floor" cannot score it as a failure
+        docs = {"d1": Document("d1", "", "alpha beta")}
+        lm = BigramLm.train([d.body for d in docs.values()], ["beta"])
+        with pytest.raises(ValueError, match="^word 'alpha' is outside"):
+            rerank_run(lm, PromptTemplate(body="{doc}"), [Query("q1", "alpha")],
+                       Run({"q1": [("d1", 1.0)]}), docs, on_error="floor")
 
 
 # "İ" lowercases to "i" plus a combining dot, and the Kelvin sign to "k"

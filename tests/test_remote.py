@@ -195,9 +195,15 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveServer(ThreadingHTTPServer):
+    # the listen backlog: the default 5 holds too few of the 16 connects a re-rank
+    # at 16 workers makes at once, and under load the kernel resets one past it
+    request_queue_size = 64
+
+
 @pytest.fixture
 def keep_alive_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    server = KeepAliveServer(("127.0.0.1", 0), KeepAliveHandler)
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.connections = server.open = server.requests = 0
