@@ -52,8 +52,6 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
     documents have gain 0; the ideal ordering ranks all judged documents
     by grade. Grades so high that the ideal DCG overflows raise ValueError.
     """
-    from statistics import fmean  # imported on use: verbs that never evaluate skip it
-
     check_value("k", k)
     per_query: dict[str, float] = {}
     for qid, judged in qrels.judgments.items():
@@ -69,7 +67,7 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
         raise ValueError("no evaluable queries (none has a positive judgment)")
     return EvalReport(
         per_query=per_query,
-        mean=fmean(per_query.values()),
+        mean=math.fsum(per_query.values()) / len(per_query),  # statistics.fmean's sum
         k=k,
         evaluated_query_count=len(per_query),
     )
@@ -161,7 +159,7 @@ def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
     variance in the differences: identical means give t=0, p=1; a nonzero
     mean gives p=0 with the degenerate flag set.
     """
-    from statistics import fmean, stdev
+    from statistics import fmean, stdev  # imported on use: only significance tests need it
 
     shared = sorted(a.keys() & b.keys())
     if len(shared) < 2:

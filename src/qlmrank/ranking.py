@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -21,7 +22,10 @@ from dataclasses import dataclass, field
 
 from .corpus import Document, FormatError, _top_k, check_value, open_atomic, read_json
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
+# level 6 makes a 1.5k-document index about 5% smaller and its save some 35 ms
+# slower (2 vCPU Xeon)
+ZLIB_LEVEL = 1
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
                "positions", "tfs"}
 _WIDTHS = {code: array(code).itemsize for code in "BHI"}  # unsigned, narrowest first
@@ -419,12 +423,15 @@ def save_index(index: InvertedIndex, path: str) -> None:
     """Persist the index as versioned, canonical JSON: doc ids once, the
     terms in sorted order, and every integer array packed (see _pack).
     positions and tfs are the postings of all terms, concatenated in terms
-    order, and df holds each term's share. Everything round-trips exactly.
-    The file is written atomically (see open_atomic)."""
+    order, and df holds each term's share; positions holds each term's
+    first document position and then its d-gaps. Everything round-trips
+    exactly. The file is written atomically (see open_atomic)."""
     terms = sorted(index.postings)
     positions, tfs = array("I"), array("I")
+    starts = []
     for term in terms:
         term_positions, term_tfs = index.postings[term]
+        starts.append(len(positions))
         positions.extend(term_positions)
         tfs.extend(term_tfs)
     payload = {
@@ -434,7 +441,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "terms": terms,
         "doc_len": _pack(index.doc_len),
         "df": _pack(array("I", [len(index.postings[term][0]) for term in terms])),
-        "positions": _pack(positions),
+        "positions": _pack(_gaps(positions, starts)),
         "tfs": _pack(tfs),
     }
     # one dumps call runs the C encoder; json.dump streams through Python
@@ -443,20 +450,41 @@ def save_index(index: InvertedIndex, path: str) -> None:
         f.write(text)
 
 
+def _gaps(positions: array, starts: list[int]) -> array:
+    """Ascending runs, concatenated, each beginning at an index in starts, as
+    each run's first value and then the differences of its neighbours.
+
+    One int subtraction in C takes them all: positions' bytes read as one
+    integer, less those of `before`, each item's predecessor in its run or
+    0 at a run's start. No item of `before` exceeds the one it is taken
+    from, so no borrow crosses an item."""
+    before = positions[-1:] + positions[:-1]  # item 0 is a run's start, zeroed below
+    for start in starts:
+        before[start] = 0
+    order = sys.byteorder
+    gaps = array(positions.typecode)
+    gaps.frombytes((int.from_bytes(positions.tobytes(), order)
+                    - int.from_bytes(before.tobytes(), order))
+                   .to_bytes(len(positions) * positions.itemsize, order))
+    return gaps
+
+
 def _pack(values: array) -> str:
     """The typecode of the narrowest of B, H and I that holds every value,
-    then base64 of the values' little-endian bytes in that width."""
+    then base64 of the zlib stream, at ZLIB_LEVEL, of the values'
+    little-endian bytes in that width."""
     top = max(values, default=0)
     code = next(code for code, width in _WIDTHS.items() if top < 1 << 8 * width)
     if sys.byteorder == "big":
         values = array(values.typecode, values)
         values.byteswap()
     data = _resize(values.tobytes(), values.itemsize, _WIDTHS[code])
-    return code + base64.b64encode(data).decode("ascii")
+    return code + base64.b64encode(zlib.compress(data, ZLIB_LEVEL)).decode("ascii")
 
 
-def _unpack(name: str, value: object) -> array:
-    """_pack's values as array('I'); anything _pack cannot write raises
+def _unpack(name: str, value: object, count: int) -> array:
+    """_pack's values as array('I'), of at most count items: inflating stops
+    one byte past count items. Anything else _pack cannot write raises
     ValueError naming the field."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a packed array string, got {json.dumps(value)[:40]}")
@@ -472,6 +500,18 @@ def _unpack(name: str, value: object) -> array:
     if data is None or base64.b64encode(data).decode("ascii") != text:
         raise ValueError(f"{name} is not canonical base64")
     width = _WIDTHS[code]
+    limit = count * width
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(data, limit + 1)
+    except zlib.error as exc:
+        raise ValueError(f"{name} is not a zlib stream: {exc}") from None
+    if len(data) > limit:
+        raise ValueError(f"{name} decompresses to more than its {limit} bytes")
+    if not inflater.eof:
+        raise ValueError(f"{name} ends inside its zlib stream")
+    if inflater.unused_data:
+        raise ValueError(f"{name} holds bytes after its zlib stream")
     if len(data) % width:
         raise ValueError(f"{name} holds {len(data)} bytes, not a multiple of its "
                          f"item size {width}")
@@ -493,8 +533,9 @@ def _resize(data: bytes, width: int, new_width: int) -> bytearray:
 
 
 def load_index(path: str) -> InvertedIndex:
-    """Read save_index's JSON. A file of another shape, or with a value
-    build_index cannot make, raises FormatError naming the path."""
+    """Read save_index's JSON. A file of another shape or format version,
+    or with a value build_index cannot make, raises FormatError naming the
+    path; no packed array is inflated past the size its counts give it."""
     payload = read_json(path)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if type(version) is not int or version != INDEX_FORMAT_VERSION:
@@ -522,16 +563,17 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
     if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
             and all(map(operator.lt, terms, terms[1:]))):
         raise ValueError("terms must be a list of unique strings in sorted order")
-    doc_len, df, positions, tfs = (_unpack(name, payload[name])
-                                   for name in ("doc_len", "df", "positions", "tfs"))
     n = len(doc_ids)
+    doc_len = _unpack("doc_len", payload["doc_len"], n)
     if len(doc_len) != n:
         raise ValueError(f"doc_len must hold one length per doc id ({n}), got {len(doc_len)}")
+    df = _unpack("df", payload["df"], len(terms))
     if len(df) != len(terms):
         raise ValueError(f"df must hold one count per term ({len(terms)}), got {len(df)}")
     if 0 in df:
         raise ValueError("every df must be >= 1")
     total = sum(df)
+    positions, tfs = (_unpack(name, payload[name], total) for name in ("positions", "tfs"))
     if not len(positions) == len(tfs) == total:
         raise ValueError(f"positions and tfs must each hold sum(df) = {total} entries, "
                          f"got {len(positions)} and {len(tfs)}")
@@ -543,9 +585,13 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
     postings: dict[str, tuple[array, array]] = {}
     start = 0
     for term, end in zip(terms, itertools.accumulate(df)):
-        term_positions = positions[start:end]
-        if term_positions[-1] >= n or not all(map(operator.lt, term_positions,
-                                                  term_positions[1:])):
+        gaps = positions[start:end]  # the first position, then the d-gaps
+        try:
+            term_positions = array("I", itertools.accumulate(gaps))
+        except OverflowError:  # a position of 2**32 or more
+            term_positions = array("I", [n])
+        # a zero gap after the first position does not ascend
+        if term_positions[-1] >= n or gaps.count(0) > (gaps[0] == 0):
             raise ValueError(f"positions of {term!r} must ascend and be below {n}")
         postings[term] = (term_positions, tfs[start:end])
         start = end

@@ -10,6 +10,8 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -55,9 +57,21 @@ def run_cli(*argv):
 
 
 def packed(code, *values):
-    """An index file's packed array: struct typecode, then base64 of the
-    values' little-endian bytes."""
-    return code + base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
+    """An index file's packed array: struct typecode, then base64 of the zlib
+    stream of the values' little-endian bytes."""
+    return deflated(code, struct.pack(f"<{len(values)}{code}", *values))
+
+
+def deflated(code, data):
+    """A packed array string holding the zlib stream of data, bytes as given."""
+    return code + base64.b64encode(zlib.compress(data, ranking.ZLIB_LEVEL)).decode()
+
+
+def zero_bomb(mib):
+    """The zlib stream of mib MiB of zero bytes, made without holding them."""
+    deflater = zlib.compressobj(1)
+    chunk = bytes(1 << 20)
+    return b"".join(deflater.compress(chunk) for _ in range(mib)) + deflater.flush()
 
 
 class TestIndexAndSearch:
@@ -679,7 +693,7 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 3, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+    INDEX = {"format_version": 4, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
              "doc_ids": ["d1", "d2"], "terms": ["apple"], "doc_len": packed("B", 1, 2),
              "df": packed("B", 2), "positions": packed("B", 0, 1), "tfs": packed("B", 1, 2)}
     V2_INDEX = {"format_version": 2, "analyzer": INDEX["analyzer"], "doc_ids": ["d1", "d2"],
@@ -694,6 +708,8 @@ class TestMalformedInput:
                 "total_terms": 1, "doc_len": {"d1": 1}, "cf": {"apple": 1},
                 "postings": {"apple": [["d1", 1]]}}, "unsupported index format version 1"),
         "v2": (V2_INDEX, "unsupported index format version 2"),
+        "v3": ({**INDEX, "format_version": 3, "positions": "BAAE="},
+               "unsupported index format version 3"),
         "postings-array": ({**INDEX, "positions": [0, 1]},
                            "positions must be a packed array string, got [0, 1]"),
         "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
@@ -726,7 +742,7 @@ class TestMalformedInput:
         "base64-non-canonical": ({**INDEX, "positions": "BAAF="},  # "BAAE=" with padding bits set
                                  "positions is not canonical base64"),
         "base64-not-ascii": ({**INDEX, "positions": "B\u00e9"}, "positions is not canonical base64"),
-        "bytes-ragged": ({**INDEX, "doc_len": "H" + base64.b64encode(b"\1\0\2").decode()},
+        "bytes-ragged": ({**INDEX, "doc_len": deflated("H", b"\1\0\2")},
                          "doc_len holds 3 bytes, not a multiple of its item size 2"),
         "doc-len-short": ({**INDEX, "doc_len": packed("B", 3)},
                           "doc_len must hold one length per doc id (2), got 1"),
@@ -751,6 +767,25 @@ class TestMalformedInput:
                                   "positions of 'apple' must ascend and be below 2"),
         "positions-not-ascending": ({**INDEX, "positions": packed("B", 1, 0)},
                                     "positions of 'apple' must ascend and be below 2"),
+        "gap-zero": ({**INDEX, "positions": packed("B", 0, 0)},
+                     "positions of 'apple' must ascend and be below 2"),
+        "gaps-sum-to-n-docs": ({**INDEX, "positions": packed("B", 1, 1)},
+                               "positions of 'apple' must ascend and be below 2"),
+        "gaps-sum-past-2**32": ({**INDEX, "positions": packed("I", 1, 2**32 - 1)},
+                                "positions of 'apple' must ascend and be below 2"),
+        "not-zlib": ({**INDEX, "positions": "B" + base64.b64encode(b"\0\1").decode()},
+                     "positions is not a zlib stream: "),
+        "zlib-truncated": ({**INDEX, "positions": "B" + base64.b64encode(
+                               zlib.compress(b"\0\1")[:-2]).decode()},
+                           "positions ends inside its zlib stream"),
+        "zlib-then-bytes": ({**INDEX, "positions": "B" + base64.b64encode(
+                                zlib.compress(b"\0\1") + b"\0").decode()},
+                            "positions holds bytes after its zlib stream"),
+        "zlib-past-size": ({**INDEX, "positions": "B" + base64.b64encode(
+                               zero_bomb(64)).decode()},
+                           "positions decompresses to more than its 2 bytes"),
+        "df-past-size": ({**INDEX, "df": packed("B", 2, 1)},
+                         "df decompresses to more than its 1 bytes"),
         "analyzer-loose": ({**INDEX, "analyzer": {"lowercase": "no", "stopwords": "the",
                                                   "stem": 0, "extra": 1}},
                            'analyzer must be {lowercase: bool, stopwords: [string], stem: bool}, '
@@ -856,6 +891,21 @@ class TestMalformedInput:
         code = run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", out)
         self.assert_data_error(code, capsys.readouterr().err, f"{index}: {message}")
         assert not out.exists()
+
+    def test_index_past_its_size_is_not_inflated(self, dataset, capsys):
+        # the stream holds 64 MiB of zeros; load inflates one byte past positions' 2
+        payload, message = self.INDEX_CASES["zlib-past-size"]
+        index = dataset["dir"] / "index.json"
+        index.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            code = run_cli("search", "--index", index, "--queries", dataset["queries"],
+                           "--out", dataset["dir"] / "out.trec")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        self.assert_data_error(code, capsys.readouterr().err, message)
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
     def test_index_control(self, dataset, ranker):
@@ -1128,7 +1178,7 @@ BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion",
                                   "rerank-remote", "pipeline"])
 def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
     # only rerank and pipeline load likelihood and prompts; only a remote provider
-    # http.client and ssl, and only the verbs that evaluate statistics; no re-rank,
+    # http.client and ssl, and only the verbs that test significance statistics; no re-rank,
     # at any --max-workers, loads concurrent.futures
     d, index, run = dataset["dir"], dataset["dir"] / "index.json", dataset["dir"] / "a.trec"
     assert run_cli("index", "--corpus", dataset["corpus"], "--out", index) == 0
@@ -1156,7 +1206,7 @@ def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
     expected = BASE + (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
                        if verb in ("rerank", "rerank-remote", "pipeline") else [])
     expected += ["http.client", "ssl"] if verb == "rerank-remote" else []
-    expected += ["statistics"] if verb in ("eval", "sigtest", "sweep", "pipeline") else []
+    expected += ["statistics"] if verb in ("sigtest", "pipeline") else []
     assert loaded == sorted(expected)
 
 

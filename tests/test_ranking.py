@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 import tempfile
+import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from qlmrank.ranking import (
     Analyzer,
     Bm25Params,
     DirichletParams,
+    InvertedIndex,
     bm25_score,
     bm25_search,
     build_index,
@@ -485,16 +487,17 @@ class TestPersistence:
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert {k: v for k, v in payload.items() if k != "analyzer"} == {
-            "format_version": 3, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
+            "format_version": 4, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
             "doc_len": packed("B", 3, 2, 3), "df": packed("B", 1, 2, 2),
-            "positions": packed("B", 0, 0, 1, 1, 2), "tfs": packed("B", 2, 1, 1, 1, 3)}
+            # each term's first position, then its d-gaps: a [0], b [0, 1], c [1, 2]
+            "positions": packed("B", 0, 0, 1, 1, 1), "tfs": packed("B", 2, 1, 1, 1, 3)}
 
     def test_empty_documents_round_trip(self, tmp_path):
         # no term at all: every array but doc_len is empty
         index = build_index([Document("d1", "", "!"), Document("d2", "", "")])
         path = str(tmp_path / "index.json")
         save_index(index, path)
-        assert json.loads(Path(path).read_text())["positions"] == "B"
+        assert json.loads(Path(path).read_text())["positions"] == packed("B")
         assert load_index(path) == index
 
     def test_version_check(self, tmp_path):
@@ -513,9 +516,10 @@ class TestPersistence:
 
 
 def packed(code, *values):
-    """_pack's output, written with struct: typecode, then base64 of the
-    values' little-endian bytes."""
-    return code + base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
+    """_pack's output, written with struct: typecode, then base64 of the zlib
+    stream, at level 1, of the values' little-endian bytes."""
+    data = struct.pack(f"<{len(values)}{code}", *values)
+    return code + base64.b64encode(zlib.compress(data, 1)).decode()
 
 
 @pytest.mark.parametrize("top, code", [(0, "B"), (255, "B"), (256, "H"), (65535, "H"),
@@ -524,8 +528,38 @@ def test_pack_takes_the_narrowest_typecode(top, code):
     values = array("I", [top, 0, top // 2])
     text = ranking._pack(values)
     assert text == packed(code, top, 0, top // 2)
-    unpacked = ranking._unpack("x", text)
+    unpacked = ranking._unpack("x", text, 3)
     assert unpacked == values and unpacked.typecode == "I"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=1, unique=True).map(sorted),
+                max_size=6))
+def test_gaps_are_each_runs_first_value_then_its_differences(runs):
+    positions = array("I", [value for run in runs for value in run])
+    starts = [sum(map(len, runs[:i])) for i in range(len(runs))]
+    expected = [gap for run in runs for gap in [run[0], *map(int.__sub__, run[1:], run)]]
+    assert ranking._gaps(positions, starts).tolist() == expected
+
+
+@pytest.mark.parametrize("gap, code", [(255, "B"), (256, "H"), (65535, "H"), (65536, "I")])
+def test_gaps_round_trip_at_each_width_boundary(tmp_path, gap, code):
+    # "first": a first position of 0, then the gap; "one": a single posting at
+    # the gap; "next": two postings one gap apart, the first at 1
+    n = gap + 2
+    postings = {"first": (array("I", [0, gap]), array("I", [1, 2])),
+                "next": (array("I", [1, gap + 1]), array("I", [1, 1])),
+                "one": (array("I", [gap]), array("I", [3]))}
+    doc_len = array("I", bytes(4 * n))
+    for positions, tfs in postings.values():
+        for pos, tf in zip(positions, tfs):
+            doc_len[pos] += tf
+    index = InvertedIndex(doc_ids=[f"d{pos}" for pos in range(n)], doc_len=doc_len,
+                          postings=postings)
+    path = tmp_path / "index.json"
+    save_index(index, str(path))
+    assert json.loads(path.read_text())["positions"] == packed(code, 0, gap, 1, gap, gap)
+    assert load_index(str(path)) == index
 
 
 class _BigEndianArray(array):
@@ -553,7 +587,7 @@ def test_pack_on_a_big_endian_host(monkeypatch, values):
     native = _BigEndianArray("I", values)
     assert native.tobytes() != array("I", values).tobytes()  # the simulation swaps
     assert ranking._pack(native) == little
-    assert ranking._unpack("x", little) == native
+    assert ranking._unpack("x", little, len(values)) == native
 
 
 @st.composite
