@@ -18,6 +18,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterator, TextIO
 
 logger = logging.getLogger(__name__)
@@ -25,6 +26,12 @@ logger = logging.getLogger(__name__)
 DEFAULT_DOC_MAX_CHARS = 4000  # a prompt's document text is cut to this many characters
 DEFAULT_MAX_WORKERS = 8  # threads that score re-rank pairs, whatever the provider
 MAX_GRADE = 1023  # the largest qrels grade whose nDCG gain, 2 ** grade - 1, is a finite float
+
+
+def one_word(values: list[str]) -> bool:
+    """Whether each string is one word: a TREC run file's columns are split on whitespace."""
+    return " ".join(values).split() == values  # one join and split for the whole list
+
 
 # the value rule of each parameter that has one, by name: (test, what the error says).
 # The library checks its arguments here, the CLI its flags and config keys.
@@ -35,7 +42,7 @@ RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
        for name in ("alpha", "alphas", "hybrid_alpha", "rerank_alpha", "alpha_level", "b")},
     **{name: (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
        for name in ("k1", "mu")},
-    "tag": (lambda v: v.split() == [v], "must be one word without whitespace"),
+    "tag": (lambda v: one_word([v]), "must be one word without whitespace"),
 }
 
 
@@ -56,12 +63,19 @@ class ProviderError(RuntimeError):
     """Base for likelihood-provider failures."""
 
 
-def _check_id(kind: str, value: str) -> None:
-    # a TREC run file's columns are split on whitespace, so an id must be one word
-    if not value:
-        raise FormatError(f"{kind} id must be non-empty")
-    if value.split() != [value]:
-        raise FormatError(f"{kind} id {value!r} must not contain whitespace")
+def check_words(kind: str, values: list[str]) -> None:
+    """Apply RULES["tag"] to every value at once; FormatError names the first that breaks it."""
+    if not one_word(values):
+        test, rule = RULES["tag"]
+        raise FormatError(f"{kind} {next(v for v in values if not test(v))!r} {rule}")
+
+
+def check_unique(doc_ids: list[str], where: str = "") -> None:
+    """Raise FormatError, after `where`, naming the first doc id that repeats an earlier one."""
+    if len(set(doc_ids)) != len(doc_ids):
+        seen: set[str] = set()
+        first = next(did for did in doc_ids if did in seen or seen.add(did))
+        raise FormatError(f"{where}duplicate doc id {first!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +87,7 @@ class Document:
     body: str
 
     def __post_init__(self) -> None:
-        _check_id("document", self.id)
+        check_words("document id", [self.id])
         if not isinstance(self.title, str) or not isinstance(self.body, str):
             raise FormatError(f"document {self.id!r}: title and body must be strings")
 
@@ -88,7 +102,7 @@ class Query:
     text: str
 
     def __post_init__(self) -> None:
-        _check_id("query", self.id)
+        check_words("query id", [self.id])
         if not isinstance(self.text, str) or not self.text:
             raise FormatError(f"query {self.id!r}: text must be a non-empty string")
 
@@ -160,15 +174,13 @@ class Run:
         normalized = {}
         for qid, pairs in self.entries.items():
             pairs = [(did, float(score)) for did, score in pairs]
-            seen = set()
-            for did, score in pairs:
-                if did in seen:
-                    raise FormatError(f"run {self.tag!r}, query {qid}: duplicate doc id {did!r}")
-                if not math.isfinite(score):
-                    raise FormatError(f"run {self.tag!r}, query {qid}, doc {did}: non-finite score")
-                seen.add(did)
-            if pairs:
-                normalized[qid] = _sort_ranking(pairs)
+            if not pairs:
+                continue
+            check_unique(list(map(itemgetter(0), pairs)), f"run {self.tag!r}, query {qid}: ")
+            if not all(map(math.isfinite, map(itemgetter(1), pairs))):
+                did = next(did for did, score in pairs if not math.isfinite(score))
+                raise FormatError(f"run {self.tag!r}, query {qid}, doc {did}: non-finite score")
+            normalized[qid] = _sort_ranking(pairs)
         self.entries = normalized
 
     def query_ids(self) -> list[str]:
@@ -254,18 +266,15 @@ def _load_jsonl(path: str, line_kind: str, id_kind: str,
                 make: Callable[[dict], Document | Query]) -> list:
     """make(object) for each line of a JSONL file, in order; a malformed line
     or a repeated id raises FormatError naming the line."""
-    items = []
-    seen: set[str] = set()
+    items: dict[str, Document | Query] = {}  # by id, in file order
     for lineno, line in read_lines(path):
         try:
             item = make(json.loads(line))
         except (ValueError, RecursionError, KeyError, TypeError) as exc:  # FormatError included
             raise FormatError(f"{path}:{lineno}: malformed {line_kind} line ({exc})") from exc
-        if item.id in seen:
+        if items.setdefault(item.id, item) is not item:
             raise FormatError(f"{path}:{lineno}: duplicate {id_kind} id {item.id!r}")
-        seen.add(item.id)
-        items.append(item)
-    return items
+    return list(items.values())
 
 
 def load_corpus(path: str) -> list[Document]:
@@ -305,14 +314,14 @@ def load_qrels(path: str) -> QrelSet:
                 if lineno == 1:
                     continue
             raise FormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
-        if grade < 0:
-            raise FormatError(f"{path}:{lineno}: negative grade {grade}")
-        if grade > MAX_GRADE:
-            raise FormatError(f"{path}:{lineno}: grade {grade} is above {MAX_GRADE}")
-        if qrels.grade(qid, did) is not None:
+        judged = qrels.grade(qid, did) is not None
+        try:
+            qrels.add(qid, did, grade)
+        except FormatError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if judged:
             logger.warning("%s:%d: duplicate judgment (%s, %s), keeping the later one",
                            path, lineno, qid, did)
-        qrels.add(qid, did, grade)
     return qrels
 
 
@@ -347,15 +356,15 @@ def write_run(run: Run, path: str) -> None:
     """Write a run in 6-column TREC format, ranks starting at 1 per query.
 
     Scores are serialized with repr precision, so read_run(write_run(r))
-    reproduces orderings and scores exactly. A tag that is not one word
-    would add columns, so it raises FormatError before the file is opened.
-    The file is written atomically (see open_atomic). A run with no line
+    reproduces orderings and scores exactly. A tag, query id or doc id that
+    is not one word would add or drop columns: it raises FormatError, and the
+    atomic write (see open_atomic) leaves `path` as it was. A run with no line
     writes an empty file, which keeps no tag: read_run gives Run({}, tag="run").
     """
-    test, rule = RULES["tag"]
-    if not test(run.tag):
-        raise FormatError(f"run tag {run.tag!r} {rule}")
+    check_words("run tag", [run.tag])
     with open_atomic(path) as f:
         for qid, pairs in run.entries.items():
+            check_words("query id", [qid])
+            check_words("doc id", list(map(itemgetter(0), pairs)))
             for rank, (did, score) in enumerate(pairs, 1):
                 f.write(f"{qid} Q0 {did} {rank} {score!r} {run.tag}\n")

@@ -46,7 +46,7 @@ class TestLoadCorpus:
             load_corpus(path)
 
     @pytest.mark.parametrize("row, message", [
-        ({"_id": "", "text": "x"}, "id must be non-empty"),
+        ({"_id": "", "text": "x"}, "id '' must be one word without whitespace"),
         ({"_id": "d1", "title": 7, "text": "x"}, "title and body must be strings"),
         ({"_id": "d1", "text": ["x"]}, "title and body must be strings"),
     ], ids=["empty-id", "title-not-string", "body-not-string"])
@@ -92,7 +92,8 @@ class TestLoadQueries:
 
     def test_empty_id_rejected(self, write_jsonl):
         path = write_jsonl("queries.jsonl", [{"_id": "", "text": "what is x"}])
-        with pytest.raises(FormatError, match=":1: malformed query line .*id must be non-empty"):
+        with pytest.raises(FormatError, match=":1: malformed query line "
+                                              ".*id '' must be one word without whitespace"):
             load_queries(path)
 
     def test_full_benchmark_query_count(self, write_jsonl):
@@ -112,7 +113,8 @@ class TestLoadQrels:
     def test_negative_grade_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t-1\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="negative"):
+        message = f"{path}:1: qrels (q1, d1): grade must be in [0, 1023], got -1"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_qrels(str(path))
 
     @pytest.mark.parametrize("grade", [1024, 1100, 10 ** 23])
@@ -120,12 +122,19 @@ class TestLoadQrels:
         # nDCG's gain 2 ** grade - 1 is a finite float only up to grade 1023
         path = tmp_path / "qrels.tsv"
         path.write_text(f"q1\td1\t1023\nq1\td2\t{grade}\n", encoding="utf-8")
-        message = f"{path}:2: grade {grade} is above 1023"
-        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        message = f"qrels (q1, d2): grade must be in [0, 1023], got {grade}"
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             load_qrels(str(path))
-        with pytest.raises(FormatError, match=rf"^qrels \(q1, d2\): grade must be in \[0, 1023\], "
-                                              f"got {grade}$"):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             QrelSet({"q1": {"d1": 1023, "d2": grade}})
+
+    def test_repeated_pair_with_a_bad_grade_fails_without_a_warning(self, tmp_path, caplog):
+        # the CLI prints one line for a data error: the duplicate's warning would add one
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q1\td1\t1\nq1\td1\t1024\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":2: qrels"):
+            load_qrels(str(path))
+        assert caplog.records == []
 
     @pytest.mark.parametrize("line", ["q1\td1\n", "q1\td1\t1\textra\n", "q1 d1 1\n"],
                              ids=["two", "four", "space-separated"])
@@ -227,6 +236,22 @@ class TestRunFiles:
         with pytest.raises(FormatError, match="must be one word without whitespace"):
             write_run(Run({"q1": [("d1", 1.0)]}, tag=tag), str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"q 1": [("d1", 1.0)]}, "query id 'q 1' must be one word without whitespace"),
+        ({"q1": [("a b", 1.0)]}, "doc id 'a b' must be one word without whitespace"),
+        ({"q1": [("", 1.0)]}, "doc id '' must be one word without whitespace"),
+        ({"q1": [("d1", 2.0)], "q2": [("d1", 2.0), ("d\n2", 1.0)]},
+         "doc id 'd\\n2' must be one word without whitespace"),
+    ], ids=["query-space", "doc-space", "doc-empty", "second-query-newline"])
+    def test_id_that_is_not_one_word_is_not_written(self, tmp_path, entries, message):
+        # read_run splits a line on whitespace, so such an id adds or drops a column
+        path = tmp_path / "run.trec"
+        path.write_text("q0 Q0 d0 1 1.0 old\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            write_run(Run(entries), str(path))
+        assert path.read_text(encoding="utf-8") == "q0 Q0 d0 1 1.0 old\n"
+        assert os.listdir(tmp_path) == ["run.trec"]
 
     def test_ties_serialize_doc_id_ascending(self, tmp_path):
         run = Run({"q1": [("d2", 1.0), ("d1", 1.0)]})

@@ -1,11 +1,17 @@
-"""Fuzz property over the index reader: `search` given a mutated index.json
-exits with a documented code (0 to 3) and, on failure, one stderr line; it
-never raises, and every mutation finishes within a deadline.
+"""Fuzz properties over the readers and the remote decoder.
 
-Mutations reach each layer of a packed array (its base64 text, its zlib
-stream, its bytes and its integers), the JSON keys and values around them,
-and the file's text itself. The examples are derandomized, so the same
-mutations run every time.
+A verb given a mutated input file exits with a documented code (0 to 3)
+and, on failure, one stderr line and no output file; it never raises, and
+every mutation finishes within a deadline. The index property's mutations
+reach each layer of a packed array (its base64 text, its zlib stream, its
+bytes and its integers), the JSON keys and values around them, and the
+file's text itself. The text readers' mutations reach lines, columns,
+JSON fields, nesting depth and bytes of corpus, queries, qrels, run and
+catalog files. RemoteProvider's decoder, given a mutated response body,
+returns finite float logprobs or raises ProtocolError, and decodes every
+well-formed body as its numbers' float literals read, floored.
+
+The examples are derandomized, so the same mutations run every time.
 """
 
 import base64
@@ -13,6 +19,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import signal
 import struct
 import zlib
@@ -23,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlmrank import cli
 from qlmrank.corpus import Document
+from qlmrank.likelihood import LOGPROB_FLOOR, ProtocolError, RemoteProvider
 from qlmrank.ranking import build_index, save_index
 
 PACKED = ("doc_len", "df", "positions", "tfs")
@@ -31,6 +39,10 @@ EDGE_VALUES = [None, True, False, 0, -1, 4, 2**32, 2**64, 10**300, 1e308, -0.0, 
                float("inf"), "", " ", "\0", "é", "B", "BeAEDAAAAAAE=", [], [1], ["d1"],
                {}, {"lowercase": True}]
 EDGE_INTS = [0, 1, 2, 3, 4, 5, 255, 256, 65535, 65536, 2**32 - 1]
+# stand-ins for one TSV or TREC column
+EDGE_TOKENS = ["nan", "inf", "-inf", "1e999", "\u0663", "1_0", "9" * 400, str(10 ** 23),
+               "1023", "1024", "1100", "-1", "0", "1.5", "", "a b", "\0", "\u00e9"]
+DEEP = "[" * 100_000  # JSON nested past the parser's recursion limit
 HANG_S = 10  # far past any example's time: only a computation that does not end reaches it
 
 
@@ -128,22 +140,170 @@ def _hang(signum, frame):
     raise Hang(f"no answer within {HANG_S} s")
 
 
-@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
-@given(data=st.data())
-def test_search_of_a_mutated_index_exits_with_a_documented_code(files, data):
-    files["index"].write_bytes(data.draw(mutated_index_files(files["payload"])))
-    files["out"].unlink(missing_ok=True)
+def assert_documented_exit(argv, out):
+    """cli.main(argv) returns 0 to 3 within HANG_S and, if not 0, prints one
+    stderr line and leaves no file at `out`."""
+    out.unlink(missing_ok=True)
     stderr = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.setitimer(signal.ITIMER_REAL, HANG_S)
     try:
         with contextlib.redirect_stderr(stderr):
-            code = cli.main(["search", "--index", str(files["index"]),
-                             "--queries", str(files["queries"]), "--out", str(files["out"])])
+            code = cli.main([str(arg) for arg in argv])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2, 3)
     if code:
         assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
-        assert not files["out"].exists()
+        assert not out.exists()
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_search_of_a_mutated_index_exits_with_a_documented_code(files, data):
+    files["index"].write_bytes(data.draw(mutated_index_files(files["payload"])))
+    assert_documented_exit(["search", "--index", files["index"], "--queries", files["queries"],
+                            "--out", files["out"]], files["out"])
+
+
+# the text inputs of the reader property, each as a list of its lines but the catalog
+TEXTS = {
+    "corpus": [json.dumps(row) for row in [
+        {"_id": "d1", "title": "apples", "text": "apples grow on apple trees"},
+        {"_id": "d2", "title": "", "text": "bananas are yellow fruit"},
+        {"_id": "d3", "text": "oranges and lemons are citrus fruit"}]],
+    "queries": [json.dumps(row) for row in [{"_id": "q1", "text": "apple trees"},
+                                            {"_id": "q2", "text": "yellow bananas"}]],
+    "qrels": ["query-id\tcorpus-id\tscore", "q1\td1\t2", "q1\td3\t1", "q2\td2\t1"],
+    "run": ["q1 Q0 d1 1 2.5 bm25", "q1 Q0 d3 2 0.5 bm25", "q2 Q0 d2 1 1.25 bm25"],
+    "catalog": [{"model_family": "llama", "dataset": "trecc", "body": "{doc}\nQuestion:",
+                 "system_prefix": "", "suffix": "",
+                 "fewshot": [{"document": f"doc {i}", "good_question": f"good {i}",
+                              "bad_question": f"bad {i}"} for i in range(3)]}],
+}
+COLUMNS = {"qrels": ("\t", 2), "run": (" ", 4)}  # separator, the column of the number
+
+
+def mutated_json(draw, value):
+    """A JSON value with one key dropped or added, or one value or list item
+    replaced by an edge value, at a drawn depth."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                   else range(len(value))))
+        value = copy.copy(value)
+        value[key] = mutated_json(draw, value[key])
+        return value
+    how = draw(st.sampled_from(["drop", "add", "edge"]))
+    if how == "drop" and isinstance(value, dict) and value:
+        return {k: v for k, v in value.items() if k != draw(st.sampled_from(sorted(value)))}
+    if how == "drop" and isinstance(value, list) and value:
+        return value[:-1]
+    if how == "add" and isinstance(value, dict):
+        return {**value, draw(st.sampled_from(["_id", "text", "extra", ""])):
+                draw(st.sampled_from(EDGE_VALUES))}
+    if how == "add" and isinstance(value, list):
+        return value + [draw(st.sampled_from([*value[:1], *EDGE_VALUES]))]
+    return draw(st.sampled_from(EDGE_VALUES))
+
+
+@st.composite
+def mutated_text_files(draw, kind):
+    """The bytes of a `kind` file with one mutation: of a line, of a column
+    (most often the numeric one) or JSON field, of its nesting, or of its bytes."""
+    lines = list(TEXTS[kind])
+    how = draw(st.sampled_from(["line", "field", "field", "field", "deep", "bytes"]))
+    if kind == "catalog":
+        catalog = TEXTS[kind]
+        text = DEEP if how == "deep" else json.dumps(
+            catalog if how == "bytes" else mutated_json(draw, catalog))
+    else:
+        at = draw(st.integers(0, len(lines) - 1))
+        if how == "line":
+            edit = draw(st.sampled_from(["drop", "repeat", "blank"]))
+            lines[at:at + 1] = {"drop": [], "repeat": [lines[at]] * 2, "blank": [" \t"]}[edit]
+        elif how == "deep":
+            lines[at] = DEEP
+        elif how == "field" and kind in COLUMNS:
+            sep, number = COLUMNS[kind]
+            columns = lines[at].split(sep)
+            column = number if draw(st.booleans()) else draw(st.integers(0, len(columns)))
+            token = draw(st.sampled_from(EDGE_TOKENS))
+            columns[column:column + 1] = [token] if column < len(columns) else [token, token]
+            lines[at] = sep.join(columns)
+        elif how == "field":
+            lines[at] = json.dumps(mutated_json(draw, json.loads(lines[at])))
+        text = "\n".join(lines) + "\n"
+    data = text.encode("utf-8")
+    return mutated_bytes(draw, data) if how == "bytes" else data
+
+
+@pytest.fixture(scope="module")
+def text_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("readers")
+    return {kind: d / kind for kind in [*TEXTS, "out"]}
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(kind=st.sampled_from(sorted(TEXTS)), data=st.data())
+def test_verb_given_a_mutated_input_exits_with_a_documented_code(text_files, kind, data):
+    for name, lines in TEXTS.items():
+        text = json.dumps(lines) if name == "catalog" else "\n".join(lines) + "\n"
+        text_files[name].write_text(text, encoding="utf-8")
+    text_files[kind].write_bytes(data.draw(mutated_text_files(kind)))
+    if kind == "qrels" or (kind == "run" and data.draw(st.booleans())):
+        argv = ["eval", "--run", text_files["run"], "--qrels", text_files["qrels"]]
+    else:
+        argv = ["rerank", "--run", text_files["run"], "--corpus", text_files["corpus"],
+                "--queries", text_files["queries"], "--catalog", text_files["catalog"],
+                "--fewshot", "--model-family", "llama", "--dataset", "trecc",
+                "--max-workers", "1"]
+    assert_documented_exit([*argv, "--out", text_files["out"]], text_files["out"])
+
+
+@st.composite
+def response_bodies(draw):
+    """(body, what decoding it must give): a body of JSON numbers, some past
+    the float range, with up to two mutations, or nested too deeply, or
+    mutated at its bytes. What it must give is its logprobs, "error" for
+    ProtocolError, or None for either."""
+    n = draw(st.integers(1, 4))
+    payload = {"tokens": draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),
+               "logprobs": draw(st.lists(st.one_of(
+                   st.floats(), st.integers(-10 ** 3, 10 ** 3),
+                   st.integers(-10 ** 420, 10 ** 420)), min_size=n, max_size=n))}
+    for _ in range(draw(st.integers(0, 2))):
+        payload = mutated_json(draw, payload)
+    how = draw(st.sampled_from(["json", "json", "json", "bytes", "deep"]))
+    body = json.dumps(payload).encode("ascii")
+    if how == "bytes":
+        return mutated_bytes(draw, body), None
+    if how == "deep":
+        return DEEP.encode() + body, "error"
+    tokens, logprobs = (payload.get("tokens"), payload.get("logprobs")
+                        ) if isinstance(payload, dict) else (None, None)
+    if not (isinstance(tokens, list) and tokens and all(type(t) is str for t in tokens)
+            and isinstance(logprobs, list) and len(logprobs) == len(tokens)
+            and all(type(v) in (int, float) for v in logprobs)):
+        return body, "error"
+    # a number reads as its float literal does: an integer past the float range as +-inf
+    values = [float(str(v)) if type(v) is int else v for v in logprobs]
+    if math.inf in values:
+        return body, "error"
+    return body, [LOGPROB_FLOOR if math.isnan(v) or v < LOGPROB_FLOOR else v for v in values]
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(case=response_bodies())
+def test_decoder_returns_finite_float_logprobs_or_raises_protocol_error(case):
+    body, expected = case
+    provider = RemoteProvider("http://127.0.0.1:9/score")  # opens no connection
+    try:
+        result = provider._decode(body)
+    except ProtocolError:
+        assert expected in (None, "error")
+        return
+    assert all(type(v) is float and math.isfinite(v) for v in result.logprobs)
+    assert expected != "error"
+    if expected is not None:
+        assert list(result.logprobs) == expected

@@ -164,7 +164,7 @@ class TestBuildIndex:
 
     def test_duplicate_id_rejected(self):
         docs = [Document("d1", "", "a"), Document("d2", "", "b"), Document("d1", "", "c")]
-        with pytest.raises(FormatError, match="duplicate document id 'd1'"):
+        with pytest.raises(FormatError, match="duplicate doc id 'd1'"):
             build_index(docs)
 
     def test_title_is_indexed(self):
