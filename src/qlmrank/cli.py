@@ -163,10 +163,24 @@ def run_rerank(run: str, corpus: str, queries: str, out: str, model_family: str,
     docs = corpus_io.load_corpus(corpus)
     query_list = corpus_io.load_queries(queries)
     first_stage = corpus_io.read_run(run)
+    _check_candidates(first_stage, query_list, docs, depth, run, corpus)
     template, triples = _prompt_setup(catalog, model_family, dataset, fewshot)
     _rerank(remote, docs, query_list, first_stage, template, out, stats_out, fewshot=triples,
             depth=depth, doc_max_chars=doc_max_chars, on_error=on_error,
             max_workers=max_workers, tag=tag)
+
+
+def _check_candidates(candidates: Run, query_list: list[corpus_io.Query],
+                      docs: list[corpus_io.Document], depth: int, run: str, corpus: str) -> None:
+    """FormatError naming the run file, the query and the corpus file for the
+    first document that re-ranking would read, a top-`depth` candidate of a
+    query in query_list, and that the corpus does not hold."""
+    known = {doc.id for doc in docs}
+    for query in query_list:
+        for did, _ in candidates.entries.get(query.id, [])[:depth]:
+            if did not in known:
+                raise corpus_io.FormatError(f"{run}: query {query.id}: candidate doc id "
+                                            f"{did!r} is not in corpus {corpus}")
 
 
 def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Document],
@@ -354,6 +368,9 @@ def run_pipeline(config: str, **overrides) -> None:
         if external is not None:
             # rerank takes the top `depth` of the hybrid run via its own depth cut
             candidates = fusion.interpolate(candidates, external, cfg.hybrid_alpha, tag="hybrid")
+            # only the external run can name a document outside the corpus
+            _check_candidates(candidates, query_list, docs, cfg.depth, cfg.external_run,
+                              cfg.corpus)
             corpus_io.write_run(candidates, out("hybrid.trec"))
 
         reranked = _rerank(remote, docs, query_list, candidates, template, out("reranked.trec"),

@@ -122,6 +122,9 @@ class QrelSet:
                     self.add(qid, did, grade)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
+        # an id a run file cannot hold would never be matched: a judgment of nothing
+        check_words("query id", [query_id])
+        check_words("doc id", [doc_id])
         if not 0 <= grade <= MAX_GRADE:
             raise FormatError(f"qrels ({query_id}, {doc_id}): grade must be in "
                               f"[0, {MAX_GRADE}], got {grade}")
@@ -143,8 +146,11 @@ class QrelSet:
 
 def _sort_ranking(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
     # Score descending, doc id ascending on ties: the one tie-break rule
-    # used everywhere so rankings are reproducible.
-    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+    # used everywhere so rankings are reproducible. Two stable sorts with
+    # C-level keys: by doc id, then by score, which keeps ties in id order.
+    ranked = sorted(pairs, key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return ranked
 
 
 def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:

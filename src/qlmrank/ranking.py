@@ -18,12 +18,13 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .corpus import (Document, FormatError, _top_k, check_unique, check_value, check_words,
                      open_atomic, read_json)
 
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 # level 6 makes a 1.5k-document index about 5% smaller and its save some 35 ms
 # slower (2 vCPU Xeon)
 ZLIB_LEVEL = 1
@@ -134,7 +135,9 @@ class InvertedIndex:
 
     A document is named by its position in doc_ids; doc_len holds its
     length. A term's postings are two arrays of equal length: the positions
-    of the documents that hold it, and its tf in each.
+    of the documents that hold it, and its tf in each. build_index maps
+    terms to them in a dict, load_index in a read-only Mapping that decodes
+    a term's arrays on its first lookup (see _Postings).
 
     Invariants (build_index makes all; load_index checks all but the last,
     and of the last only its sum over all documents, sum(tfs) == sum(doc_len)):
@@ -149,7 +152,7 @@ class InvertedIndex:
 
     doc_ids: list[str]
     doc_len: array  # array('I'), by position
-    postings: dict[str, tuple[array, array]]  # term -> (positions, tfs), both array('I')
+    postings: Mapping[str, tuple[array, array]]  # term -> (positions, tfs), both array('I')
     analyzer: Analyzer = field(default_factory=Analyzer)
 
     @property
@@ -465,15 +468,18 @@ def _gaps(positions: array, starts: list[int]) -> array:
 
 def _pack(values: array) -> str:
     """The typecode of the narrowest of B, H and I that holds every value,
-    then base64 of the zlib stream, at ZLIB_LEVEL, of the values'
-    little-endian bytes in that width."""
+    then base64 of the zlib stream, at ZLIB_LEVEL, of the values' byte planes
+    in that width: byte 0 (the lowest) of every item, then byte 1, and so on.
+    Items far below their width's top leave their high planes mostly zeros,
+    which zlib squeezes better than the same bytes interleaved."""
     top = max(values, default=0)
     code = next(code for code, width in _WIDTHS.items() if top < 1 << 8 * width)
     if sys.byteorder == "big":
         values = array(values.typecode, values)
         values.byteswap()
-    data = _resize(values.tobytes(), values.itemsize, _WIDTHS[code])
-    return code + base64.b64encode(zlib.compress(data, ZLIB_LEVEL)).decode("ascii")
+    data, size = values.tobytes(), values.itemsize
+    planes = b"".join(data[k::size] for k in range(_WIDTHS[code]))
+    return code + base64.b64encode(zlib.compress(planes, ZLIB_LEVEL)).decode("ascii")
 
 
 def _unpack(name: str, value: object, count: int) -> array:
@@ -510,26 +516,51 @@ def _unpack(name: str, value: object, count: int) -> array:
         raise ValueError(f"{name} holds {len(data)} bytes, not a multiple of its "
                          f"item size {width}")
     unpacked = array("I")
-    unpacked.frombytes(_resize(data, width, unpacked.itemsize))
+    size, n = unpacked.itemsize, len(data) // width
+    items = bytearray(n * size)  # zero-extended: each plane goes back to its stride
+    for k in range(width):
+        items[k::size] = data[k * n:(k + 1) * n]
+    unpacked.frombytes(items)
     if sys.byteorder == "big":
         unpacked.byteswap()
     return unpacked
 
 
-def _resize(data: bytes, width: int, new_width: int) -> bytearray:
-    """Little-endian unsigned items of width bytes as items of new_width
-    bytes: zero-extended, or cut to their low bytes, which must hold them.
-    Strided slices move the bytes without making an int per item."""
-    resized = bytearray(len(data) // width * new_width)
-    for k in range(min(width, new_width)):
-        resized[k::new_width] = data[k::width]
-    return resized
+class _Postings(Mapping):
+    """load_index's postings: a read-only mapping over every term's postings
+    kept flat, as in the file, where term i holds items bounds[i] up to
+    bounds[i + 1]. A term's positions are decoded from its d-gaps, and its
+    tfs sliced, on its first lookup, and kept."""
+
+    def __init__(self, terms: list[str], bounds: list[int], gaps: array, tfs: array) -> None:
+        self._slot = dict(zip(terms, range(len(terms))))
+        self._bounds, self._gaps, self._tfs = bounds, gaps, tfs
+        self._decoded: dict[str, tuple[array, array]] = {}
+
+    def __getitem__(self, term: str) -> tuple[array, array]:
+        plist = self._decoded.get(term)
+        if plist is None:
+            slot = self._slot[term]
+            start, end = self._bounds[slot], self._bounds[slot + 1]
+            plist = self._decoded[term] = (
+                array("I", itertools.accumulate(self._gaps[start:end])), self._tfs[start:end])
+        return plist
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._slot
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self) -> int:
+        return len(self._slot)
 
 
 def load_index(path: str) -> InvertedIndex:
     """Read save_index's JSON. A file of another shape or format version,
     or with a value build_index cannot make, raises FormatError naming the
-    path; no packed array is inflated past the size its counts give it."""
+    path; no packed array is inflated past the size its counts give it.
+    Every value is checked here, whether or not a search will read it."""
     payload = read_json(path)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if type(version) is not int or version != INDEX_FORMAT_VERSION:
@@ -541,8 +572,8 @@ def load_index(path: str) -> InvertedIndex:
 
 
 def _index_from_payload(payload: dict) -> InvertedIndex:
-    # each check is a C-level call over a whole list or array, or one step
-    # per term: none is a Python-level pass over the postings
+    # each check is a C-level call over a whole list or array: none is a
+    # Python-level step per term or per posting
     if payload.keys() != _INDEX_KEYS:
         raise ValueError(f"index keys must be {sorted(_INDEX_KEYS)}, got {sorted(payload)}")
     analyzer = Analyzer.from_dict(payload["analyzer"])
@@ -573,18 +604,17 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
     if sum(tfs) != sum(doc_len):
         raise ValueError(f"doc_len must sum to the sum of all tfs ({sum(tfs)}), "
                          f"got {sum(doc_len)}")
-    postings: dict[str, tuple[array, array]] = {}
-    start = 0
-    for term, end in zip(terms, itertools.accumulate(df)):
-        gaps = positions[start:end]  # the first position, then the d-gaps
-        try:
-            term_positions = array("I", itertools.accumulate(gaps))
-        except OverflowError:  # a position of 2**32 or more
-            term_positions = array("I", [n])
-        # a zero gap after the first position does not ascend
-        if term_positions[-1] >= n or gaps.count(0) > (gaps[0] == 0):
-            raise ValueError(f"positions of {term!r} must ascend and be below {n}")
-        postings[term] = (term_positions, tfs[start:end])
-        start = end
-    return InvertedIndex(doc_ids=doc_ids, doc_len=doc_len, postings=postings,
-                         analyzer=analyzer)
+    bounds = list(itertools.accumulate(df, initial=0))
+
+    def gaps():  # each term's first position, then its d-gaps
+        return map(positions.__getitem__, map(slice, bounds, bounds[1:]))
+
+    # a term's positions ascend if no gap but its first is 0, and stay below n
+    # if its gaps sum below n; only a failure is traced to its term
+    firsts = list(map(positions.__getitem__, bounds[:-1]))
+    if positions.count(0) != firsts.count(0) or max(map(sum, gaps()), default=0) >= n:
+        term = next(term for term, term_gaps in zip(terms, gaps())
+                    if term_gaps.count(0) > (term_gaps[0] == 0) or sum(term_gaps) >= n)
+        raise ValueError(f"positions of {term!r} must ascend and be below {n}")
+    return InvertedIndex(doc_ids=doc_ids, doc_len=doc_len,
+                         postings=_Postings(terms, bounds, positions, tfs), analyzer=analyzer)

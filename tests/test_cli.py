@@ -59,8 +59,10 @@ def run_cli(*argv):
 
 def packed(code, *values):
     """An index file's packed array: struct typecode, then base64 of the zlib
-    stream of the values' little-endian bytes."""
-    return deflated(code, struct.pack(f"<{len(values)}{code}", *values))
+    stream of the values' byte planes, byte k of value i at k * len(values) + i."""
+    width, data = struct.calcsize("<" + code), struct.pack(f"<{len(values)}{code}", *values)
+    return deflated(code, bytes(data[i * width + k] for k in range(width)
+                                for i in range(len(values))))
 
 
 def deflated(code, data):
@@ -700,7 +702,7 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 4, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+    INDEX = {"format_version": 5, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
              "doc_ids": ["d1", "d2"], "terms": ["apple"], "doc_len": packed("B", 1, 2),
              "df": packed("B", 2), "positions": packed("B", 0, 1), "tfs": packed("B", 1, 2)}
     V2_INDEX = {"format_version": 2, "analyzer": INDEX["analyzer"], "doc_ids": ["d1", "d2"],
@@ -717,6 +719,7 @@ class TestMalformedInput:
         "v2": (V2_INDEX, "unsupported index format version 2"),
         "v3": ({**INDEX, "format_version": 3, "positions": "BAAE="},
                "unsupported index format version 3"),
+        "v4": ({**INDEX, "format_version": 4}, "unsupported index format version 4"),
         "postings-array": ({**INDEX, "positions": [0, 1]},
                            "positions must be a packed array string, got [0, 1]"),
         "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
@@ -917,6 +920,21 @@ class TestMalformedInput:
         assert peak < 4 << 20
 
     @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
+    def test_index_checks_terms_no_query_reads(self, dataset, capsys, ranker):
+        # "zebra", in no query, holds the one bad posting: d2 before d1
+        index = dataset["dir"] / "index.json"
+        index.write_text(json.dumps({
+            **self.INDEX, "terms": ["apple", "zebra"], "doc_len": packed("B", 2, 3),
+            "df": packed("B", 2, 2), "positions": packed("B", 0, 1, 1, 0),
+            "tfs": packed("B", 1, 2, 1, 1)}))
+        out = dataset["dir"] / "out.trec"
+        code = run_cli("search", "--index", index, "--queries", dataset["queries"],
+                       "--out", out, "--ranker", ranker)
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"{index}: positions of 'zebra' must ascend and be below 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
     def test_index_control(self, dataset, ranker):
         # the unbroken INDEX searches, so each INDEX_CASES entry fails on its one change
         index = dataset["dir"] / "index.json"
@@ -1040,6 +1058,18 @@ class TestMalformedInput:
         code = run_cli(*argv, "--qrels", dataset["qrels"])
         self.assert_data_error(code, capsys.readouterr().err, message)
 
+    def test_qrels_id_with_whitespace(self, dataset, capsys):
+        # "q1 " could never match a run's q1: eval reported it at 0.000000
+        qrels = dataset["dir"] / "qrels.tsv"
+        qrels.write_text("q1 \td1\t2\n", encoding="utf-8")
+        run = dataset["dir"] / "a.trec"
+        run.write_text("q1 Q0 d1 1 1.0 bm25\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("eval", "--run", run, "--qrels", qrels)
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"{qrels}:1: query id 'q1 ' must be one word "
+                               "without whitespace")
+
     @pytest.mark.parametrize("lines, message", [
         ("q0 Q0 d3 1 2.0 bm25\nq0 Q0 d3 2 1.0 bm25\n",
          "run 'bm25', query q0: duplicate doc id 'd3'"),
@@ -1118,15 +1148,53 @@ class TestMalformedInput:
     def test_key_error_prints_its_message(self, dataset, capsys):
         # str() of a KeyError would quote the message
         run, out = dataset["dir"] / "run.trec", dataset["dir"] / "out.trec"
-        run.write_text("q1 Q0 nosuchdoc 1 1.0 bm25\n", encoding="utf-8")
+        run.write_text("q1 Q0 d1 1 1.0 bm25\n", encoding="utf-8")
         capsys.readouterr()
         code = run_cli("rerank", "--run", run, "--corpus", dataset["corpus"],
                        "--queries", dataset["queries"], "--out", out,
-                       "--model-family", "llama", "--dataset", "trecc")
+                       "--model-family", "gpt9", "--dataset", "trecc")
         assert code == 2
-        assert capsys.readouterr().err == (
-            "data error: candidate doc id 'nosuchdoc' not in the document lookup\n")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no template for gpt9/trecc (have: ") and \
+            err.endswith(")\n") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_rerank_candidate_outside_the_corpus_names_the_files(self, dataset, capsys,
+                                                                 monkeypatch):
+        # checked before the bigram model is trained; q3 is in no run line
+        run, out = dataset["dir"] / "run.trec", dataset["dir"] / "out.trec"
+        run.write_text("q1 Q0 d1 1 2.0 bm25\nq2 Q0 d2 1 2.0 bm25\nq2 Q0 d9 2 1.0 bm25\n",
+                       encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(likelihood.BigramLm, "train", lambda *a: trained.append(a))
+        code = run_cli("rerank", "--run", run, "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", out,
+                       "--model-family", "llama", "--dataset", "trecc")
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"{run}: query q2: candidate doc id 'd9' is not in corpus "
+                               f"{dataset['corpus']}")
+        assert not trained and not out.exists()
+
+    def test_rerank_reads_no_candidate_past_depth_or_query(self, dataset):
+        # accepted as before: d9 is past depth 1, q9 is in no queries file
+        run, out = dataset["dir"] / "run.trec", dataset["dir"] / "out.trec"
+        run.write_text("q1 Q0 d1 1 2.0 bm25\nq1 Q0 d9 2 1.0 bm25\nq9 Q0 d8 1 1.0 bm25\n",
+                       encoding="utf-8")
+        assert run_cli("rerank", "--run", run, "--corpus", dataset["corpus"],
+                       "--queries", dataset["queries"], "--out", out, "--depth", 1,
+                       "--model-family", "llama", "--dataset", "trecc") == 0
+        assert read_run(str(out)).doc_ids("q1") == ["d1"]
+
+    def test_pipeline_external_candidate_outside_the_corpus_names_the_files(self, dataset,
+                                                                             capsys):
+        external = dataset["dir"] / "external.trec"
+        external.write_text("q1 Q0 d9 1 5.0 ext\n", encoding="utf-8")
+        config = self.make_config(dataset, dataset["dir"] / "out", external_run=str(external))
+        code = run_cli("pipeline", "--config", config)
+        self.assert_data_error(code, capsys.readouterr().err,
+                               f"{external}: query q1: candidate doc id 'd9' is not in corpus "
+                               f"{dataset['corpus']}")
+        assert not (dataset["dir"] / "out" / "reranked.trec").exists()
 
     def assert_pipeline_input_missing(self, dataset, capsys, **change):
         # the line the verbs print for a missing input, before output_dir is made

@@ -13,6 +13,7 @@ from qlmrank.corpus import (
     FormatError,
     QrelSet,
     Run,
+    _sort_ranking,
     load_corpus,
     load_qrels,
     load_queries,
@@ -127,6 +128,22 @@ class TestLoadQrels:
             load_qrels(str(path))
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             QrelSet({"q1": {"d1": 1023, "d2": grade}})
+
+    @pytest.mark.parametrize("line, message", [
+        ("q1 \td1\t2\n", "query id 'q1 ' must be one word without whitespace"),
+        ("q1\t d1\t2\n", "doc id ' d1' must be one word without whitespace"),
+        ("\td1\t2\n", "query id '' must be one word without whitespace"),
+        ("q1\td 1\t2\n", "doc id 'd 1' must be one word without whitespace"),
+    ], ids=["query-trailing-space", "doc-leading-space", "query-empty", "doc-inner-space"])
+    def test_id_a_run_cannot_hold_rejected(self, tmp_path, line, message):
+        # a run file's columns split on whitespace, so no run could match the judgment
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q1\td0\t1\n" + line, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_qrels(str(path))
+        qid, did, _ = line.rstrip("\n").split("\t")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            QrelSet({qid: {did: 2}})
 
     def test_repeated_pair_with_a_bad_grade_fails_without_a_warning(self, tmp_path, caplog):
         # the CLI prints one line for a data error: the duplicate's warning would add one
@@ -319,6 +336,16 @@ class TestRunFiles:
             path = tmp_path / f"run{trial}.trec"
             write_run(run, str(path))
             assert read_run(str(path)).entries == run.entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d1", "d10", "d2", "\u00e9"]),
+                          st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e308])),
+                max_size=12) | st.lists(st.tuples(TOKENS, FINITE)))
+def test_sort_ranking_matches_the_negated_score_key(pairs):
+    # the rule as one key: score descending, then doc id ascending; 0.0 and -0.0
+    # tie, so their order is compared by repr, which tells them apart
+    assert repr(_sort_ranking(pairs)) == repr(sorted(pairs, key=lambda p: (-p[1], p[0])))
 
 
 def test_qrelset_rejects_negative_grade():

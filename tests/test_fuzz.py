@@ -21,7 +21,6 @@ import io
 import json
 import math
 import signal
-import struct
 import zlib
 from datetime import timedelta
 
@@ -76,14 +75,22 @@ def mutated_bytes(draw, data):
     return data + draw(st.binary(min_size=1, max_size=8))
 
 
+def from_planes(data, width):
+    """The integers whose byte planes data holds: byte k of item i at k * n + i."""
+    n, ragged = divmod(len(data), width)
+    if ragged:
+        raise ValueError(f"{len(data)} bytes in planes of width {width}")
+    return [sum(data[k * n + i] << 8 * k for k in range(width)) for i in range(n)]
+
+
 def mutated_packed(draw, value):
     """A packed array string changed at one layer; a value that no longer
     decodes gets an edge value instead."""
     try:
         code, stream = value[:1], base64.b64decode(value[1:], validate=True)
         data = zlib.decompress(stream)
-        values = list(struct.unpack(f"<{len(data) // WIDTHS[code]}{code}", data))
-    except (TypeError, ValueError, KeyError, zlib.error, struct.error):
+        values = from_planes(data, WIDTHS[code])
+    except (TypeError, ValueError, KeyError, zlib.error):
         return draw(st.sampled_from(EDGE_VALUES))
     layer = draw(st.sampled_from(["text", "code", "stream", "bytes", "values"]))
     if layer == "text":
@@ -104,7 +111,7 @@ def mutated_packed(draw, value):
         else:
             values[at:at] = values[at:at + 1] or [draw(st.sampled_from(EDGE_INTS))]
         code = next(c for c, w in WIDTHS.items() if max(values, default=0) < 1 << 8 * w)
-        data = struct.pack(f"<{len(values)}{code}", *values)
+        data = bytes(v >> 8 * k & 255 for k in range(WIDTHS[code]) for v in values)
     return code + base64.b64encode(zlib.compress(data, 1)).decode()
 
 

@@ -487,7 +487,7 @@ class TestPersistence:
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert {k: v for k, v in payload.items() if k != "analyzer"} == {
-            "format_version": 4, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
+            "format_version": 5, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
             "doc_len": packed("B", 3, 2, 3), "df": packed("B", 1, 2, 2),
             # each term's first position, then its d-gaps: a [0], b [0, 1], c [1, 2]
             "positions": packed("B", 0, 0, 1, 1, 1), "tfs": packed("B", 2, 1, 1, 1, 3)}
@@ -517,9 +517,11 @@ class TestPersistence:
 
 def packed(code, *values):
     """_pack's output, written with struct: typecode, then base64 of the zlib
-    stream, at level 1, of the values' little-endian bytes."""
-    data = struct.pack(f"<{len(values)}{code}", *values)
-    return code + base64.b64encode(zlib.compress(data, 1)).decode()
+    stream, at level 1, of the values' byte planes: byte k of value i, little
+    end first, at k * len(values) + i."""
+    width, data = struct.calcsize("<" + code), struct.pack(f"<{len(values)}{code}", *values)
+    planes = bytes(data[i * width + k] for k in range(width) for i in range(len(values)))
+    return code + base64.b64encode(zlib.compress(planes, 1)).decode()
 
 
 @pytest.mark.parametrize("top, code", [(0, "B"), (255, "B"), (256, "H"), (65535, "H"),
@@ -530,6 +532,31 @@ def test_pack_takes_the_narrowest_typecode(top, code):
     assert text == packed(code, top, 0, top // 2)
     unpacked = ranking._unpack("x", text, 3)
     assert unpacked == values and unpacked.typecode == "I"
+
+
+def test_wide_arrays_pack_smaller_as_planes():
+    # d-gaps below 1,500 in H: every high byte is 0 to 5
+    rng = random.Random(3)
+    values = array("I", [rng.randrange(1, 1500) for _ in range(20_000)])
+    interleaved = zlib.compress(struct.pack(f"<{len(values)}H", *values), 1)
+    assert ranking._pack(values)[0] == "H"
+    assert len(base64.b64decode(ranking._pack(values)[1:])) < 0.95 * len(interleaved)
+
+
+def test_load_decodes_only_the_terms_looked_up(c3_index, tmp_path):
+    path = str(tmp_path / "index.json")
+    save_index(c3_index, path)
+    back = load_index(path)
+    assert back.postings._decoded == {}
+    assert "c" in back.postings and "zz" not in back.postings and len(back.postings) == 3
+    assert back.postings._decoded == {}
+    bm25_search(back, Bm25Params(), "c zz", k=3)
+    assert list(back.postings._decoded) == ["c"]
+    assert back.postings["c"] is back.postings["c"]  # decoded once, then kept
+    with pytest.raises(KeyError):
+        back.postings["zz"]
+    with pytest.raises(TypeError):
+        back.postings["c"] = (array("I"), array("I"))
 
 
 @settings(max_examples=100, deadline=None)
