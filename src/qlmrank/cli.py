@@ -23,8 +23,10 @@ import functools
 import inspect
 import json
 import logging
+import marshal
 import os
 import sys
+import threading
 import typing
 from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
 from typing import Literal
@@ -116,11 +118,78 @@ def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], 
             tag: str | None) -> Run:
     """run_search's work on an index and queries in memory: returns the run it wrote to `out`."""
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
-    run = Run({query.id: search(inverted, params, query.text, k=k) for query in query_list},
-              tag=tag or ranker)
+    rankings = _search_on_every_cpu(functools.partial(search, inverted, params, k=k),
+                                    [query.text for query in query_list])
+    run = Run(dict(zip([query.id for query in query_list], rankings)), tag=tag or ranker)
     corpus_io.write_run(run, out)
     logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
     return run
+
+
+def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]],
+                         texts: list[str]) -> list[list[tuple[str, float]]]:
+    """[search(text) for text in texts], the same lists or the same first error, from
+    this process and one forked helper per further CPU it may run on, each searching
+    every cpus-th text over the index as it is in memory, shared copy-on-write.
+
+    Forking is unsafe while another thread runs, so then this process searches alone.
+    A helper sends back its lists up to its first text that raises, in marshal, which
+    keeps every float exact, and ends with os._exit: no finally, atexit handler or
+    stdio flush runs in it. What no helper delivered, such as a text that raised or
+    the share of a helper that could not start or died, is searched here in text
+    order afterwards, so the first text that raises raises here, as in the loop."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = max(1, min(cpus or 1, len(texts))) if threading.active_count() == 1 else 1
+
+    def share(first: int) -> list[list[tuple[str, float]]]:
+        found = []
+        try:
+            for text in texts[first::cpus]:
+                found.append(search(text))
+        except Exception:  # searched again, in text order, below
+            pass
+        return found
+
+    shares = {}   # first text of a share -> its lists
+    helpers = {}  # pid -> (first text of its share, read end of its pipe)
+    try:
+        for first in range(1, cpus):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # at a process limit: this process searches the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # a helper
+                try:
+                    data = marshal.dumps(share(first))
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            helpers[pid] = first, open(r, "rb")
+            os.close(w)
+        shares[0] = share(0)
+        # read a pipe to its end before waiting: a helper blocks on a full pipe until then
+        for pid, (first, pipe) in list(helpers.items()):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del helpers[pid]
+            pipe.close()
+            if os.waitstatus_to_exitcode(status) == 0:
+                shares[first] = marshal.loads(data)
+    finally:
+        if helpers:  # on an error or an interrupt
+            from signal import SIGKILL  # imported on use: a verb's start-up pays 1.5 ms for it
+        for pid, (_, pipe) in helpers.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    done = {i: found for first, lists in shares.items()
+            for i, found in zip(range(first, len(texts), cpus), lists)}
+    return [done[i] if i in done else search(text) for i, text in enumerate(texts)]
 
 
 def _remote_provider(endpoint: str | None, auth_token: str | None) -> likelihood.RemoteProvider:

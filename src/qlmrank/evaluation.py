@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import QrelSet, Run, check_value
+from .corpus import QrelSet, Run, _sum_in_order, check_value
 
 
 @dataclass
@@ -41,7 +41,7 @@ class SigResult:
 
 
 def _dcg(gains: list[int], k: int) -> float:
-    return sum((2 ** g - 1) / math.log2(i + 1) for i, g in enumerate(gains[:k], 1))
+    return _sum_in_order((2 ** g - 1) / math.log2(i + 1) for i, g in enumerate(gains[:k], 1))
 
 
 def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:

@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Callable
 
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
-                     Run, check_value)
+                     Run, _sum_in_order, check_value)
 from .prompts import (
     FewShotExample,
     PromptTemplate,
@@ -97,7 +97,7 @@ def score_query_likelihood(result: LikelihoodResult) -> float:
     """Mean per-token log probability: the relevance score of the pair."""
     if not result.logprobs:
         raise ValueError("cannot score an empty likelihood result")
-    return sum(result.logprobs) / len(result.logprobs)
+    return _sum_in_order(result.logprobs) / len(result.logprobs)
 
 
 def floor_logprobs(values: list[float]) -> list[float]:

@@ -482,10 +482,10 @@ def _pack(values: array) -> str:
     return code + base64.b64encode(zlib.compress(planes, ZLIB_LEVEL)).decode("ascii")
 
 
-def _unpack(name: str, value: object, count: int) -> array:
-    """_pack's values as array('I'), of at most count items: inflating stops
-    one byte past count items. Anything else _pack cannot write raises
-    ValueError naming the field."""
+def _unpack(name: str, value: object, count: int) -> tuple[array, int]:
+    """_pack's values as array('I'), of at most count items, and how many of
+    them are 0: inflating stops one byte past count items. Anything else _pack
+    cannot write raises ValueError naming the field."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a packed array string, got {json.dumps(value)[:40]}")
     code, text = value[:1], value[1:]
@@ -517,13 +517,17 @@ def _unpack(name: str, value: object, count: int) -> array:
                          f"item size {width}")
     unpacked = array("I")
     size, n = unpacked.itemsize, len(data) // width
+    planes = [data[k * n:(k + 1) * n] for k in range(width)]
     items = bytearray(n * size)  # zero-extended: each plane goes back to its stride
-    for k in range(width):
-        items[k::size] = data[k * n:(k + 1) * n]
+    for k, plane in enumerate(planes):
+        items[k::size] = plane
     unpacked.frombytes(items)
     if sys.byteorder == "big":
         unpacked.byteswap()
-    return unpacked
+    # an item is 0 where the OR of the planes has a 0 byte: counted there, no
+    # int object is made per item
+    ored = functools.reduce(operator.or_, (int.from_bytes(plane, "little") for plane in planes))
+    return unpacked, ored.to_bytes(n, "little").count(0)
 
 
 class _Postings(Mapping):
@@ -586,20 +590,21 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
             and all(map(operator.lt, terms, terms[1:]))):
         raise ValueError("terms must be a list of unique strings in sorted order")
     n = len(doc_ids)
-    doc_len = _unpack("doc_len", payload["doc_len"], n)
+    doc_len, _ = _unpack("doc_len", payload["doc_len"], n)
     if len(doc_len) != n:
         raise ValueError(f"doc_len must hold one length per doc id ({n}), got {len(doc_len)}")
-    df = _unpack("df", payload["df"], len(terms))
+    df, zero_dfs = _unpack("df", payload["df"], len(terms))
     if len(df) != len(terms):
         raise ValueError(f"df must hold one count per term ({len(terms)}), got {len(df)}")
-    if 0 in df:
+    if zero_dfs:
         raise ValueError("every df must be >= 1")
     total = sum(df)
-    positions, tfs = (_unpack(name, payload[name], total) for name in ("positions", "tfs"))
+    (positions, zero_positions), (tfs, zero_tfs) = (
+        _unpack(name, payload[name], total) for name in ("positions", "tfs"))
     if not len(positions) == len(tfs) == total:
         raise ValueError(f"positions and tfs must each hold sum(df) = {total} entries, "
                          f"got {len(positions)} and {len(tfs)}")
-    if 0 in tfs:
+    if zero_tfs:
         raise ValueError("every tf must be >= 1")
     if sum(tfs) != sum(doc_len):
         raise ValueError(f"doc_len must sum to the sum of all tfs ({sum(tfs)}), "
@@ -612,7 +617,7 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
     # a term's positions ascend if no gap but its first is 0, and stay below n
     # if its gaps sum below n; only a failure is traced to its term
     firsts = list(map(positions.__getitem__, bounds[:-1]))
-    if positions.count(0) != firsts.count(0) or max(map(sum, gaps()), default=0) >= n:
+    if zero_positions != firsts.count(0) or max(map(sum, gaps()), default=0) >= n:
         term = next(term for term, term_gaps in zip(terms, gaps())
                     if term_gaps.count(0) > (term_gaps[0] == 0) or sum(term_gaps) >= n)
         raise ValueError(f"positions of {term!r} must ascend and be below {n}")

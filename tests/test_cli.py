@@ -7,11 +7,15 @@ import fcntl
 import inspect
 import json
 import os
+import random
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 import zlib
 
 import pytest
@@ -126,6 +130,145 @@ class TestIndexAndSearch:
     def test_missing_corpus_is_data_error(self, dataset):
         assert run_cli("index", "--corpus", "/nope/corpus.jsonl",
                        "--out", dataset["dir"] / "x.json") == 2
+
+
+def may_use_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSearchOnEveryCpu:
+    """search splits its queries over the CPUs the process may use, in helpers
+    forked from it: the bytes written and the error raised are the one-process ones."""
+
+    @pytest.fixture
+    def indexed(self, tmp_path):
+        """An index of 80 seeded documents and 25 queries over a 30-word vocabulary."""
+        rng = random.Random(5)
+        vocab = [f"w{i}" for i in range(30)]
+        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
+        corpus.write_text("".join(json.dumps({"_id": f"d{i}", "text": " ".join(
+            rng.choices(vocab, k=rng.randrange(1, 12)))}) + "\n" for i in range(80)))
+        queries.write_text("".join(json.dumps({"_id": f"q{i}", "text": " ".join(
+            rng.sample(vocab, 3))}) + "\n" for i in range(25)))
+        assert run_cli("index", "--corpus", corpus, "--out", tmp_path / "index.json") == 0
+        return ["--index", str(tmp_path / "index.json"), "--queries", str(queries)]
+
+    @staticmethod
+    def search_in_subprocess(args, pin):
+        code = ("import os, sys\n" + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                                     if pin else "")
+                + "from qlmrank.cli import main\nsys.exit(main(sys.argv[1:]))")
+        return subprocess.run([sys.executable, "-c", code, "search", *args],
+                              capture_output=True, text=True)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
+    def test_bytes_do_not_depend_on_the_cpus(self, indexed, tmp_path, monkeypatch, ranker):
+        outs = {name: tmp_path / f"{name}.trec" for name in ("one", "all", "five")}
+        for name, pin in (("one", True), ("all", False)):
+            proc = self.search_in_subprocess(
+                [*indexed, "--ranker", ranker, "--k", "7", "--out", str(outs[name])], pin)
+            assert proc.returncode == 0, proc.stderr
+        may_use_cpus(monkeypatch, 5)  # more helpers than this machine may have CPUs
+        assert run_cli("search", *indexed, "--ranker", ranker, "--k", 7,
+                       "--out", outs["five"]) == 0
+        assert outs["one"].read_bytes() == outs["all"].read_bytes() == outs["five"].read_bytes()
+        assert len(outs["one"].read_text().splitlines()) > 25 * 5
+        assert_no_child_left()
+
+    def test_helpers_search_every_cpus_th_query(self, indexed, tmp_path, monkeypatch):
+        # each query's one result names the process that searched it
+        monkeypatch.setattr(ranking, "bm25_search",
+                            lambda index, params, text, k: [(f"p{os.getpid()}", 1.0)])
+        may_use_cpus(monkeypatch, 3)
+        assert run_cli("search", *indexed, "--out", tmp_path / "run.trec") == 0
+        run = read_run(str(tmp_path / "run.trec"))
+        by = [run.doc_ids(f"q{i}")[0] for i in range(25)]
+        assert by[0::3] == [f"p{os.getpid()}"] * 9
+        assert len(set(by)) == 3 and by[1::3] == [by[1]] * 8 and by[2::3] == [by[2]] * 8
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_first_failing_query_names_the_error(self, dataset, capsys, monkeypatch, cpus):
+        # at mu = 1e308, mu * cf overflows for the terms of cf 2 or more: q2's "trees",
+        # searched by a helper from 2 CPUs on, fails before q3's "fruit", searched here
+        (dataset["dir"] / "q.jsonl").write_text("".join(json.dumps({"_id": qid, "text": text})
+                                                        + "\n" for qid, text in [
+            ("q1", "apple"), ("q2", "trees"), ("q3", "fruit"), ("q4", "citrus")]))
+        index = dataset["dir"] / "index.json"
+        run_cli("index", "--corpus", dataset["corpus"], "--out", index)
+        capsys.readouterr()
+        may_use_cpus(monkeypatch, cpus)
+        assert run_cli("search", "--index", index, "--queries", dataset["dir"] / "q.jsonl",
+                       "--out", dataset["dir"] / "run.trec", "--ranker", "dirichlet",
+                       "--mu", "1e308") == 2
+        assert capsys.readouterr().err == (
+            "data error: mu=1e+308 is out of range: term 'trees' gets smoothed probability "
+            "mu * cf / total / (dl + mu) = inf in the longest document\n")
+        assert not (dataset["dir"] / "run.trec").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["helper dies", "fork fails"])
+    def test_a_helper_lost_costs_only_time(self, indexed, tmp_path, monkeypatch, fault):
+        assert run_cli("search", *indexed, "--out", tmp_path / "serial.trec") == 0
+        parent, search = os.getpid(), ranking.bm25_search
+        if fault == "helper dies":
+            def dying(*args, **kwargs):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return search(*args, **kwargs)
+            monkeypatch.setattr(ranking, "bm25_search", dying)
+        else:
+            def fork():
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", fork)
+        may_use_cpus(monkeypatch, 3)
+        assert run_cli("search", *indexed, "--out", tmp_path / "split.trec") == 0
+        assert (tmp_path / "split.trec").read_bytes() == (tmp_path / "serial.trec").read_bytes()
+        assert_no_child_left()
+
+    def test_interrupt_stops_and_reaps_every_helper(self, indexed, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def search(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(3)  # a helper still busy: its 8 queries would take 24 s
+        monkeypatch.setattr(ranking, "bm25_search", search)
+        may_use_cpus(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("search", *indexed, "--out", tmp_path / "run.trec")
+        assert time.monotonic() - start < 2
+        assert_no_child_left()
+        assert not (tmp_path / "run.trec").exists()
+
+    def test_no_fork_while_another_thread_runs(self, indexed, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        may_use_cpus(monkeypatch, 3)
+        assert run_cli("search", *indexed, "--out", tmp_path / "split.trec") == 0
+        assert len(forks) == 2
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # from 3.12 on, a fork here would warn
+                assert run_cli("search", *indexed, "--out", tmp_path / "alone.trec") == 0
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert len(forks) == 2
+        assert (tmp_path / "alone.trec").read_bytes() == (tmp_path / "split.trec").read_bytes()
 
 
 class TestRerankAndFuse:

@@ -5,6 +5,7 @@ import random
 import pytest
 from scipy import stats as scipy_stats
 
+from qlmrank import evaluation
 from qlmrank.corpus import QrelSet, Run
 from qlmrank.evaluation import (
     betainc_regularized,
@@ -85,6 +86,11 @@ class TestNdcg:
         run = Run({"q": [("dA", 1.0)]})
         with pytest.raises(ValueError):
             ndcg_at_k(run, qrels)
+
+    def test_dcg_adds_left_to_right(self):
+        # on every Python: a compensated sum, such as sum() from 3.12 on, gives
+        # 9.823465818787765
+        assert evaluation._dcg([3, 2, 1, 1], 10) == 9.823465818787767
 
     def test_ideal_dcg_overflow_names_the_query(self):
         # 1023 is the highest grade QrelSet takes, and one gain of 2 ** 1023 - 1 is a

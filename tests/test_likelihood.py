@@ -46,6 +46,12 @@ class TestScore:
         result = LikelihoodResult(tokens=("a", "b"), logprobs=(-1.0, -3.0))
         assert score_query_likelihood(result) == -2.0
 
+    def test_mean_adds_left_to_right(self):
+        # -1e16 + -1.0 rounds to -1e16, on every Python: a compensated sum, such as
+        # sum() from 3.12 on, keeps the -1.0 and gives -1/3
+        result = LikelihoodResult(tokens=("a", "b", "c"), logprobs=(-1e16, -1.0, 1e16))
+        assert score_query_likelihood(result) == 0.0
+
     def test_uniform_model_score_is_length_invariant(self):
         provider = constant_provider(-math.log(10))
         for text in ("one", "one two", "one two three four five"):
