@@ -2,10 +2,11 @@
 
 Verbs: index, search, rerank, fuse, eval, sigtest, sweep, pipeline. Every
 command is a pure file-to-file transformation: identical inputs and flags
-produce byte-identical outputs. This module opens no file: the corpus
-module's readers open every input, so a missing or unreadable one fails
-with an error naming it, and its atomic writer (corpus.open_atomic) every
-output, so interrupted or concurrent runs never leave truncated files.
+produce byte-identical outputs. This module opens no file; the pipes of
+its search helpers are the only descriptors it opens. The corpus module's
+readers open every input, so a missing or unreadable one fails with an
+error naming it, and its atomic writer (corpus.open_atomic) every output,
+so interrupted or concurrent runs never leave truncated files.
 `pipeline` reads every input before it makes output_dir, then hands each
 stage's result to the next in memory.
 
@@ -130,30 +131,21 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
                          texts: list[str]) -> list[list[tuple[str, float]]]:
     """[search(text) for text in texts], the same lists or the same first error, from
     this process and one forked helper per further CPU it may run on, each searching
-    every cpus-th text over the index as it is in memory, shared copy-on-write.
+    one block of consecutive texts over the index as it is in memory, shared copy-on-write.
 
     Forking is unsafe while another thread runs, so then this process searches alone.
-    A helper sends back its lists up to its first text that raises, in marshal, which
-    keeps every float exact, and ends with os._exit: no finally, atexit handler or
-    stdio flush runs in it. What no helper delivered, such as a text that raised or
-    the share of a helper that could not start or died, is searched here in text
-    order afterwards, so the first text that raises raises here, as in the loop."""
+    This process searches the first block. A helper sends back its block's lists in
+    marshal, which keeps every float exact, or exits non-zero having sent nothing, and
+    ends with os._exit: no finally, atexit handler or stdio flush runs in it. The blocks
+    are joined in order, and one that no helper delivered (a text in it raised, or its
+    helper could not start or died) is searched here in its turn, so the first text
+    that raises raises here, as in the loop."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = max(1, min(cpus or 1, len(texts))) if threading.active_count() == 1 else 1
-
-    def share(first: int) -> list[list[tuple[str, float]]]:
-        found = []
-        try:
-            for text in texts[first::cpus]:
-                found.append(search(text))
-        except Exception:  # searched again, in text order, below
-            pass
-        return found
-
-    shares = {}   # first text of a share -> its lists
-    helpers = {}  # pid -> (first text of its share, read end of its pipe)
+    blocks = [texts[len(texts) * i // cpus:len(texts) * (i + 1) // cpus] for i in range(cpus)]
+    helpers = {}  # block number -> (pid of its helper, read end of its pipe)
     try:
-        for first in range(1, cpus):
+        for block in range(1, cpus):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -163,33 +155,35 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
                 break
             if pid == 0:  # a helper
                 try:
-                    data = marshal.dumps(share(first))
+                    data = marshal.dumps(list(map(search, blocks[block])))
                     with open(w, "wb") as pipe:
                         pipe.write(data)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            helpers[pid] = first, open(r, "rb")
+            helpers[block] = pid, open(r, "rb")
             os.close(w)
-        shares[0] = share(0)
-        # read a pipe to its end before waiting: a helper blocks on a full pipe until then
-        for pid, (first, pipe) in list(helpers.items()):
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del helpers[pid]
-            pipe.close()
-            if os.waitstatus_to_exitcode(status) == 0:
-                shares[first] = marshal.loads(data)
+        found = list(map(search, blocks[0]))
+        for block in range(1, cpus):
+            if block in helpers:
+                pid, pipe = helpers[block]
+                # read a pipe to its end before waiting: a helper blocks on a full pipe until then
+                data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del helpers[block]
+                pipe.close()
+                if os.waitstatus_to_exitcode(status) == 0:
+                    found += marshal.loads(data)
+                    continue
+            found += map(search, blocks[block])
     finally:
         if helpers:  # on an error or an interrupt
             from signal import SIGKILL  # imported on use: a verb's start-up pays 1.5 ms for it
-        for pid, (_, pipe) in helpers.items():
+        for pid, pipe in helpers.values():
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    done = {i: found for first, lists in shares.items()
-            for i, found in zip(range(first, len(texts), cpus), lists)}
-    return [done[i] if i in done else search(text) for i, text in enumerate(texts)]
+    return found
 
 
 def _remote_provider(endpoint: str | None, auth_token: str | None) -> likelihood.RemoteProvider:

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -208,22 +207,19 @@ class Run:
         return [did for did, _ in self.entries.get(query_id, [])]
 
 
-# mkstemp makes 0600 files; outputs get the mode open() gives: 0o666 less the umask
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
 @contextlib.contextmanager
 def open_atomic(path: str) -> Iterator[TextIO]:
     """A UTF-8 text file that becomes `path` when the block ends: a fresh
-    temp file beside `path`, fsynced and renamed over it. On any failure
-    the temp file is removed and the old `path` is left as it was; an
-    OSError that names no file, or the temp file, is raised naming `path`."""
+    temp file beside `path`, made with the mode open() gives (0o666 less the
+    umask in force), fsynced and renamed over it. On any failure the temp file
+    is removed and the old `path` is left as it was; an OSError that names no
+    file, or the temp file, is raised naming `path`."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with open(fd, "w", encoding="utf-8") as f:
-            os.fchmod(fd, 0o666 & ~_UMASK)
             yield f
             f.flush()
             os.fsync(fd)
@@ -231,8 +227,8 @@ def open_atomic(path: str) -> Iterator[TextIO]:
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
-        # the caller never saw the temp file's name: mkstemp's error names a name
-        # it tried, os.replace's the temp file and `path`, a failed write none
+        # the caller never saw the temp file's name: os.open's error names it,
+        # os.replace's the temp file and `path`, a failed write none
         if isinstance(exc, OSError) and exc.errno and (
                 tmp is None or exc.filename in (None, tmp)):
             raise OSError(exc.errno, exc.strerror, path) from None

@@ -441,15 +441,18 @@ def _map_pairs(fn: Callable[[tuple[Query, Document]], float],
                items: list[tuple[Query, Document]], max_workers: int) -> list[float]:
     """[fn(item) for item in items], computed by the calling thread and at most
     max_workers - 1 helper threads that each take the next item off one queue
-    and store its result by index. After a failure no thread takes an item;
-    the first exception is raised once the helpers have joined."""
+    and store its result by index. After a failure no thread takes an item.
+    Once the helpers have joined, an interrupt is raised, else the exception
+    of the lowest failed item: the loop's first, as every item below it was
+    taken before it and so has run."""
     todo = queue.SimpleQueue()
     for entry in enumerate(items):
         todo.put(entry)
     results = [0.0] * len(items)
-    failures: list[BaseException] = []
+    failures: list[tuple[bool, int, BaseException]] = []  # (not an interrupt, item, exception)
 
     def drain() -> None:
+        i = -1
         try:
             while not failures:
                 try:
@@ -458,7 +461,7 @@ def _map_pairs(fn: Callable[[tuple[Query, Document]], float],
                     return
                 results[i] = fn(item)
         except BaseException as exc:  # KeyboardInterrupt too: it stops the helpers as well
-            failures.append(exc)
+            failures.append((isinstance(exc, Exception), i, exc))
 
     helpers = [threading.Thread(target=drain) for _ in range(min(max_workers, len(items)) - 1)]
     for helper in helpers:
@@ -467,5 +470,5 @@ def _map_pairs(fn: Callable[[tuple[Query, Document]], float],
     for helper in helpers:
         helper.join()
     if failures:
-        raise failures[0]
+        raise min(failures, key=lambda failure: failure[:2])[2]
     return results

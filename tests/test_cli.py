@@ -17,8 +17,10 @@ import time
 import tracemalloc
 import warnings
 import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlmrank
 from http_stub import StubHandler
@@ -182,22 +184,46 @@ class TestSearchOnEveryCpu:
         assert len(outs["one"].read_text().splitlines()) > 25 * 5
         assert_no_child_left()
 
-    def test_helpers_search_every_cpus_th_query(self, indexed, tmp_path, monkeypatch):
+    def test_this_process_searches_block_0_and_one_helper_each_later_block(
+            self, indexed, tmp_path, monkeypatch):
         # each query's one result names the process that searched it
         monkeypatch.setattr(ranking, "bm25_search",
                             lambda index, params, text, k: [(f"p{os.getpid()}", 1.0)])
+        forked, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(pid := fork()) or pid)
         may_use_cpus(monkeypatch, 3)
         assert run_cli("search", *indexed, "--out", tmp_path / "run.trec") == 0
         run = read_run(str(tmp_path / "run.trec"))
         by = [run.doc_ids(f"q{i}")[0] for i in range(25)]
-        assert by[0::3] == [f"p{os.getpid()}"] * 9
-        assert len(set(by)) == 3 and by[1::3] == [by[1]] * 8 and by[2::3] == [by[2]] * 8
+        # 25 queries in blocks of 8, 8 and 9, the later ones by the helpers in fork order
+        assert by == [f"p{pid}" for pid in [os.getpid()] * 8 + [forked[0]] * 8 + [forked[1]] * 9]
+        assert len(set(by)) == 3
+        assert_no_child_left()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(texts=st.lists(st.sampled_from("abcdefgh"), max_size=30), cpus=st.integers(1, 5),
+           failing=st.sets(st.sampled_from("abcdefgh")))
+    def test_split_gives_the_loops_lists_or_its_first_error(self, texts, cpus, failing):
+        def search(text):
+            if text in failing:
+                raise ValueError(f"{text} fails")
+            return [(text, 1 / (ord(text) - 96)), ("x", -0.0)]  # floats marshal keeps exact
+
+        def outcome(split):
+            try:
+                return split(search, texts)
+            except ValueError as exc:
+                return repr(exc)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                               create=True):
+            assert outcome(cli._search_on_every_cpu) == outcome(
+                lambda search, texts: [search(text) for text in texts])
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_the_first_failing_query_names_the_error(self, dataset, capsys, monkeypatch, cpus):
-        # at mu = 1e308, mu * cf overflows for the terms of cf 2 or more: q2's "trees",
-        # searched by a helper from 2 CPUs on, fails before q3's "fruit", searched here
+        # at mu = 1e308, mu * cf overflows for the terms of cf 2 or more: q2's "trees"
+        # fails before q3's "fruit", here at 2 CPUs and in the first helper at 3
         (dataset["dir"] / "q.jsonl").write_text("".join(json.dumps({"_id": qid, "text": text})
                                                         + "\n" for qid, text in [
             ("q1", "apple"), ("q2", "trees"), ("q3", "fruit"), ("q4", "citrus")]))
@@ -239,7 +265,7 @@ class TestSearchOnEveryCpu:
         def search(*args, **kwargs):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            time.sleep(3)  # a helper still busy: its 8 queries would take 24 s
+            time.sleep(3)  # a helper still busy: its 8 or 9 queries would take 24 s or more
         monkeypatch.setattr(ranking, "bm25_search", search)
         may_use_cpus(monkeypatch, 3)
         start = time.monotonic()
@@ -1483,10 +1509,19 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["run.trec"]
 
     def test_new_file_gets_the_mode_open_gives(self, tmp_path):
-        with open_atomic(str(tmp_path / "a")) as f:
-            f.write("x")
-        (tmp_path / "b").write_text("x")
-        assert os.stat(tmp_path / "a").st_mode == os.stat(tmp_path / "b").st_mode
+        # under the umask in force, set here long after the package was imported
+        previous = os.umask(0o022)
+        try:
+            for umask in (0o022, 0o077, 0o027):
+                os.umask(umask)
+                with open_atomic(str(tmp_path / f"a{umask:o}")) as f:
+                    f.write("x")
+                (tmp_path / f"b{umask:o}").write_text("x")
+                mode = os.stat(tmp_path / f"a{umask:o}").st_mode
+                assert mode == os.stat(tmp_path / f"b{umask:o}").st_mode
+                assert mode & 0o777 == 0o666 & ~umask
+        finally:
+            os.umask(previous)
 
     @pytest.mark.parametrize("writer", ["write_run", "save_index", "save_catalog"])
     def test_library_writer_failing_mid_write_keeps_old_file(self, tmp_path, monkeypatch,

@@ -20,6 +20,8 @@ import copy
 import io
 import json
 import math
+import os
+import shutil
 import signal
 import zlib
 from datetime import timedelta
@@ -149,7 +151,7 @@ def _hang(signum, frame):
 
 def assert_documented_exit(argv, out):
     """cli.main(argv) returns 0 to 3 within HANG_S and, if not 0, prints one
-    stderr line and leaves no file at `out`."""
+    stderr line and leaves no file at `out`. Returns the code."""
     out.unlink(missing_ok=True)
     stderr = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _hang)
@@ -164,6 +166,7 @@ def assert_documented_exit(argv, out):
     if code:
         assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
         assert not out.exists()
+    return code
 
 
 @settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
@@ -266,6 +269,46 @@ def test_verb_given_a_mutated_input_exits_with_a_documented_code(text_files, kin
                 "--fewshot", "--model-family", "llama", "--dataset", "trecc",
                 "--max-workers", "1"]
     assert_documented_exit([*argv, "--out", text_files["out"]], text_files["out"])
+
+
+# a pipeline config but for its file paths, with every section set
+CONFIG = {"model_family": "llama", "dataset": "trecc", "provider": "bigram", "depth": 3,
+          "first_stage": "bm25", "bm25": {"k1": 0.9, "b": 0.4}, "dirichlet": {"mu": 1000.0},
+          "analyzer": {"lowercase": True, "stopwords": None, "stem": False}}
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("config")
+    for name in ("corpus", "queries", "qrels"):
+        (d / name).write_text("\n".join(TEXTS[name]) + "\n", encoding="utf-8")
+    return d
+
+
+@settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5))
+@given(section=st.sampled_from([None, "bm25", "dirichlet", "analyzer"]), data=st.data())
+def test_pipeline_given_a_mutated_config_exits_with_a_documented_code(config_dir, section, data):
+    # run in an empty directory, where a relative output_dir would be made
+    work = config_dir / "work"
+    config = {**CONFIG, **{name: str(config_dir / name) for name in ("corpus", "queries", "qrels")},
+              "output_dir": str(work / "out")}
+    if section:
+        config[section] = mutated_json(data.draw, config[section])
+    else:
+        config = mutated_json(data.draw, config)
+    (config_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    cwd = os.getcwd()
+    work.mkdir()
+    os.chdir(work)
+    try:
+        # significance.txt is the last file a pipeline writes
+        code = assert_documented_exit(["pipeline", "--config", config_dir / "config.json"],
+                                      work / "out" / "significance.txt")
+        if code == cli.EXIT_USAGE:  # a config that fails its check makes no output_dir
+            assert os.listdir(work) == []
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)
 
 
 @st.composite

@@ -600,6 +600,38 @@ class TestScheduler:
                        self.template, queries, first_stage, docs, max_workers=workers)
         assert len(calls) <= 2 * workers
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_the_loops_first_failure_is_raised(self, workers):
+        # pair 3 fails first in time, then pair 1, which waits for it where threads allow
+        three_failed = threading.Event()
+
+        def score(i):
+            if i == 1:
+                three_failed.wait(timeout=10 if workers > 1 else 0)
+                raise ValueError("pair 1")
+            if i == 3:
+                three_failed.set()
+                raise ValueError("pair 3")
+            return float(i)
+        with pytest.raises(ValueError, match="pair 1"):
+            likelihood._map_pairs(score, list(range(6)), workers)
+        assert three_failed.is_set() == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_an_interrupt_wins_over_an_earlier_failure(self, workers):
+        interrupted = threading.Event()
+
+        def score(i):
+            if i == 1:
+                interrupted.wait(timeout=10)
+                raise ValueError("pair 1")
+            if i == 3:
+                interrupted.set()
+                raise KeyboardInterrupt
+            return float(i)
+        with pytest.raises(KeyboardInterrupt):
+            likelihood._map_pairs(score, list(range(6)), workers)
+
     def test_floor_policy_floors_only_failing_pairs(self):
         docs, first_stage, queries = self.corpus()
         failing = docs["d003"].body
