@@ -10,8 +10,8 @@ import importlib
 
 # the public names of each module
 _EXPORTS = {
-    "corpus": ("Document", "FormatError", "QrelSet", "Query", "Run", "load_corpus",
-               "load_qrels", "load_queries", "read_run", "write_run"),
+    "corpus": ("Bm25Params", "DirichletParams", "Document", "FormatError", "QrelSet", "Query",
+               "Run", "load_corpus", "load_qrels", "load_queries", "read_run", "write_run"),
     "evaluation": ("EvalReport", "SigResult", "ndcg_at_k", "paired_ttest",
                    "significance_matrix"),
     "fusion": ("interpolate", "minmax_normalize", "sweep_alpha"),
@@ -20,9 +20,8 @@ _EXPORTS = {
                    "rerank", "rerank_run", "score_query_likelihood"),
     "prompts": ("FewShotExample", "PromptCatalog", "PromptTemplate", "default_catalog",
                 "load_catalog", "render_fewshot", "render_prompt", "save_catalog"),
-    "ranking": ("Analyzer", "Bm25Params", "DirichletParams", "InvertedIndex", "bm25_score",
-                "bm25_search", "build_index", "dirichlet_qlm_score", "dirichlet_search",
-                "load_index", "save_index"),
+    "ranking": ("Analyzer", "InvertedIndex", "bm25_score", "bm25_search", "build_index",
+                "dirichlet_qlm_score", "dirichlet_search", "load_index", "save_index"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

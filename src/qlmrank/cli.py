@@ -32,14 +32,15 @@ import typing
 from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
 from typing import Literal
 
-# likelihood and prompts are imported where used: the verbs that never re-rank skip them
-from . import corpus as corpus_io, fusion, ranking
+# likelihood and prompts are imported where used, so the verbs that never re-rank
+# skip them; ranking too, so only index, search and pipeline load the index code
+from . import corpus as corpus_io, fusion
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, RULES, ProviderError, Run,
                      check_value)
 from .evaluation import format_report, ndcg_at_k, significance_matrix
 
 if typing.TYPE_CHECKING:
-    from . import likelihood, prompts
+    from . import likelihood, prompts, ranking
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +93,8 @@ def _write_text(path: str | None, text: str) -> str:
 def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | None = None,
               stem: bool = False) -> None:
     """build an inverted index from a corpus"""
+    from . import ranking
+
     analyzer = _analyzer(lowercase, stopwords, stem)
     index = ranking.build_index(corpus_io.load_corpus(corpus), analyzer)
     ranking.save_index(index, out)
@@ -101,23 +104,30 @@ def run_index(corpus: str, out: str, lowercase: bool = True, stopwords: str | No
 def _analyzer(lowercase: bool = True, stopwords: str | None = None,
               stem: bool = False) -> ranking.Analyzer:
     """The analyzer of run_index's keywords; reads the stopword file, if one is given."""
+    from . import ranking
+
     words = (frozenset(line.strip() for _, line in corpus_io.read_lines(stopwords))
              if stopwords else frozenset())
     return ranking.Analyzer(lowercase=lowercase, stopwords=words, stem=stem)
 
 
 def run_search(index: str, queries: str, out: str, ranker: Literal["bm25", "dirichlet"] = "bm25",
-               k: int = 100, k1: float = ranking.Bm25Params.k1, b: float = ranking.Bm25Params.b,
-               mu: float = ranking.DirichletParams.mu, tag: str | None = None) -> None:
+               k: int = 100, k1: float = corpus_io.Bm25Params.k1,
+               b: float = corpus_io.Bm25Params.b, mu: float = corpus_io.DirichletParams.mu,
+               tag: str | None = None) -> None:
     """first-stage lexical retrieval"""
-    params = ranking.Bm25Params(k1, b) if ranker == "bm25" else ranking.DirichletParams(mu)
+    from . import ranking
+
+    params = corpus_io.Bm25Params(k1, b) if ranker == "bm25" else corpus_io.DirichletParams(mu)
     _search(ranking.load_index(index), corpus_io.load_queries(queries), out, ranker, k, params, tag)
 
 
 def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], out: str,
-            ranker: str, k: int, params: ranking.Bm25Params | ranking.DirichletParams,
+            ranker: str, k: int, params: corpus_io.Bm25Params | corpus_io.DirichletParams,
             tag: str | None) -> Run:
     """run_search's work on an index and queries in memory: returns the run it wrote to `out`."""
+    from . import ranking
+
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
     rankings = _search_on_every_cpu(functools.partial(search, inverted, params, k=k),
                                     [query.text for query in query_list])
@@ -362,8 +372,8 @@ class _PipelineKeys:
     qrels: str
     output_dir: str
     analyzer: dict = dc_field(default_factory=dict)
-    bm25: ranking.Bm25Params = dc_field(default_factory=ranking.Bm25Params)
-    dirichlet: ranking.DirichletParams = dc_field(default_factory=ranking.DirichletParams)
+    bm25: corpus_io.Bm25Params = dc_field(default_factory=corpus_io.Bm25Params)
+    dirichlet: corpus_io.DirichletParams = dc_field(default_factory=corpus_io.DirichletParams)
     external_run: str | None = None
     hybrid_alpha: float = fusion.HYBRID_ALPHA
     rerank_alpha: float = fusion.RERANK_ALPHA
@@ -410,6 +420,8 @@ def run_pipeline(config: str, **overrides) -> None:
     significance, from the config file at `config` and the config keys in
     `overrides`. Every intermediate run is persisted for audit or re-fusion,
     never read back: each stage takes the last one's result from memory."""
+    from . import ranking
+
     cfg = _pipeline_config().load(config, overrides)
     remote = _remote_provider(cfg.endpoint, cfg.auth_token) if cfg.provider == "remote" else None
     docs = corpus_io.load_corpus(cfg.corpus)

@@ -5,7 +5,9 @@ trades in. Loaders are pure functions over files; loaded objects are
 treated as immutable. Every file of the package is opened here: inputs by
 read_lines or read_json, so one that is missing, does not decode or does
 not parse is named, and outputs by open_atomic, so an interrupted or
-concurrent write never leaves a truncated file.
+concurrent write never leaves a truncated file. The word rule (words) and
+the lexical rankers' parameters live here too, not in ranking: the verbs
+that neither index nor search use them without loading the index code.
 """
 
 from __future__ import annotations
@@ -75,6 +77,45 @@ def check_unique(doc_ids: list[str], where: str = "") -> None:
         seen: set[str] = set()
         first = next(did for did in doc_ids if did in seen or seen.add(did))
         raise FormatError(f"{where}duplicate doc id {first!r}")
+
+
+_WORD_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+# byte -> itself if words keep it, else a space
+_KEEP_LOWER = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
+_KEEP_CASED = bytes(c if c in _WORD_BYTES + _WORD_BYTES[10:].upper() else 32
+                    for c in range(256))
+
+
+def words(text: str, lowercase: bool = True) -> list[str]:
+    """The maximal runs of ASCII [a-z0-9] in text.lower(), in order; with
+    lowercase false, the runs of ASCII [A-Za-z0-9] in text as given.
+
+    Every other code point separates words: the ASCII encoding turns each
+    non-ASCII one into "?", and the table turns each byte outside a word
+    into a space, so split() sees only word bytes and spaces.
+    """
+    table = _KEEP_LOWER if lowercase else _KEEP_CASED
+    if lowercase:
+        text = text.lower()
+    return text.encode("ascii", "replace").translate(table).decode("ascii").split()
+
+
+@dataclass(frozen=True)
+class Bm25Params:
+    k1: float = 0.9
+    b: float = 0.4
+
+    def __post_init__(self) -> None:
+        check_value("k1", self.k1)
+        check_value("b", self.b)
+
+
+@dataclass(frozen=True)
+class DirichletParams:
+    mu: float = 1000.0
+
+    def __post_init__(self) -> None:
+        check_value("mu", self.mu)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,23 @@ def _dcg(gains: list[int], k: int) -> float:
     return _sum_in_order((2 ** g - 1) / math.log2(i + 1) for i, g in enumerate(gains[:k], 1))
 
 
+def _ideal_dcgs(qrels: QrelSet, k: int) -> dict[str, float]:
+    """The ideal DCG@k of each query with a positively judged document, in
+    qrels order: the DCG of all its judged documents ranked by grade. Grades
+    so high that it overflows, or no such query, raise ValueError."""
+    ideal_of: dict[str, float] = {}
+    for qid, judged in qrels.judgments.items():
+        ideal = sorted(judged.values(), reverse=True)
+        if not ideal or ideal[0] <= 0:
+            continue
+        idcg = ideal_of[qid] = _dcg(ideal, k)
+        if not math.isfinite(idcg):
+            raise ValueError(f"query {qid}: ideal DCG@{k} overflows (top grade {ideal[0]})")
+    if not ideal_of:
+        raise ValueError("no evaluable queries (none has a positive judgment)")
+    return ideal_of
+
+
 def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
     """nDCG@k per query and averaged.
 
@@ -53,18 +70,8 @@ def ndcg_at_k(run: Run, qrels: QrelSet, k: int = 10) -> EvalReport:
     by grade. Grades so high that the ideal DCG overflows raise ValueError.
     """
     check_value("k", k)
-    per_query: dict[str, float] = {}
-    for qid, judged in qrels.judgments.items():
-        ideal = sorted(judged.values(), reverse=True)
-        if not ideal or ideal[0] <= 0:
-            continue
-        gains = [judged.get(did, 0) for did in run.doc_ids(qid)]
-        idcg = _dcg(ideal, k)
-        if not math.isfinite(idcg):
-            raise ValueError(f"query {qid}: ideal DCG@{k} overflows (top grade {ideal[0]})")
-        per_query[qid] = _dcg(gains, k) / idcg
-    if not per_query:
-        raise ValueError("no evaluable queries (none has a positive judgment)")
+    per_query = {qid: _dcg([qrels.judgments[qid].get(did, 0) for did in run.doc_ids(qid)], k)
+                 / idcg for qid, idcg in _ideal_dcgs(qrels, k).items()}
     return EvalReport(
         per_query=per_query,
         mean=math.fsum(per_query.values()) / len(per_query),  # statistics.fmean's sum

@@ -24,14 +24,13 @@ from itertools import compress
 from typing import Callable
 
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
-                     Run, _sum_in_order, check_value)
+                     Run, _sum_in_order, check_value, words)
 from .prompts import (
     FewShotExample,
     PromptTemplate,
     render_fewshot,
     render_prompt,
 )
-from .ranking import words
 
 logger = logging.getLogger(__name__)
 

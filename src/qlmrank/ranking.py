@@ -21,8 +21,9 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .corpus import (Document, FormatError, _top_k, check_unique, check_value, check_words,
-                     open_atomic, read_json)
+# Bm25Params, DirichletParams and words live in corpus, which every verb loads
+from .corpus import (Bm25Params, DirichletParams, Document, FormatError, _top_k, check_unique,
+                     check_value, check_words, open_atomic, read_json, words)
 
 INDEX_FORMAT_VERSION = 5
 # level 6 makes a 1.5k-document index about 5% smaller and its save some 35 ms
@@ -31,26 +32,6 @@ ZLIB_LEVEL = 1
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
                "positions", "tfs"}
 _WIDTHS = {code: array(code).itemsize for code in "BHI"}  # unsigned, narrowest first
-
-_WORD_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
-# byte -> itself if words keep it, else a space
-_KEEP_LOWER = bytes(c if c in _WORD_BYTES else 32 for c in range(256))
-_KEEP_CASED = bytes(c if c in _WORD_BYTES + _WORD_BYTES[10:].upper() else 32
-                    for c in range(256))
-
-
-def words(text: str, lowercase: bool = True) -> list[str]:
-    """The maximal runs of ASCII [a-z0-9] in text.lower(), in order; with
-    lowercase false, the runs of ASCII [A-Za-z0-9] in text as given.
-
-    Every other code point separates words: the ASCII encoding turns each
-    non-ASCII one into "?", and the table turns each byte outside a word
-    into a space, so split() sees only word bytes and spaces.
-    """
-    table = _KEEP_LOWER if lowercase else _KEEP_CASED
-    if lowercase:
-        text = text.lower()
-    return text.encode("ascii", "replace").translate(table).decode("ascii").split()
 
 
 def _s_stem(word: str) -> str:
@@ -109,24 +90,6 @@ class Analyzer:
             stopwords=frozenset(data["stopwords"]),
             stem=data["stem"],
         )
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 0.9
-    b: float = 0.4
-
-    def __post_init__(self) -> None:
-        check_value("k1", self.k1)
-        check_value("b", self.b)
-
-
-@dataclass(frozen=True)
-class DirichletParams:
-    mu: float = 1000.0
-
-    def __post_init__(self) -> None:
-        check_value("mu", self.mu)
 
 
 @dataclass

@@ -1420,15 +1420,15 @@ def _loaded_after(code, *argv):
     return ast.literal_eval(proc.stdout.splitlines()[-1])  # after any report the verb printed
 
 
-BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion", "qlmrank.ranking"]
+BASE = ["qlmrank.cli", "qlmrank.corpus", "qlmrank.evaluation", "qlmrank.fusion"]
 
 
 @pytest.mark.parametrize("verb", ["index", "search", "fuse", "eval", "sigtest", "sweep", "rerank",
                                   "rerank-remote", "pipeline"])
 def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
-    # only rerank and pipeline load likelihood and prompts; only a remote provider
-    # http.client and ssl, and only the verbs that test significance statistics; no re-rank,
-    # at any --max-workers, loads concurrent.futures
+    # only index, search and pipeline load ranking; only rerank and pipeline likelihood and
+    # prompts; only a remote provider http.client and ssl, and only the verbs that test
+    # significance statistics; no re-rank, at any --max-workers, loads concurrent.futures
     d, index, run = dataset["dir"], dataset["dir"] / "index.json", dataset["dir"] / "a.trec"
     assert run_cli("index", "--corpus", dataset["corpus"], "--out", index) == 0
     assert run_cli("search", "--index", index, "--queries", dataset["queries"], "--out", run) == 0
@@ -1452,8 +1452,9 @@ def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
             run.read_text().splitlines())
     loaded = _loaded_after("import sys, qlmrank.cli\nassert qlmrank.cli.main(sys.argv[1:]) == 0",
                            verb.removesuffix("-remote"), *argv[verb])
-    expected = BASE + (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
-                       if verb in ("rerank", "rerank-remote", "pipeline") else [])
+    expected = BASE + (["qlmrank.ranking"] if verb in ("index", "search", "pipeline") else [])
+    expected += (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
+                 if verb in ("rerank", "rerank-remote", "pipeline") else [])
     expected += ["http.client", "ssl"] if verb == "rerank-remote" else []
     expected += ["statistics"] if verb in ("sigtest", "pipeline") else []
     assert loaded == sorted(expected)
@@ -1464,6 +1465,7 @@ def test_cli_import_leaves_out_the_http_stack():
     assert _loaded_after("import sys, qlmrank") == []
     assert _loaded_after("import sys, qlmrank.cli") == BASE
     assert _loaded_after("import sys\nfrom qlmrank import load_qrels") == ["qlmrank.corpus"]
+    assert _loaded_after("import sys\nfrom qlmrank import Bm25Params") == ["qlmrank.corpus"]
 
 
 def test_package_names_are_their_modules_objects():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlmrank.corpus import QrelSet, Run
+from qlmrank.corpus import MAX_GRADE, QrelSet, Run
 from qlmrank.evaluation import ndcg_at_k
 from qlmrank.fusion import format_sweep, interpolate, minmax_normalize, sweep_alpha
 
@@ -202,17 +202,27 @@ class TestSweepAlpha:
                         st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-9.0, 9.0)),
     ).map(run_of)
 
+    # three MAX_GRADE judgments in one query overflow its ideal DCG from k = 3 on
+    GRADES = st.integers(0, 3) | st.sampled_from([MAX_GRADE - 1, MAX_GRADE])
+
     @settings(deadline=None, max_examples=300)
     @given(TIED_RUNS, TIED_RUNS,
-           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1,
-                    max_size=4),
+           st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), max_size=4),
            st.dictionaries(st.sampled_from(["q1", "q2", "q3"]),
-                           st.dictionaries(st.sampled_from(DOCS), st.integers(0, 3))),
-           st.integers(1, 10))
-    def test_equals_evaluating_each_interpolation(self, a, b, alphas, judged, k):
-        qrels = QrelSet({**judged, "q4": {"d0": 1}})  # q4 is in no run: always evaluable
-        assert sweep_alpha(a, b, alphas, qrels, k=k) == [
-            (alpha, ndcg_at_k(interpolate(a, b, alpha), qrels, k=k).mean) for alpha in alphas]
+                           st.dictionaries(st.sampled_from(DOCS), GRADES)),
+           st.booleans(), st.integers(1, 10))
+    def test_equals_evaluating_each_interpolation(self, a, b, alphas, judged, with_q4, k):
+        # no alpha, no evaluable query, and an ideal DCG that overflows can each occur
+        qrels = QrelSet({**judged, **({"q4": {"d0": 1}} if with_q4 else {})})  # q4 is in no run
+
+        def outcome(sweep):
+            try:
+                return sweep()
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: sweep_alpha(a, b, alphas, qrels, k=k)) == outcome(lambda: [
+            (alpha, ndcg_at_k(interpolate(a, b, alpha), qrels, k=k).mean) for alpha in alphas])
 
     def test_k_below_one_is_rejected(self):
         run = Run({"q": [("d1", 1.0)]})
