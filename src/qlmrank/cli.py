@@ -29,7 +29,8 @@ import os
 import sys
 import threading
 import typing
-from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass, make_dataclass
+from dataclasses import MISSING, is_dataclass
+from types import MappingProxyType, SimpleNamespace
 from typing import Literal
 
 # likelihood and prompts are imported where used, so the verbs that never re-rank
@@ -263,7 +264,7 @@ def _rerank(remote: likelihood.RemoteProvider | None, docs: list[corpus_io.Docum
     a bigram model of `docs` scoped to the queries; `options` go to rerank_run. Returns the run."""
     from . import likelihood
 
-    provider_fn = remote or likelihood.BigramLm.train([d.text() for d in docs],
+    provider_fn = remote or likelihood.BigramLm.train((d.text() for d in docs),
                                                       [q.text for q in query_list])
     try:
         reranked = likelihood.rerank_run(provider_fn, template, query_list, first_stage,
@@ -363,54 +364,39 @@ VERB_KEYS = {**{name: (run_rerank, name) for name in inspect.signature(run_reran
              "first_stage": (run_search, "ranker"), "eval_k": (run_eval, "k"),
              **{name: (run_sigtest, name) for name in ("alpha_level", "correction")}}
 
-
-@dataclass
-class _PipelineKeys:
-    """The pipeline's own config keys. PipelineConfig adds the VERB_KEYS: everything
-    one end-to-end experiment needs, loadable from JSON with CLI flag overrides (flags win)."""
-
-    qrels: str
-    output_dir: str
-    analyzer: dict = dc_field(default_factory=dict)
-    bm25: corpus_io.Bm25Params = dc_field(default_factory=corpus_io.Bm25Params)
-    dirichlet: corpus_io.DirichletParams = dc_field(default_factory=corpus_io.DirichletParams)
-    external_run: str | None = None
-    hybrid_alpha: float = fusion.HYBRID_ALPHA
-    rerank_alpha: float = fusion.RERANK_ALPHA
-
-    @classmethod
-    def load(cls, path: str, overrides: dict | None = None) -> _PipelineKeys:
-        """Read and check a config, with non-None `overrides` winning: its keys,
-        their JSON types, choices and RULES. run_pipeline's readers check its files."""
-        data = corpus_io.read_json(path)
-        if not isinstance(data, dict):
-            raise UsageError(f"{path}: config must be a JSON object")
-        data.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        types = typing.get_type_hints(cls)
-        checked = {name: _checked(name, value, types.get(name)) for name, value in data.items()}
-        missing = [f.name for f in fields(cls) if f.name not in data
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise UsageError(f"{path}: missing required config keys {missing}")
-        return cls(**checked)
+# the pipeline's own config keys -> (type, default), MISSING if required; none is mutable
+PIPELINE_KEYS = {"qrels": (str, MISSING), "output_dir": (str, MISSING),
+                 "analyzer": (dict, MappingProxyType({})),
+                 "bm25": (corpus_io.Bm25Params, corpus_io.Bm25Params()),
+                 "dirichlet": (corpus_io.DirichletParams, corpus_io.DirichletParams()),
+                 "external_run": (str | None, None), "hybrid_alpha": (float, fusion.HYBRID_ALPHA),
+                 "rerank_alpha": (float, fusion.RERANK_ALPHA)}
 
 
 @functools.cache
-def _pipeline_config() -> type[_PipelineKeys]:
-    """PipelineConfig, made on first use: the verbs that run no pipeline skip making it."""
+def config_keys() -> dict[str, tuple]:
+    """Every pipeline config key -> (type, default), made on first use: PIPELINE_KEYS,
+    then each VERB_KEYS entry's hint and default from its run_* signature."""
     hints = {run: typing.get_type_hints(run) for run, _ in VERB_KEYS.values()}
-    return make_dataclass("PipelineConfig", bases=(_PipelineKeys,), kw_only=True, fields=[
-        (key, hints[run][kw],
-         dc_field(default=MISSING if param.default is param.empty else param.default))
+    return {**PIPELINE_KEYS, **{
+        key: (hints[run][kw], MISSING if param.default is param.empty else param.default)
         for key, (run, kw) in VERB_KEYS.items()
-        for param in [inspect.signature(run).parameters[kw]]],
-        namespace={"__module__": __name__})  # make_dataclass sets no module before Python 3.12
+        for param in [inspect.signature(run).parameters[kw]]}}
 
 
-def __getattr__(name: str):
-    if name == "PipelineConfig":
-        return _pipeline_config()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def load_config(path: str, overrides: dict | None = None) -> SimpleNamespace:
+    """The config at `path`, non-None `overrides` winning, checked as _checked does, with
+    every absent key at its default. run_pipeline's readers check the files it names."""
+    data = corpus_io.read_json(path)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: config must be a JSON object")
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    keys = config_keys()
+    checked = {k: _checked(k, v, keys[k][0] if k in keys else None) for k, v in data.items()}
+    missing = [k for k, (_, default) in keys.items() if default is MISSING and k not in data]
+    if missing:
+        raise UsageError(f"{path}: missing required config keys {missing}")
+    return SimpleNamespace(**{k: default for k, (_, default) in keys.items()} | checked)
 
 
 def run_pipeline(config: str, **overrides) -> None:
@@ -422,7 +408,7 @@ def run_pipeline(config: str, **overrides) -> None:
     never read back: each stage takes the last one's result from memory."""
     from . import ranking
 
-    cfg = _pipeline_config().load(config, overrides)
+    cfg = load_config(config, overrides)
     remote = _remote_provider(cfg.endpoint, cfg.auth_token) if cfg.provider == "remote" else None
     docs = corpus_io.load_corpus(cfg.corpus)
     query_list = corpus_io.load_queries(cfg.queries)
@@ -440,6 +426,7 @@ def run_pipeline(config: str, **overrides) -> None:
         candidates = _search(inverted, query_list, out("first_stage.trec"), cfg.first_stage,
                              cfg.depth, cfg.bm25 if cfg.first_stage == "bm25" else cfg.dirichlet,
                              tag=None)
+        del inverted  # re-ranking reads the corpus, not the index
         if external is not None:
             # rerank takes the top `depth` of the hybrid run via its own depth cut
             candidates = fusion.interpolate(candidates, external, cfg.hybrid_alpha, tag="hybrid")
@@ -522,9 +509,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         hints = typing.get_type_hints(run)
         for name, param in inspect.signature(run).parameters.items():
             if param.kind is param.VAR_KEYWORD:
-                types = typing.get_type_hints(_pipeline_config())
                 for key in PIPELINE_FLAGS:
-                    _add_param(p, key, types[key], None, None)
+                    _add_param(p, key, config_keys()[key][0], None, None)
             else:
                 _add_param(p, name, hints[name], param.default, _HELP.get(verb, {}).get(name))
     return parser

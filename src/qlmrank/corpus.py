@@ -324,7 +324,11 @@ def _load_jsonl(path: str, line_kind: str, id_kind: str,
     items: dict[str, Document | Query] = {}  # by id, in file order
     for lineno, line in read_lines(path):
         try:
-            item = make(json.loads(line))
+            obj = json.loads(line)
+            if type(obj["_id"]) not in (str, int):  # a bool is neither
+                raise ValueError(f"_id must be a string or an integer, "
+                                 f"got {json.dumps(obj['_id'])}")
+            item = make(obj)
         except (ValueError, RecursionError, KeyError, TypeError) as exc:  # FormatError included
             raise FormatError(f"{path}:{lineno}: malformed {line_kind} line ({exc})") from exc
         if items.setdefault(item.id, item) is not item:
@@ -339,7 +343,7 @@ def load_corpus(path: str) -> list[Document]:
     malformed lines are errors (the error names the offending line).
     """
     return _load_jsonl(path, "corpus", "document", lambda obj: Document(
-        id=str(obj["_id"]), title=obj.get("title", "") or "", body=obj.get("text", "")))
+        str(obj["_id"]), "" if obj.get("title") is None else obj["title"], obj.get("text", "")))
 
 
 def load_queries(path: str) -> list[Query]:

@@ -16,12 +16,13 @@ import json
 import logging
 import math
 import queue
+import re
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
+from typing import Callable, Iterable
 
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
                      Run, _sum_in_order, check_value, words)
@@ -144,6 +145,8 @@ class RemoteProvider:
         import http.client
         from urllib.parse import urlsplit
 
+        if re.match(r"[^/?#]*//[^/?#]*@", endpoint):  # never sent; no message may repeat it
+            raise ValueError("endpoint must not hold user info; authenticate with a bearer token")
         self.url = endpoint.rstrip("/") + "/v1/loglikelihood"
         self._headers = {"Content-Type": "application/json",
                          **({"Authorization": f"Bearer {auth_token}"} if auth_token else {})}
@@ -164,6 +167,11 @@ class RemoteProvider:
         except (ValueError, http.client.InvalidURL):
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, "
                              f"got {endpoint!r}") from None
+        # urlsplit drops tabs and newlines; http.client sends no control character, space or
+        # non-ASCII character in a path, and a query or fragment would cut off the API path
+        if any(c in "?#\x7f" or c <= " " for c in endpoint) or not url.path.isascii():
+            raise ValueError(f"endpoint must hold no query, fragment, space or control "
+                             f"character, nor a non-ASCII path, got {endpoint!r}")
         self._path = url.path
 
     def _post(self, conn, body: bytes) -> tuple[int, bytes]:
@@ -291,7 +299,7 @@ class BigramLm:
         self._results: dict[tuple[str | None, str], LikelihoodResult] = {}
 
     @classmethod
-    def train(cls, texts: list[str], continuations: list[str] | None = None) -> BigramLm:
+    def train(cls, texts: Iterable[str], continuations: list[str] | None = None) -> BigramLm:
         unigrams: Counter[str] = Counter()
         bigrams: Counter[tuple[str, str]] = Counter()
         scope = None if continuations is None else {UNK}.union(*map(words, continuations))

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import base64
-import dataclasses
 import errno
 import fcntl
 import inspect
@@ -16,6 +15,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 import zlib
 from unittest import mock
 
@@ -704,6 +704,24 @@ class TestPipeline:
         for name in ("fused.trec", "eval.tsv", "significance.txt"):
             assert (disturbed / name).read_bytes() == (clean / name).read_bytes(), name
 
+    def test_index_is_dropped_before_rerank(self, dataset, monkeypatch):
+        # re-ranking reads the corpus: the index it no longer needs must not stay alive
+        built, build, rerank_run = [], ranking.build_index, likelihood.rerank_run
+
+        def building(*args):
+            index = build(*args)
+            built.append(weakref.ref(index))
+            return index
+
+        def reranking(*args, **kwargs):
+            assert [ref() for ref in built] == [None]
+            return rerank_run(*args, **kwargs)
+        monkeypatch.setattr(ranking, "build_index", building)
+        monkeypatch.setattr(likelihood, "rerank_run", reranking)
+        config = self.make_config(dataset, dataset["dir"] / "out")
+        assert run_cli("pipeline", "--config", config) == 0
+        assert len(built) == 1
+
     def test_every_config_key_reaches_its_stage(self, dataset, monkeypatch, stub_server):
         # the pipeline names each key it passes on: one it never reads would be dropped
         read = set()
@@ -715,16 +733,15 @@ class TestPipeline:
             def __getattr__(self, name):
                 read.add(name)
                 return getattr(self.config, name)
-        load = cli._PipelineKeys.load.__func__
-        monkeypatch.setattr(cli._PipelineKeys, "load",
-                            classmethod(lambda cls, *args: Recording(load(cls, *args))))
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda *args: Recording(load(*args)))
         remote = {"provider": "remote", "endpoint": stub_server, "auth_token": "t",
                   "on_error": "floor", "first_stage": "dirichlet",
                   "external_run": str(self.write_external(dataset))}
         for extra in ({}, remote):
             config = self.make_config(dataset, dataset["dir"] / "out", **extra)
             assert run_cli("pipeline", "--config", config) == 0
-        assert read == {field.name for field in dataclasses.fields(cli.PipelineConfig)}
+        assert read == set(cli.config_keys())
 
 
 def test_usage_error_on_unknown_command():
@@ -1262,9 +1279,23 @@ class TestMalformedInput:
         ("queries", {"_id": "q\t4", "text": "x"},
          "queries.jsonl:4: malformed query line "
          "(query id 'q\\t4' must be one word without whitespace)"),
-    ], ids=["corpus", "queries"])
-    def test_id_with_whitespace(self, dataset, capsys, name, row, message):
-        # a run file splits its columns on whitespace: such an id would break every run
+        *[("corpus", {"_id": value, "text": "x"}, "corpus.jsonl:6: malformed corpus line "
+           f"(_id must be a string or an integer, got {json.dumps(value)})")
+          for value in (None, True, 1.5, ["x"])],
+        *[("queries", {"_id": value, "text": "x"}, "queries.jsonl:4: malformed query line "
+           f"(_id must be a string or an integer, got {json.dumps(value)})")
+          for value in (None, False, 2.0, {"x": 1})],
+        *[("corpus", {"_id": "d6", "title": value, "text": "x"}, "corpus.jsonl:6: malformed "
+           "corpus line (document 'd6': title and body must be strings)")
+          for value in (0, False, [], 1)],
+    ], ids=["corpus", "queries", *[f"{kind}-{value}" for kind, values in [
+        ("corpus-id", ("null", "true", "1.5", "list")),
+        ("query-id", ("null", "false", "2.0", "object")),
+        ("title", ("0", "false", "empty-list", "1"))] for value in values]])
+    def test_malformed_id_or_title(self, dataset, capsys, name, row, message):
+        # a run file splits its columns on whitespace: such an id would break every run. An
+        # id that is not a JSON string or integer once loaded as its repr ('None', 'True'),
+        # and a title of 0, false or [] as an empty title
         with open(dataset[name], "a", encoding="utf-8") as f:
             f.write(json.dumps(row) + "\n")
         out = dataset["dir"] / "out.trec"
@@ -1272,6 +1303,39 @@ class TestMalformedInput:
                        "--queries", dataset["queries"], "--out", out,
                        "--model-family", "llama", "--dataset", "trecc")
         self.assert_data_error(code, capsys.readouterr().err, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["rerank", "pipeline"])
+    @pytest.mark.parametrize("suffix", ["/api?x=1", "/api#frag", "/a b", "/a\tb", "/caf\u00e9",
+                                        "user:secret@"],
+                             ids=["query", "fragment", "space", "tab", "non-ascii", "user-info"])
+    def test_endpoint_beyond_host_port_and_path(self, dataset, capsys, caplog, stub_server,
+                                                verb, suffix):
+        # each once reached the stub at the wrong path or without its credentials, or failed
+        # every attempt; now it is a usage error before any input is read
+        if suffix.endswith("@"):
+            endpoint = stub_server.replace("//", "//" + suffix)
+            message = "endpoint must not hold user info; authenticate with a bearer token"
+        else:
+            endpoint = stub_server + suffix
+            message = ("endpoint must hold no query, fragment, space or control character, "
+                       f"nor a non-ASCII path, got {endpoint!r}")
+        out = dataset["dir"] / "out"
+        if verb == "rerank":
+            run = dataset["dir"] / "r.trec"
+            run.write_text("q1 Q0 d1 1 1.0 bm25\n", encoding="utf-8")
+            argv = ["rerank", "--run", run, "--corpus", dataset["corpus"], "--queries",
+                    dataset["queries"], "--out", out, "--model-family", "llama",
+                    "--dataset", "trecc", "--provider", "remote", "--endpoint", endpoint]
+        else:
+            argv = ["pipeline", "--config", self.make_config(dataset, out, provider="remote",
+                                                              endpoint=endpoint)]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        self.assert_usage_error(code, err, message)
+        assert "secret" not in err + caplog.text
+        assert StubHandler.requests_seen == []
         assert not out.exists()
 
     # each verb's input flags (a positional run of sigtest's is "runs")

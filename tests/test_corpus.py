@@ -38,6 +38,11 @@ class TestLoadCorpus:
         path = write_jsonl("corpus.jsonl", [{"_id": "d2", "text": "only body"}])
         assert load_corpus(path) == [Document("d2", "", "only body")]
 
+    def test_integer_id_keeps_its_decimal_text(self, write_jsonl):
+        path = write_jsonl("corpus.jsonl", [{"_id": 7, "title": None, "text": "x"},
+                                            {"_id": -0, "text": "y"}])
+        assert load_corpus(path) == [Document("7", "", "x"), Document("0", "", "y")]
+
     def test_duplicate_id_rejected(self, write_jsonl):
         path = write_jsonl("corpus.jsonl", [
             {"_id": "d1", "text": "x"},

@@ -103,6 +103,11 @@ class TestBigramLm:
         assert math.exp(lm.logprob(UNK, "a")) == pytest.approx(0.2)
         assert math.exp(lm.logprob("b", "b")) == pytest.approx(0.2)
 
+    def test_trains_from_any_iterable(self):
+        texts = ["a b a b", "b c"]
+        lm, streamed = BigramLm.train(texts, ["b"]), BigramLm.train(iter(texts), ["b"])
+        assert (streamed.unigrams, streamed.bigrams) == (lm.unigrams, lm.bigrams)
+
     def test_distributions_sum_to_one(self):
         lm = BigramLm.train(["a b a b"])
         for context in ("a", "b", UNK):

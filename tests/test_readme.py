@@ -8,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from qlmrank.cli import ANALYZER_KEYS, PipelineConfig, run_index
+from qlmrank.cli import ANALYZER_KEYS, config_keys, load_config, run_index
 from qlmrank.corpus import Document
 from qlmrank.ranking import build_index, save_index
 
@@ -43,16 +43,16 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
 def test_config_block_holds_every_key_and_default(tmp_path, monkeypatch):
     section = README.read_text(encoding="utf-8").split("### One-shot pipeline", 1)[1]
     block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
-    required = [f.name for f in dataclasses.fields(PipelineConfig)
-                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    required = [key for key, (_, default) in config_keys().items()
+                if default is dataclasses.MISSING]
     assert set(list(block)[:6]) == set(required)  # "the first six are required"
     # a config of the required keys alone loads with every other key at its default
     monkeypatch.chdir(tmp_path)
     for name in ("corpus", "queries", "qrels"):
         Path(block[name]).write_text("", encoding="utf-8")
     Path("config.json").write_text(json.dumps({k: block[k] for k in required}), encoding="utf-8")
-    config = PipelineConfig.load("config.json")
-    loaded = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    config = load_config("config.json")
+    loaded = dict(vars(config))
     loaded.update(bm25=dataclasses.asdict(config.bm25),
                   dirichlet=dataclasses.asdict(config.dirichlet),
                   # an absent analyzer key takes run_index's default

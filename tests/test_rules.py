@@ -69,7 +69,7 @@ def test_library_checks_the_table(call, name, value):
 def test_every_rule_names_a_parameter():
     # a run_* keyword, a pipeline config key, or a key of a config section
     keywords = {name for run in cli.VERBS.values() for name in inspect.signature(run).parameters}
-    config = {field.name for field in dataclasses.fields(cli.PipelineConfig)}
+    config = set(cli.config_keys())
     sections = {field.name for params in (Bm25Params, DirichletParams)
                 for field in dataclasses.fields(params)}
     assert set(RULES) <= keywords | config | sections | set(cli.ANALYZER_KEYS)
