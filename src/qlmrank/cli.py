@@ -38,7 +38,7 @@ from typing import Literal
 from . import corpus as corpus_io, fusion
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, RULES, ProviderError, Run,
                      check_value)
-from .evaluation import format_report, ndcg_at_k, significance_matrix
+from .evaluation import RUN_LETTERS, format_report, ndcg_at_k, significance_matrix
 
 if typing.TYPE_CHECKING:
     from . import likelihood, prompts, ranking
@@ -300,8 +300,8 @@ def run_sigtest(runs: list[str], qrels: str, k: int = 10, alpha_level: float = 0
                 correction: Literal["bonferroni", "none"] = "bonferroni",
                 out: str | None = None) -> str:
     """pairwise paired t-tests between runs"""
-    if len(runs) < 2:
-        raise UsageError("sigtest needs at least 2 run files")
+    if not 2 <= len(runs) <= len(RUN_LETTERS):
+        raise UsageError(f"sigtest needs 2 to {len(RUN_LETTERS)} run files, got {len(runs)}")
     judged = corpus_io.load_qrels(qrels)
     named = [(os.path.splitext(os.path.basename(path))[0], corpus_io.read_run(path))
              for path in runs]

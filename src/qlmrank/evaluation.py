@@ -3,9 +3,9 @@
 nDCG uses exponential gain (2^rel - 1), a log2(rank + 1) discount, ideal
 DCG from the full judged set, and excludes queries without a positive
 judgment. trec_eval's ndcg_cut uses the grade itself as the gain, so the
-two agree on binary qrels only. The t-test tail probability is
-computed from a regularized incomplete beta evaluation so the package
-stays dependency-free here.
+two agree on binary qrels only. The t-test's two-tailed p is the
+regularized incomplete beta I_x(df/2, 1/2), summed here by its continued
+fraction so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -108,55 +108,48 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd coefficient of step m, one Lentz update each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_two_tailed_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is I_x(df/2, 1/2) at x = df/(df + t^2) (Abramowitz and Stegun
+    26.7.1): the continued fraction on x, or past its crossover 1 minus
+    I_y(1/2, df/2) at y = t^2/(df + t^2) (Numerical Recipes 6.4). x and y
+    are each a quotient of t, neither 1 minus the other, so p keeps its
+    precision near t = 0 at any df. A NaN t raises ValueError.
+    """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    if math.isinf(t):
+    tt = t * t
+    if math.isnan(tt):
+        raise ValueError(f"t must be a number, got {t}")
+    if math.isinf(tt):
         return 0.0
-    return betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
+    a = df / 2.0
+    x, y = df / (df + tt), tt / (df + tt)
+    if y == 0.0:  # t is 0, or so small that p rounds to 1
+        return 1.0
+    front = math.exp(math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+                     - a * math.log1p(tt / df) + 0.5 * math.log(y))
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _betacf(a, 0.5, x) / a
+    return 1.0 - front * _betacf(0.5, a, y) / 0.5
 
 
 def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
@@ -189,7 +182,8 @@ def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
 # Significance matrix
 # ---------------------------------------------------------------------------
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# a significance matrix names its rows by these letters, so it compares at most 26 runs
+RUN_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass
@@ -240,15 +234,15 @@ def significance_matrix(
         raise ValueError("need at least 2 runs to compare")
     if correction not in ("none", "bonferroni"):
         raise ValueError(f"unknown correction {correction!r}")
-    if len(runs) > len(_LETTERS):
-        raise ValueError(f"at most {len(_LETTERS)} runs supported")
+    if len(runs) > len(RUN_LETTERS):
+        raise ValueError(f"at most {len(RUN_LETTERS)} runs supported")
     names = [name for name, _ in runs]
     if len(set(names)) != len(names):
         raise ValueError("run names must be unique")
     check_value("alpha_level", alpha_level)
 
     reports = {name: ndcg_at_k(run, qrels, k=k) for name, run in runs}
-    letters = {name: _LETTERS[i] for i, name in enumerate(names)}
+    letters = {name: RUN_LETTERS[i] for i, name in enumerate(names)}
     comparisons_per_row = len(runs) - 1
 
     beats: dict[str, set[str]] = {name: set() for name in names}

@@ -293,8 +293,7 @@ class BigramLm:
         self.unigrams = unigrams
         self.bigrams = bigrams
         self.scope = scope  # None: every bigram was counted
-        self.vocab = set(unigrams)
-        self.vocab_size = len(self.vocab)
+        self.vocab_size = len(unigrams)  # the vocabulary is unigrams' keys
         self._last_words: dict[str, str | None] = {}
         self._results: dict[tuple[str | None, str], LikelihoodResult] = {}
 
@@ -315,7 +314,7 @@ class BigramLm:
         return cls(unigrams, bigrams, scope)
 
     def _canon(self, word: str) -> str:
-        return word if word in self.vocab else UNK
+        return word if word in self.unigrams else UNK
 
     def logprob(self, word: str, prev: str | None) -> float:
         """ln P(word | prev); prev=None means no usable context (UNK path)."""

@@ -493,6 +493,13 @@ class TestEvalSigtestSweep:
         bm25, _ = self._runs(dataset)
         assert run_cli("sigtest", bm25, "--qrels", dataset["qrels"]) == 1
 
+    def test_sigtest_takes_at_most_26_runs(self, dataset, capsys):
+        # a usage error before any file is read: none of these paths exists
+        missing = [str(dataset["dir"] / f"run{i}.trec") for i in range(27)]
+        capsys.readouterr()
+        assert run_cli("sigtest", *missing, "--qrels", dataset["dir"] / "none.tsv") == 1
+        assert capsys.readouterr().err == "error: sigtest needs 2 to 26 run files, got 27\n"
+
     def test_sigtest_needs_unique_basenames(self, dataset, capsys):
         bm25, _ = self._runs(dataset)
         (dataset["dir"] / "other").mkdir()

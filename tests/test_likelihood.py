@@ -121,7 +121,7 @@ class TestBigramLm:
             texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 12)))
                      for _ in range(rng.randint(1, 5))]
             lm = BigramLm.train(texts)
-            events = sorted(lm.vocab) + [UNK]
+            events = sorted(lm.unigrams) + [UNK]
             for context in events:
                 total = sum(math.exp(lm.logprob(v, context)) for v in events)
                 assert total == pytest.approx(1.0)
@@ -192,12 +192,12 @@ class TestBigramLm:
         assert (scoped.unigrams, scoped.vocab_size) == (full.unigrams, full.vocab_size)
         # scoring a query reads (the context's last word or None, its first word), then
         # (each word, the next); the context's last word can be any word or none
-        for prev in [None, UNK, "zz", *sorted(full.vocab)]:
+        for prev in [None, UNK, "zz", *sorted(full.unigrams)]:
             for query in filter(words, queries):
                 request = make_request(prev or "", query)
                 assert scoped(request) == full(request)
                 assert scoped.logprob(words(query)[0], prev) == full.logprob(words(query)[0], prev)
-        for word in sorted(full.vocab - scope):
+        for word in sorted(full.unigrams.keys() - scope):
             with pytest.raises(ValueError, match=f"^word {word!r} is outside"):
                 scoped.logprob(word, "a")
 
