@@ -15,17 +15,21 @@ flag from it, VERB_KEYS its config key's type and default, and a Literal
 hint gives its choices. corpus.RULES holds every other value rule, the library's too.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 provider/transport error.
+run() is the `qlmrank` command: main() in a process that skips the interpreter's
+teardown, and that SIGTERM unwinds as Ctrl-C does.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import inspect
 import json
 import logging
 import marshal
 import os
+import signal
 import sys
 import threading
 import typing
@@ -49,6 +53,10 @@ ENDPOINT_ENV = "QLMRANK_ENDPOINT"
 AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
 
 EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
+
+# run's collector thresholds: a verb's objects mostly live until it ends, so a
+# young-generation pass every 700 allocations (the default) finds little to free
+GC_THRESHOLD = (200_000, 30, 30)
 
 # the keys of the config's analyzer section: run_index's analyzer keywords
 ANALYZER_KEYS = ("lowercase", "stopwords", "stem")
@@ -147,7 +155,8 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
     Forking is unsafe while another thread runs, so then this process searches alone.
     This process searches the first block. A helper sends back its block's lists in
     marshal, which keeps every float exact, or exits non-zero having sent nothing, and
-    ends with os._exit: no finally, atexit handler or stdio flush runs in it. The blocks
+    ends with os._exit: no finally, atexit handler or stdio flush runs in it. It holds
+    no pipe's read end and stops before its next text once this process is gone. The blocks
     are joined in order, and one that no helper delivered (a text in it raised, or its
     helper could not start or died) is searched here in its turn, so the first text
     that raises raises here, as in the loop."""
@@ -155,6 +164,7 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
     cpus = max(1, min(cpus or 1, len(texts))) if threading.active_count() == 1 else 1
     blocks = [texts[len(texts) * i // cpus:len(texts) * (i + 1) // cpus] for i in range(cpus)]
     helpers = {}  # block number -> (pid of its helper, read end of its pipe)
+    parent = os.getpid()
     try:
         for block in range(1, cpus):
             r, w = os.pipe()
@@ -166,7 +176,16 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
                 break
             if pid == 0:  # a helper
                 try:
-                    data = marshal.dumps(list(map(search, blocks[block])))
+                    # hold no read end, so a write fails once the parent is gone
+                    os.close(r)
+                    for _, pipe in helpers.values():
+                        pipe.close()
+                    lists = []
+                    for text in blocks[block]:
+                        if os.getppid() != parent:  # orphaned: nobody will read the lists
+                            os._exit(1)
+                        lists.append(search(text))
+                    data = marshal.dumps(lists)
                     with open(w, "wb") as pipe:
                         pipe.write(data)
                     os._exit(0)
@@ -188,11 +207,9 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
                     continue
             found += map(search, blocks[block])
     finally:
-        if helpers:  # on an error or an interrupt
-            from signal import SIGKILL  # imported on use: a verb's start-up pays 1.5 ms for it
-        for pid, pipe in helpers.values():
+        for pid, pipe in helpers.values():  # on an error or an interrupt
             pipe.close()
-            os.kill(pid, SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return found
 
@@ -534,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in args.items():
             _check_rule(name, value, "--" + name.replace("_", "-"))
         sys.stdout.write(verb(**args) or "")  # a report, if the verb makes one
+        sys.stdout.flush()  # here, so that a closed stdout is a data error too
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -548,5 +566,41 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: like KeyboardInterrupt, no except Exception stops it."""
+
+
+def _terminated(signum, frame) -> None:
+    raise _Terminated
+
+
+def run() -> None:
+    """The `qlmrank` command: main() on sys.argv, with the collector at GC_THRESHOLD.
+
+    SIGTERM unwinds main() as Ctrl-C does, so every finally runs (helpers are
+    killed and reaped, temp files removed, the output_dir lock released); then
+    the process ends by SIGTERM, the status a shell sees without a handler.
+    When main() returns, every output is fsynced and renamed, every helper
+    reaped and every thread joined, so the process ends with os._exit after
+    flushing logging and stdio, and skips the interpreter's teardown."""
+    gc.set_threshold(*GC_THRESHOLD)
+    signal.signal(signal.SIGTERM, _terminated)
+    try:
+        code = main()
+    except _Terminated:
+        code = None
+    finally:  # from here on a SIGTERM ends the process at once
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if code is None:
+        signal.raise_signal(signal.SIGTERM)
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # what main() could not write to a closed stdout: it said so
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -144,6 +144,63 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def alive(pid):
+    """Whether process pid still runs: it has not ended, or ended but is not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+# the environment of a fresh interpreter whose stdout to a file or pipe is block-buffered
+BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
+def python(code, *argv, **kwargs):
+    """A fresh interpreter running `code` with sys.argv[1:] = argv; kwargs go to Popen."""
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], **kwargs)
+
+
+def wait_for(condition, proc, seconds=30):
+    """Poll condition() until it holds; fail if proc ends or `seconds` pass first."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert proc.poll() is None, proc.communicate()
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+
+
+# run() with each query taking 1 s, on 2 CPUs: the helper's block of the 25 queries
+# takes 12 s or more. The helper touches a file named by its pid in directory sys.argv[1].
+SLOW_SEARCH = """
+import os, sys, time
+from qlmrank import cli, ranking
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, search, pids = os.getpid(), ranking.bm25_search, sys.argv.pop(1)
+def slow(*args, **kwargs):
+    if os.getpid() != parent:
+        open(os.path.join(pids, str(os.getpid())), "w").close()
+    time.sleep(1)
+    return search(*args, **kwargs)
+ranking.bm25_search = slow
+cli.run()
+"""
+
+# run() with every fsync held up for 30 s, after touching the file sys.argv[1]
+SLOW_WRITE = """
+import os, sys, time
+from qlmrank import cli
+fsync, held = os.fsync, sys.argv.pop(1)
+def slow(fd):
+    open(held, "w").close()
+    time.sleep(30)
+    fsync(fd)
+os.fsync = slow
+cli.run()
+"""
+
+
 class TestSearchOnEveryCpu:
     """search splits its queries over the CPUs the process may use, in helpers
     forked from it: the bytes written and the error raised are the one-process ones."""
@@ -295,6 +352,46 @@ class TestSearchOnEveryCpu:
         assert not other.is_alive()
         assert len(forks) == 2
         assert (tmp_path / "alone.trec").read_bytes() == (tmp_path / "split.trec").read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+    def test_a_helper_holds_no_pipe_but_its_own_write_end(self, indexed, tmp_path, monkeypatch):
+        def pipes():
+            links = set()
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    links.add(os.readlink(f"/proc/self/fd/{fd}"))
+                except FileNotFoundError:  # listdir's own descriptor, closed since
+                    pass
+            return {link for link in links if link.startswith("pipe:")}
+        parent, before = os.getpid(), pipes()
+        # each query's one result counts the pipes its process holds that this one did not
+        monkeypatch.setattr(ranking, "bm25_search", lambda index, params, text, k: [
+            (f"n{len(pipes() - before) if os.getpid() != parent else 0}", 1.0)])
+        may_use_cpus(monkeypatch, 3)
+        assert run_cli("search", *indexed, "--out", tmp_path / "run.trec") == 0
+        run = read_run(str(tmp_path / "run.trec"))
+        assert [run.doc_ids(f"q{i}")[0] for i in range(25)] == ["n0"] * 8 + ["n1"] * 17
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["KILL", "TERM"])
+    def test_a_helper_ends_with_its_parent(self, indexed, tmp_path, sig):
+        # SIGKILL leaves the helper to notice it has no parent, after one query;
+        # SIGTERM unwinds the parent, which kills and reaps the helper before it ends
+        pids, out = tmp_path / "pids", tmp_path / "run.trec"
+        pids.mkdir()
+        proc = python(SLOW_SEARCH, pids, "search", *indexed, "--out", out,
+                      stderr=subprocess.PIPE, text=True)
+        wait_for(lambda: os.listdir(pids), proc)
+        [helper] = [int(name) for name in os.listdir(pids)]
+        proc.send_signal(sig)
+        assert proc.communicate(timeout=10) == (None, "")
+        assert proc.returncode == -sig
+        deadline = time.monotonic() + 4
+        while alive(helper):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        assert not out.exists()
 
 
 class TestRerankAndFuse:
@@ -1547,6 +1644,67 @@ def test_package_names_are_their_modules_objects():
     assert set(qlmrank.__all__) <= set(dir(qlmrank))
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         qlmrank.nope
+
+
+class TestCommand:
+    """The qlmrank command, run(): main() in a process that ends with os._exit once
+    main() returns, and that a SIGTERM unwinds as Ctrl-C does."""
+
+    def test_run_ends_with_mains_code_and_no_teardown(self):
+        code = ("import atexit, gc, sys\nfrom qlmrank import cli\n"
+                "atexit.register(print, 'teardown')\n"
+                "cli.main = lambda: print(gc.get_threshold()) or 3\ncli.run()")
+        proc = python(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                      env=BUFFERED)
+        assert proc.communicate(timeout=60) == (f"{cli.GC_THRESHOLD}\n", "")
+        assert proc.returncode == 3
+
+    @pytest.mark.parametrize("verb", ["eval", "sigtest", "sweep"])
+    def test_a_report_reaches_a_file_and_a_closed_pipe_is_a_data_error(self, dataset, capsys,
+                                                                       tmp_path, verb):
+        bm25, dirichlet = TestEvalSigtestSweep()._runs(dataset)
+        argv = {"eval": ["eval", "--run", bm25], "sigtest": ["sigtest", bm25, dirichlet],
+                "sweep": ["sweep", "--run-a", bm25, "--run-b", dirichlet]}[verb]
+        argv = [*map(str, argv), "--qrels", dataset["qrels"]]
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        report = capsys.readouterr().out
+        command = [sys.executable, "-m", "qlmrank.cli", *argv]
+        with open(tmp_path / "report", "w") as out:
+            proc = subprocess.run(command, stdout=out, stderr=subprocess.PIPE, text=True,
+                                  env=BUFFERED)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report").read_text() == report
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(command, stdout=w, stderr=subprocess.PIPE, text=True,
+                                  env=BUFFERED)
+        finally:
+            os.close(w)
+        assert proc.returncode == 2
+        assert [line for line in proc.stderr.splitlines() if " INFO " not in line] == [
+            "data error: [Errno 32] Broken pipe"]
+
+    @pytest.mark.parametrize("verb", ["index", "pipeline"])
+    def test_sigterm_in_a_write_removes_its_temp_file_and_ends_the_process_by_it(
+            self, dataset, verb):
+        outdir = dataset["dir"] / "out"
+        if verb == "index":
+            outdir.mkdir()
+            argv = ["index", "--corpus", dataset["corpus"], "--out", outdir / "index.json"]
+        else:
+            argv = ["pipeline", "--config", TestPipeline().make_config(dataset, outdir)]
+        held = dataset["dir"] / "held"
+        proc = python(SLOW_WRITE, held, *argv, stderr=subprocess.PIPE, text=True)
+        wait_for(held.exists, proc)
+        [tmp] = os.listdir(outdir)  # index.json's temp file, the first output written
+        assert tmp.endswith(".tmp")
+        proc.terminate()
+        err = proc.communicate(timeout=10)[1]
+        assert proc.returncode == -signal.SIGTERM
+        assert "Traceback" not in err
+        assert os.listdir(outdir) == []
 
 
 class TestAtomicWrite:

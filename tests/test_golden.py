@@ -2,10 +2,12 @@
 dataset made here, against its committed sha256 digest.
 
 Byte-identical reruns are an invariant; this pins the bytes themselves, on
-every supported Python. An index.json is a set of zlib streams, which another
-zlib build may deflate differently: its digest is checked only under the zlib
-version that wrote it, and elsewhere its index must read back as the one built.
-A change that alters an artifact on purpose updates GOLDEN and says why.
+every supported Python. An index.json holds zlib streams, which another zlib
+build may deflate differently: its digest is checked only under the zlib
+version that wrote it. Its INFLATED digest, of the file with each packed field
+replaced by its typecode and the bytes its stream inflates to, is checked
+under any zlib. A change that alters an artifact on purpose updates GOLDEN
+(and INFLATED) and says why.
 
 Without pytest, for instance under another Python version:
     PYTHONPATH=src python3 -W error tests/test_golden.py
@@ -13,6 +15,7 @@ prints every artifact whose digest differs, with the digest it has, and exits
 1 if there is one.
 """
 
+import base64
 import hashlib
 import json
 import random
@@ -22,8 +25,6 @@ import zlib
 from pathlib import Path
 
 from qlmrank.cli import main
-from qlmrank.corpus import load_corpus
-from qlmrank.ranking import build_index, load_index
 
 ZLIB_VERSION = "1.2.13"  # the zlib that wrote the index.json digests below
 GOLDEN = {
@@ -47,6 +48,23 @@ GOLDEN = {
     "pipeline/reranked.trec": "2958a93f6e672b9a40dada9b6d6a8f917d5922eb445f34ebefefc56748f3a249",
     "pipeline/significance.txt": "b6f257c746b8acde0d172ecc0b91c6f39758a428512e6ba271011d47663c22d9",
 }
+INFLATED = {
+    "chain/index.json": "ac205421b2758c1a43b71458e0fc05a5cb428055128954b5d3922546ec2dda11",
+    "pipeline/index.json": "ac205421b2758c1a43b71458e0fc05a5cb428055128954b5d3922546ec2dda11",
+}
+PACKED = ("doc_len", "df", "positions", "tfs")  # index.json's zlib-packed fields
+
+
+def inflated_digest(path: Path) -> str:
+    """sha256 of index.json's text with each packed field's string replaced by its
+    typecode and the hex of the bytes its zlib stream inflates to."""
+    text = path.read_text(encoding="utf-8")
+    index = json.loads(text)
+    for field in PACKED:
+        value = index[field]
+        inflated = zlib.decompress(base64.b64decode(value[1:])).hex()
+        text = text.replace(json.dumps(value), json.dumps(value[0] + inflated))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_dataset(root: Path) -> None:
@@ -125,10 +143,11 @@ def mismatches(root: Path) -> list[str]:
     found = {path.relative_to(root).as_posix(): path for path in make_artifacts(root)}
     bad = [f"{name} missing" for name in GOLDEN if name not in found]
     for name, path in found.items():
-        if name.endswith("index.json") and zlib.ZLIB_RUNTIME_VERSION != ZLIB_VERSION:
-            if load_index(str(path)) != build_index(load_corpus(str(root / "corpus.jsonl"))):
-                bad.append(f"{name} does not read back as the index built")
-        elif (digest := hashlib.sha256(path.read_bytes()).hexdigest()) != GOLDEN.get(name):
+        if name in INFLATED and (digest := inflated_digest(path)) != INFLATED[name]:
+            bad.append(f"{name} inflated {digest}")
+        if name in INFLATED and zlib.ZLIB_RUNTIME_VERSION != ZLIB_VERSION:
+            continue
+        if (digest := hashlib.sha256(path.read_bytes()).hexdigest()) != GOLDEN.get(name):
             bad.append(f"{name} {digest}")
     return bad
 
