@@ -47,7 +47,8 @@ from .evaluation import RUN_LETTERS, format_report, ndcg_at_k, significance_matr
 if typing.TYPE_CHECKING:
     from . import likelihood, prompts, ranking
 
-logger = logging.getLogger(__name__)
+# not __name__, which is __main__ under python -m qlmrank.cli
+logger = logging.getLogger("qlmrank.cli")
 
 ENDPOINT_ENV = "QLMRANK_ENDPOINT"
 AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
@@ -546,7 +547,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         # the verb is the first argument that is not an option: the top level has only -h
         only = next((arg for arg in argv if not arg.startswith("-")), None)
-        args = vars(build_parser(only).parse_args(argv))
+        try:
+            args = vars(build_parser(only).parse_args(argv))
+        except SystemExit:  # --help, printed: flushed here as a report is below
+            sys.stdout.flush()
+            raise
         verb = VERBS[args.pop("command")]
         for name, value in args.items():
             _check_rule(name, value, "--" + name.replace("_", "-"))

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from .corpus import (Bm25Params, DirichletParams, Document, FormatError, _top_k, check_unique,
                      check_value, check_words, open_atomic, read_json, words)
 
-INDEX_FORMAT_VERSION = 5
-# level 6 makes a 1.5k-document index about 5% smaller and its save some 35 ms
-# slower (2 vCPU Xeon)
+INDEX_FORMAT_VERSION = 6
+# level 6 makes a 1.5k-document index about 1% smaller and its save some 5 ms
+# slower (2 vCPU Xeon): only the word lists shrink, as _pack's Z_RLE streams
+# are the same at every level
 ZLIB_LEVEL = 1
 _INDEX_KEYS = {"format_version", "analyzer", "doc_ids", "terms", "doc_len", "df",
                "positions", "tfs"}
@@ -380,8 +381,9 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist the index as versioned, canonical JSON: doc ids once, the
-    terms in sorted order, and every integer array packed (see _pack).
+    """Persist the index as versioned, canonical JSON: doc ids once and the
+    terms in sorted order, each list packed (see _pack_words), and every
+    integer array packed (see _pack).
     positions and tfs are the postings of all terms, concatenated in terms
     order, and df holds each term's share; positions holds each term's
     first document position and then its d-gaps. Everything round-trips
@@ -397,8 +399,8 @@ def save_index(index: InvertedIndex, path: str) -> None:
     payload = {
         "format_version": INDEX_FORMAT_VERSION,
         "analyzer": index.analyzer.to_dict(),
-        "doc_ids": index.doc_ids,
-        "terms": terms,
+        "doc_ids": _pack_words(index.doc_ids),
+        "terms": _pack_words(terms),
         "doc_len": _pack(index.doc_len),
         "df": _pack(array("I", [len(index.postings[term][0]) for term in terms])),
         "positions": _pack(_gaps(positions, starts)),
@@ -431,10 +433,12 @@ def _gaps(positions: array, starts: list[int]) -> array:
 
 def _pack(values: array) -> str:
     """The typecode of the narrowest of B, H and I that holds every value,
-    then base64 of the zlib stream, at ZLIB_LEVEL, of the values' byte planes
-    in that width: byte 0 (the lowest) of every item, then byte 1, and so on.
-    Items far below their width's top leave their high planes mostly zeros,
-    which zlib squeezes better than the same bytes interleaved."""
+    then base64 of the zlib stream, at ZLIB_LEVEL with the Z_RLE strategy, of
+    the values' byte planes in that width: byte 0 (the lowest) of every item,
+    then byte 1, and so on. Items far below their width's top leave their
+    high planes mostly zeros, which zlib squeezes better than the same bytes
+    interleaved; Z_RLE, which matches only runs of one byte, squeezes these
+    planes smaller and faster than the default search."""
     top = max(values, default=0)
     code = next(code for code, width in _WIDTHS.items() if top < 1 << 8 * width)
     if sys.byteorder == "big":
@@ -442,7 +446,16 @@ def _pack(values: array) -> str:
         values.byteswap()
     data, size = values.tobytes(), values.itemsize
     planes = b"".join(data[k::size] for k in range(_WIDTHS[code]))
-    return code + base64.b64encode(zlib.compress(planes, ZLIB_LEVEL)).decode("ascii")
+    deflater = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    return code + base64.b64encode(deflater.compress(planes) + deflater.flush()).decode("ascii")
+
+
+def _pack_words(values: list[str]) -> str:
+    """The byte count of the values joined by newlines in UTF-8, a colon, and
+    base64 of those bytes' zlib stream at ZLIB_LEVEL. A value is never empty
+    and never holds whitespace, so splitting at the newlines gives it back."""
+    data = "\n".join(values).encode("utf-8")
+    return f"{len(data)}:" + base64.b64encode(zlib.compress(data, ZLIB_LEVEL)).decode("ascii")
 
 
 def _unpack(name: str, value: object, count: int) -> tuple[array, int]:
@@ -454,27 +467,8 @@ def _unpack(name: str, value: object, count: int) -> tuple[array, int]:
     code, text = value[:1], value[1:]
     if code not in _WIDTHS:
         raise ValueError(f"{name} must start with typecode B, H or I, got {code!r}")
-    try:
-        data = base64.b64decode(text)
-    except ValueError:  # binascii.Error, or a character outside ASCII
-        data = None
-    # b64decode skips stray characters and ignores padding bits, so only
-    # re-encoding proves that text is the one encoding of data
-    if data is None or base64.b64encode(data).decode("ascii") != text:
-        raise ValueError(f"{name} is not canonical base64")
     width = _WIDTHS[code]
-    limit = count * width
-    inflater = zlib.decompressobj()
-    try:
-        data = inflater.decompress(data, limit + 1)
-    except zlib.error as exc:
-        raise ValueError(f"{name} is not a zlib stream: {exc}") from None
-    if len(data) > limit:
-        raise ValueError(f"{name} decompresses to more than its {limit} bytes")
-    if not inflater.eof:
-        raise ValueError(f"{name} ends inside its zlib stream")
-    if inflater.unused_data:
-        raise ValueError(f"{name} holds bytes after its zlib stream")
+    data = _inflate(name, text, count * width)
     if len(data) % width:
         raise ValueError(f"{name} holds {len(data)} bytes, not a multiple of its "
                          f"item size {width}")
@@ -491,6 +485,57 @@ def _unpack(name: str, value: object, count: int) -> tuple[array, int]:
     # int object is made per item
     ored = functools.reduce(operator.or_, (int.from_bytes(plane, "little") for plane in planes))
     return unpacked, ored.to_bytes(n, "little").count(0)
+
+
+def _inflate(name: str, text: str, limit: int) -> bytes:
+    """The bytes that base64 text's one zlib stream inflates to, at most
+    limit of them: inflating stops one byte past limit. Anything else
+    raises ValueError naming the field."""
+    try:
+        data = base64.b64decode(text)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        data = None
+    # b64decode skips stray characters and ignores padding bits, so only
+    # re-encoding proves that text is the one encoding of data
+    if data is None or base64.b64encode(data).decode("ascii") != text:
+        raise ValueError(f"{name} is not canonical base64")
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(data, limit + 1)
+    except zlib.error as exc:
+        raise ValueError(f"{name} is not a zlib stream: {exc}") from None
+    if len(data) > limit:
+        raise ValueError(f"{name} decompresses to more than its {limit} bytes")
+    if not inflater.eof:
+        raise ValueError(f"{name} ends inside its zlib stream")
+    if inflater.unused_data:
+        raise ValueError(f"{name} holds bytes after its zlib stream")
+    return data
+
+
+def _unpack_words(name: str, value: object) -> list[str]:
+    """_pack_words's values; anything else _pack_words cannot write, but for
+    an empty value or one holding whitespace, raises ValueError naming the
+    field. Inflating stops one byte past the byte count."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a packed word list string, got "
+                         f"{json.dumps(value)[:40]}")
+    size, colon, text = value.partition(":")
+    # canonical decimal, short enough that no int() of it is slow or too large for zlib
+    if not (colon and size.isascii() and size.isdigit() and len(size) <= 18
+            and size == str(int(size))):
+        raise ValueError(f"{name} must start with its byte count in decimal and a colon")
+    data = _inflate(name, text, int(size))
+    if len(data) != int(size):
+        raise ValueError(f"{name} holds {len(data)} bytes, not its byte count {size}")
+    try:
+        joined = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name} is not UTF-8 ({exc.reason})") from None
+    # freed before split() builds the list: held there, they left glibc keeping
+    # 5-8 MB more of a search process's heap at 10k-20k documents
+    del data
+    return joined.split("\n") if joined else []
 
 
 class _Postings(Mapping):
@@ -526,7 +571,7 @@ class _Postings(Mapping):
 def load_index(path: str) -> InvertedIndex:
     """Read save_index's JSON. A file of another shape or format version,
     or with a value build_index cannot make, raises FormatError naming the
-    path; no packed array is inflated past the size its counts give it.
+    path; no packed field is inflated past the size the file gives it.
     Every value is checked here, whether or not a search will read it."""
     payload = read_json(path)
     version = payload.get("format_version") if isinstance(payload, dict) else None
@@ -544,14 +589,14 @@ def _index_from_payload(payload: dict) -> InvertedIndex:
     if payload.keys() != _INDEX_KEYS:
         raise ValueError(f"index keys must be {sorted(_INDEX_KEYS)}, got {sorted(payload)}")
     analyzer = Analyzer.from_dict(payload["analyzer"])
-    doc_ids, terms = payload["doc_ids"], payload["terms"]
-    if not (isinstance(doc_ids, list) and doc_ids and set(map(type, doc_ids)) == {str}):
-        raise ValueError("doc_ids must be a non-empty list of strings")
+    doc_ids = _unpack_words("doc_ids", payload["doc_ids"])
+    if not doc_ids:
+        raise ValueError("doc_ids must hold at least one doc id")
     check_words("doc id", doc_ids)
     check_unique(doc_ids)
-    if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
-            and all(map(operator.lt, terms, terms[1:]))):
-        raise ValueError("terms must be a list of unique strings in sorted order")
+    terms = _unpack_words("terms", payload["terms"])
+    if terms[:1] == [""] or not all(map(operator.lt, terms, terms[1:])):
+        raise ValueError("terms must be unique non-empty strings in sorted order")
     n = len(doc_ids)
     doc_len, _ = _unpack("doc_len", payload["doc_len"], n)
     if len(doc_len) != n:

@@ -76,6 +76,18 @@ def deflated(code, data):
     return code + base64.b64encode(zlib.compress(data, ranking.ZLIB_LEVEL)).decode()
 
 
+def word_list(*values):
+    """An index file's packed word list: the UTF-8 byte count of the values
+    joined by newlines, a colon, and base64 of those bytes' zlib stream."""
+    data = "\n".join(values).encode("utf-8")
+    return worded(len(data), zlib.compress(data, ranking.ZLIB_LEVEL))
+
+
+def worded(size, stream):
+    """A packed word list string of a byte count and a zlib stream as given."""
+    return f"{size}:" + base64.b64encode(stream).decode()
+
+
 def zero_bomb(mib):
     """The zlib stream of mib MiB of zero bytes, made without holding them."""
     deflater = zlib.compressobj(1)
@@ -992,15 +1004,16 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 5, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
-             "doc_ids": ["d1", "d2"], "terms": ["apple"], "doc_len": packed("B", 1, 2),
-             "df": packed("B", 2), "positions": packed("B", 0, 1), "tfs": packed("B", 1, 2)}
+    INDEX = {"format_version": 6, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+             "doc_ids": word_list("d1", "d2"), "terms": word_list("apple"),
+             "doc_len": packed("B", 1, 2), "df": packed("B", 2), "positions": packed("B", 0, 1),
+             "tfs": packed("B", 1, 2)}
     V2_INDEX = {"format_version": 2, "analyzer": INDEX["analyzer"], "doc_ids": ["d1", "d2"],
                 "doc_len": [1, 2], "postings": {"apple": [[0, 1], [1, 2]]}}
-    NO_DOCS = {"doc_ids": [], "terms": [], "doc_len": packed("B"), "df": packed("B"),
-               "positions": packed("B"), "tfs": packed("B")}
-    BAD_DOC_IDS = "doc_ids must be a non-empty list of strings"
-    BAD_TERMS = "terms must be a list of unique strings in sorted order"
+    NO_DOCS = {"doc_ids": word_list(), "terms": word_list(), "doc_len": packed("B"),
+               "df": packed("B"), "positions": packed("B"), "tfs": packed("B")}
+    BAD_TERMS = "terms must be unique non-empty strings in sorted order"
+    BAD_COUNT = "must start with its byte count in decimal and a colon"
     INDEX_CASES = {
         "array": ([], "unsupported index format version None"),
         "v1": ({"format_version": 1, "analyzer": INDEX["analyzer"], "n_docs": 1,
@@ -1010,6 +1023,8 @@ class TestMalformedInput:
         "v3": ({**INDEX, "format_version": 3, "positions": "BAAE="},
                "unsupported index format version 3"),
         "v4": ({**INDEX, "format_version": 4}, "unsupported index format version 4"),
+        "v5": ({**INDEX, "format_version": 5, "doc_ids": ["d1", "d2"], "terms": ["apple"]},
+               "unsupported index format version 5"),
         "postings-array": ({**INDEX, "positions": [0, 1]},
                            "positions must be a packed array string, got [0, 1]"),
         "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
@@ -1027,7 +1042,7 @@ class TestMalformedInput:
         "analyzer-missing": ({k: v for k, v in INDEX.items() if k != "analyzer"},
                              "index keys must be"),
         "not-json": ("{", "invalid JSON"),
-        "posting-three-lists": ({**INDEX, "terms": ["apple", "pear"]},
+        "posting-three-lists": ({**INDEX, "terms": word_list("apple", "pear")},
                                 "df must hold one count per term (2), got 1"),
         "tf-string": ({**INDEX, "tfs": "1,2"}, "tfs must start with typecode B, H or I, got '1'"),
         "tf-zero": ({**INDEX, "tfs": packed("B", 3, 0)}, "every tf must be >= 1"),
@@ -1048,18 +1063,59 @@ class TestMalformedInput:
                           "doc_len must hold one length per doc id (2), got 1"),
         "doc-len-below-tfs": ({**INDEX, "doc_len": packed("B", 1, 0)},  # d2 holds tf 2
                               "doc_len must sum to the sum of all tfs (3), got 1"),
-        "doc-id-not-string": ({**INDEX, "doc_ids": ["d1", ["d2"]]}, BAD_DOC_IDS),
-        "doc-id-with-space": ({**INDEX, "doc_ids": ["d1", "a b"]},
+        "doc-ids-list": ({**INDEX, "doc_ids": ["d1", "d2"]},
+                         'doc_ids must be a packed word list string, got ["d1", "d2"]'),
+        "doc-id-not-string": ({**INDEX, "doc_ids": ["d1", ["d2"]]},
+                              'doc_ids must be a packed word list string, got ["d1", ["d2"]]'),
+        "term-not-string": ({**INDEX, "terms": [1]},
+                            "terms must be a packed word list string, got [1]"),
+        "terms-null": ({**INDEX, "terms": None},
+                       "terms must be a packed word list string, got null"),
+        "doc-id-with-space": ({**INDEX, "doc_ids": word_list("d1", "a b")},
                               "doc id 'a b' must be one word without whitespace"),
-        "doc-id-empty-string": ({**INDEX, "doc_ids": ["", "d2"]},
+        "doc-id-empty-string": ({**INDEX, "doc_ids": word_list("", "d2")},
                                 "doc id '' must be one word without whitespace"),
-        "doc-ids-empty": ({**INDEX, **NO_DOCS}, BAD_DOC_IDS),
-        "doc-ids-duplicate": ({**INDEX, "doc_ids": ["d1", "d1"]}, "duplicate doc id 'd1'"),
-        "terms-unsorted": ({**INDEX, "terms": ["pear", "apple"], "df": packed("B", 1, 1)},
-                           BAD_TERMS),
-        "terms-duplicate": ({**INDEX, "terms": ["apple", "apple"], "df": packed("B", 1, 1)},
-                            BAD_TERMS),
-        "term-not-string": ({**INDEX, "terms": [1]}, BAD_TERMS),
+        "doc-id-trailing-newline": ({**INDEX, "doc_ids": word_list("d1", "d2", "")},
+                                    "doc id '' must be one word without whitespace"),
+        "doc-ids-empty": ({**INDEX, **NO_DOCS}, "doc_ids must hold at least one doc id"),
+        "doc-ids-duplicate": ({**INDEX, "doc_ids": word_list("d1", "d1")},
+                              "duplicate doc id 'd1'"),
+        "doc-ids-one-short": ({**INDEX, "doc_ids": word_list("d1")},
+                              "doc_len decompresses to more than its 1 bytes"),
+        "doc-id-not-utf8": ({**INDEX, "doc_ids": worded(5, zlib.compress(b"d1\nd\xff"))},
+                            "doc_ids is not UTF-8 (invalid start byte)"),
+        "terms-unsorted": ({**INDEX, "terms": word_list("pear", "apple"),
+                            "df": packed("B", 1, 1)}, BAD_TERMS),
+        "terms-duplicate": ({**INDEX, "terms": word_list("apple", "apple"),
+                             "df": packed("B", 1, 1)}, BAD_TERMS),
+        "term-empty": ({**INDEX, "terms": word_list("", "apple"), "df": packed("B", 1, 1)},
+                       BAD_TERMS),
+        "term-not-utf8": ({**INDEX, "terms": worded(5, zlib.compress(b"appl\xc3"))},
+                          "terms is not UTF-8 (unexpected end of data)"),
+        "count-missing": ({**INDEX, "terms": INDEX["terms"].split(":")[1]}, f"terms {BAD_COUNT}"),
+        "count-empty": ({**INDEX, "terms": ":" + INDEX["terms"].split(":")[1]},
+                        f"terms {BAD_COUNT}"),
+        "count-leading-zero": ({**INDEX, "terms": "0" + INDEX["terms"]}, f"terms {BAD_COUNT}"),
+        "count-signed": ({**INDEX, "doc_ids": "+" + INDEX["doc_ids"]}, f"doc_ids {BAD_COUNT}"),
+        "count-not-ascii": ({**INDEX, "terms": "\u0665:" + INDEX["terms"].split(":")[1]},
+                            f"terms {BAD_COUNT}"),
+        "count-19-digits": ({**INDEX, "terms": "1" * 19 + ":" + INDEX["terms"].split(":")[1]},
+                            f"terms {BAD_COUNT}"),
+        "count-above": ({**INDEX, "terms": "6:" + INDEX["terms"].split(":")[1]},
+                        "terms holds 5 bytes, not its byte count 6"),
+        "count-below": ({**INDEX, "doc_ids": "4:" + INDEX["doc_ids"].split(":")[1]},
+                        "doc_ids decompresses to more than its 4 bytes"),
+        "words-base64-non-canonical": ({**INDEX, "terms": "0:eAEDAAAAAAF="},  # padding bits set
+                                       "terms is not canonical base64"),
+        "words-base64-stray": ({**INDEX, "terms": INDEX["terms"] + "\n"},
+                               "terms is not canonical base64"),
+        "words-not-zlib": ({**INDEX, "terms": worded(5, b"apple")}, "terms is not a zlib stream: "),
+        "words-zlib-truncated": ({**INDEX, "terms": worded(5, zlib.compress(b"apple")[:-2])},
+                                 "terms ends inside its zlib stream"),
+        "words-zlib-then-bytes": ({**INDEX, "terms": worded(5, zlib.compress(b"apple") + b"\0")},
+                                  "terms holds bytes after its zlib stream"),
+        "words-past-size": ({**INDEX, "doc_ids": worded(5, zero_bomb(64))},
+                            "doc_ids decompresses to more than its 5 bytes"),
         "pair-lengths-differ": ({**INDEX, "tfs": packed("B", 3)},
                                 "positions and tfs must each hold sum(df) = 2 entries, "
                                 "got 2 and 1"),
@@ -1209,12 +1265,44 @@ class TestMalformedInput:
         self.assert_data_error(code, capsys.readouterr().err, message)
         assert peak < 4 << 20
 
+    def test_word_list_past_its_size_is_not_inflated(self, dataset, capsys, monkeypatch):
+        # the stream holds 64 MiB of zeros; load inflates one byte past doc_ids' count of 5
+        payload, message = self.INDEX_CASES["words-past-size"]
+        index = dataset["dir"] / "index.json"
+        index.write_text(json.dumps(payload))
+        inflated = []
+        decompressobj = zlib.decompressobj
+
+        class Inflater:  # zlib's, counting what each decompress call returns
+            def __init__(self):
+                self._inflater = decompressobj()
+
+            def decompress(self, data, max_length=0):
+                out = self._inflater.decompress(data, max_length)
+                inflated.append(len(out))
+                return out
+
+            def __getattr__(self, name):
+                return getattr(self._inflater, name)
+
+        monkeypatch.setattr(zlib, "decompressobj", Inflater)
+        tracemalloc.start()
+        try:
+            code = run_cli("search", "--index", index, "--queries", dataset["queries"],
+                           "--out", dataset["dir"] / "out.trec")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        self.assert_data_error(code, capsys.readouterr().err, message)
+        assert inflated == [6]
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("ranker", ["bm25", "dirichlet"])
     def test_index_checks_terms_no_query_reads(self, dataset, capsys, ranker):
         # "zebra", in no query, holds the one bad posting: d2 before d1
         index = dataset["dir"] / "index.json"
         index.write_text(json.dumps({
-            **self.INDEX, "terms": ["apple", "zebra"], "doc_len": packed("B", 2, 3),
+            **self.INDEX, "terms": word_list("apple", "zebra"), "doc_len": packed("B", 2, 3),
             "df": packed("B", 2, 2), "positions": packed("B", 0, 1, 1, 0),
             "tfs": packed("B", 1, 2, 1, 1)}))
         out = dataset["dir"] / "out.trec"
@@ -1659,32 +1747,50 @@ class TestCommand:
         assert proc.communicate(timeout=60) == (f"{cli.GC_THRESHOLD}\n", "")
         assert proc.returncode == 3
 
-    @pytest.mark.parametrize("verb", ["eval", "sigtest", "sweep"])
-    def test_a_report_reaches_a_file_and_a_closed_pipe_is_a_data_error(self, dataset, capsys,
-                                                                       tmp_path, verb):
-        bm25, dirichlet = TestEvalSigtestSweep()._runs(dataset)
-        argv = {"eval": ["eval", "--run", bm25], "sigtest": ["sigtest", bm25, dirichlet],
-                "sweep": ["sweep", "--run-a", bm25, "--run-b", dirichlet]}[verb]
-        argv = [*map(str, argv), "--qrels", dataset["qrels"]]
-        capsys.readouterr()
-        assert run_cli(*argv) == 0
+    @pytest.mark.parametrize("verb", ["eval", "sigtest", "sweep", "--help", "search --help"])
+    def test_a_report_reaches_a_file_and_a_closed_pipe_is_a_data_error(
+            self, dataset, capsys, monkeypatch, tmp_path, verb):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the subprocesses
+        env = {**BUFFERED, "COLUMNS": "80"}
+        if verb.endswith("--help"):  # argparse prints the help, then raises SystemExit(0)
+            argv = verb.split()
+            capsys.readouterr()
+            with pytest.raises(SystemExit, match="^0$"):
+                run_cli(*argv)
+        else:
+            bm25, dirichlet = TestEvalSigtestSweep()._runs(dataset)
+            argv = {"eval": ["eval", "--run", bm25], "sigtest": ["sigtest", bm25, dirichlet],
+                    "sweep": ["sweep", "--run-a", bm25, "--run-b", dirichlet]}[verb]
+            argv = [*map(str, argv), "--qrels", dataset["qrels"]]
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
         report = capsys.readouterr().out
+        assert report
         command = [sys.executable, "-m", "qlmrank.cli", *argv]
         with open(tmp_path / "report", "w") as out:
             proc = subprocess.run(command, stdout=out, stderr=subprocess.PIPE, text=True,
-                                  env=BUFFERED)
+                                  env=env)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "report").read_text() == report
         r, w = os.pipe()
         os.close(r)
         try:
             proc = subprocess.run(command, stdout=w, stderr=subprocess.PIPE, text=True,
-                                  env=BUFFERED)
+                                  env=env)
         finally:
             os.close(w)
         assert proc.returncode == 2
         assert [line for line in proc.stderr.splitlines() if " INFO " not in line] == [
             "data error: [Errno 32] Broken pipe"]
+
+    def test_a_verb_under_python_m_logs_as_qlmrank_cli(self, dataset, tmp_path):
+        # under python -m the module is __main__, which is not the logger's name
+        proc = subprocess.run([sys.executable, "-m", "qlmrank.cli", "index", "--corpus",
+                               str(dataset["corpus"]), "--out", str(tmp_path / "index.json")],
+                              capture_output=True, text=True, env=BUFFERED)
+        assert proc.returncode == 0, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert " INFO qlmrank.cli: indexed " in line
 
     @pytest.mark.parametrize("verb", ["index", "pipeline"])
     def test_sigterm_in_a_write_removes_its_temp_file_and_ends_the_process_by_it(

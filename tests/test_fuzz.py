@@ -4,8 +4,9 @@ A verb given a mutated input file exits with a documented code (0 to 3)
 and, on failure, one stderr line and no output file; it never raises, and
 every mutation finishes within a deadline. The index property's mutations
 reach each layer of a packed array (its base64 text, its zlib stream, its
-bytes and its integers), the JSON keys and values around them, and the
-file's text itself. The text readers' mutations reach lines, columns,
+bytes and its integers) and of a packed word list (its byte count, its
+base64 text, its zlib stream and its UTF-8 bytes and separators), the JSON
+keys and values around them, and the file's text itself. The text readers' mutations reach lines, columns,
 JSON fields, nesting depth and bytes of corpus, queries, qrels, run and
 catalog files. RemoteProvider's decoder, given a mutated response body,
 returns finite float logprobs or raises ProtocolError, and decodes every
@@ -35,6 +36,11 @@ from qlmrank.likelihood import LOGPROB_FLOOR, ProtocolError, RemoteProvider
 from qlmrank.ranking import build_index, save_index
 
 PACKED = ("doc_len", "df", "positions", "tfs")
+WORDS = ("doc_ids", "terms")
+# stand-ins for a word list's byte count, and bytes that are not UTF-8
+EDGE_COUNTS = ["", "0", "00", "-1", "+5", " 5", "5 ", "\u0665", "1e3", "9" * 18, "9" * 19,
+               str(2**64)]
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xc0\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
 WIDTHS = {"B": 1, "H": 2, "I": 4}
 EDGE_VALUES = [None, True, False, 0, -1, 4, 2**32, 2**64, 10**300, 1e308, -0.0, 1e-320,
                float("inf"), "", " ", "\0", "é", "B", "BeAEDAAAAAAE=", [], [1], ["d1"],
@@ -58,7 +64,8 @@ def files(tmp_path_factory):
     save_index(build_index([Document("d1", "", "apple apple pear"),
                             Document("d2", "fig", "pear fig fig"),
                             Document("d3", "", "kiwi apple"),
-                            Document("d4", "", "pear " * 300)]), str(index))
+                            Document("d4", "", "pear " * 300),
+                            Document("d\u00e95", "", "kiwi")]), str(index))
     queries = d / "queries.jsonl"
     queries.write_text('{"_id": "q1", "text": "apple pear"}\n'
                        '{"_id": "q2", "text": "fig kiwi"}\n', encoding="utf-8")
@@ -117,13 +124,51 @@ def mutated_packed(draw, value):
     return code + base64.b64encode(zlib.compress(data, 1)).decode()
 
 
+WORD_LAYERS = ("count", "text", "stream", "bytes", "utf8", "separator")
+
+
+def mutated_words(draw, value, layers=WORD_LAYERS):
+    """A packed word list string changed at one of `layers`; a value that no
+    longer decodes gets an edge value instead."""
+    try:
+        size, text = value.split(":")
+        stream = base64.b64decode(text, validate=True)
+        data = zlib.decompress(stream)
+    except (AttributeError, ValueError, zlib.error):
+        return draw(st.sampled_from(EDGE_VALUES))
+    layer = draw(st.sampled_from(layers))
+    if layer == "count":
+        size = draw(st.sampled_from([*EDGE_COUNTS, "0" + size, str(len(data) - 1),
+                                      str(len(data) + 1)]))
+        return f"{size}:{text}"
+    if layer == "text":
+        return size + ":" + mutated_bytes(draw, text.encode("ascii")).decode("latin-1")
+    if layer == "stream":
+        return size + ":" + base64.b64encode(mutated_bytes(draw, stream)).decode()
+    at = draw(st.integers(0, len(data)))
+    if layer == "bytes":
+        data = mutated_bytes(draw, data)
+    elif layer == "utf8":
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    else:  # a separator added (an empty word at either end or next to another) or removed
+        how = draw(st.sampled_from(["add", "start", "end", "double", "remove"]))
+        breaks = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        if how in ("double", "remove") and breaks:
+            i = draw(st.sampled_from(breaks))
+            data = data[:i] + (b"\n\n" if how == "double" else b"") + data[i + 1:]
+        else:
+            at = {"start": 0, "end": len(data)}.get(how, at)
+            data = data[:at] + b"\n" + data[at:]
+    return f"{len(data)}:" + base64.b64encode(zlib.compress(data, 1)).decode()
+
+
 @st.composite
 def mutated_index_files(draw, payload):
     """The bytes of an index file: payload with one or two mutations, most of
-    them inside a packed array."""
+    them inside a packed array or word list."""
     payload = copy.deepcopy(payload)
     for _ in range(draw(st.integers(1, 2))):
-        how = draw(st.sampled_from(["drop", "add", "edge", "edge", "list", "list",
+        how = draw(st.sampled_from(["drop", "add", "edge", "edge", *["words"] * 4,
                                     *["packed"] * 8]))
         key = draw(st.sampled_from(sorted(payload) or ["format_version"]))
         if how == "drop":
@@ -136,11 +181,9 @@ def mutated_index_files(draw, payload):
         elif how == "packed":
             name = draw(st.sampled_from(PACKED))
             payload[name] = mutated_packed(draw, payload.get(name))
-        elif isinstance(payload.get(key), list) and payload[key]:
-            items = payload[key]
-            at = draw(st.integers(0, len(items) - 1))
-            items[at:at + 1] = draw(st.sampled_from(
-                [[], [items[at]] * 2, [draw(st.sampled_from(EDGE_VALUES))], ["a b"], ["zz"]]))
+        else:
+            name = draw(st.sampled_from(WORDS))
+            payload[name] = mutated_words(draw, payload.get(name))
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return mutated_bytes(draw, data) if draw(st.integers(0, 9)) == 0 else data
 
@@ -175,6 +218,20 @@ def test_search_of_a_mutated_index_exits_with_a_documented_code(files, data):
     files["index"].write_bytes(data.draw(mutated_index_files(files["payload"])))
     assert_documented_exit(["search", "--index", files["index"], "--queries", files["queries"],
                             "--out", files["out"]], files["out"])
+
+
+@settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_search_of_a_broken_word_list_is_a_data_error(files, data):
+    # a wrong count, bytes not UTF-8, or a separator added or removed always breaks the
+    # file; a change of the other layers may not (a flip in the padding bits of the
+    # stream's last byte, say, leaves it inflating to the same bytes)
+    name = data.draw(st.sampled_from(WORDS))
+    payload = {**files["payload"], name: mutated_words(data.draw, files["payload"][name],
+                                                       ["count", "utf8", "separator"])}
+    files["index"].write_text(json.dumps(payload), encoding="utf-8")
+    assert assert_documented_exit(["search", "--index", files["index"], "--queries",
+                                   files["queries"], "--out", files["out"]], files["out"]) == 2
 
 
 # the text inputs of the reader property, each as a list of its lines but the catalog

@@ -5,9 +5,9 @@ Byte-identical reruns are an invariant; this pins the bytes themselves, on
 every supported Python. An index.json holds zlib streams, which another zlib
 build may deflate differently: its digest is checked only under the zlib
 version that wrote it. Its INFLATED digest, of the file with each packed field
-replaced by its typecode and the bytes its stream inflates to, is checked
-under any zlib. A change that alters an artifact on purpose updates GOLDEN
-(and INFLATED) and says why.
+replaced by its typecode or byte count and the bytes its stream inflates to,
+is checked under any zlib. A change that alters an artifact on purpose
+updates GOLDEN (and INFLATED) and says why.
 
 Without pytest, for instance under another Python version:
     PYTHONPATH=src python3 -W error tests/test_golden.py
@@ -34,7 +34,7 @@ GOLDEN = {
     "chain/fewshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
     "chain/fewshot.trec": "739e865f7b3e97660a271f03fc244a44e5f12d0abb9508a3a1ca694a55b56422",
     "chain/fused.trec": "ab809452d60e26c5f43b3b2411de3798c122c70ccba7b98b8182c7d9d5d6f527",
-    "chain/index.json": "647393caebfd030701c1a0c17b12fb025914ee674cb32f62bf83ef5eec1bfb1f",
+    "chain/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
     "chain/sig.txt": "f368f9ed545812d8a170ac8013bc1619409f9590a5098604ce0f9cf5db94874f",
     "chain/sweep.tsv": "cbd7eaac91d1c47a7b3f75e6832616fa4fc4d52bafaca69a515b47a684cc7b77",
     "chain/zeroshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
@@ -43,27 +43,31 @@ GOLDEN = {
     "pipeline/first_stage.trec": "c432987c6ec6410b513cb40f6607f91f74154e629ab245f601e057f47c27f515",
     "pipeline/fused.trec": "6ba9b31bc78a64288b2549068b334c119908f1dc31d73be75fae976c7af6a0ac",
     "pipeline/hybrid.trec": "19c4abab9026a138985a72d998df1b4a820f62c4e93631d1f7f43219ff2dd287",
-    "pipeline/index.json": "647393caebfd030701c1a0c17b12fb025914ee674cb32f62bf83ef5eec1bfb1f",
+    "pipeline/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
     "pipeline/provider_stats.json": "b7956378e2942dc81d528cee9164bb0408a66c1a922dbece549b452836039451",
     "pipeline/reranked.trec": "2958a93f6e672b9a40dada9b6d6a8f917d5922eb445f34ebefefc56748f3a249",
     "pipeline/significance.txt": "b6f257c746b8acde0d172ecc0b91c6f39758a428512e6ba271011d47663c22d9",
 }
 INFLATED = {
-    "chain/index.json": "ac205421b2758c1a43b71458e0fc05a5cb428055128954b5d3922546ec2dda11",
-    "pipeline/index.json": "ac205421b2758c1a43b71458e0fc05a5cb428055128954b5d3922546ec2dda11",
+    "chain/index.json": "d5c4853b5818d99b7d3cf326c5406fc035e63214bcc13c603b460c05e1546ab3",
+    "pipeline/index.json": "d5c4853b5818d99b7d3cf326c5406fc035e63214bcc13c603b460c05e1546ab3",
 }
-PACKED = ("doc_len", "df", "positions", "tfs")  # index.json's zlib-packed fields
+# index.json's zlib-packed fields: the arrays, a typecode and then base64, and the
+# word lists, a byte count and a colon and then base64
+PACKED = ("doc_ids", "doc_len", "df", "positions", "terms", "tfs")
 
 
 def inflated_digest(path: Path) -> str:
     """sha256 of index.json's text with each packed field's string replaced by its
-    typecode and the hex of the bytes its zlib stream inflates to."""
+    typecode or byte count and colon, and the hex of the bytes its zlib stream
+    inflates to."""
     text = path.read_text(encoding="utf-8")
     index = json.loads(text)
     for field in PACKED:
         value = index[field]
-        inflated = zlib.decompress(base64.b64decode(value[1:])).hex()
-        text = text.replace(json.dumps(value), json.dumps(value[0] + inflated))
+        head = value[:value.index(":") + 1] if ":" in value else value[:1]
+        inflated = zlib.decompress(base64.b64decode(value[len(head):])).hex()
+        text = text.replace(json.dumps(value), json.dumps(head + inflated))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

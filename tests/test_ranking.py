@@ -480,14 +480,15 @@ class TestPersistence:
                    bm25_search(c3_index, Bm25Params(), query, k=3)
 
     def test_file_layout(self, c3_index, tmp_path):
-        # terms sorted, each array packed, postings concatenated in terms order
+        # terms sorted, each list and array packed, postings concatenated in terms order
         path = tmp_path / "index.json"
         save_index(c3_index, str(path))
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert {k: v for k, v in payload.items() if k != "analyzer"} == {
-            "format_version": 5, "doc_ids": ["d1", "d2", "d3"], "terms": ["a", "b", "c"],
+            "format_version": 6, "doc_ids": word_list("d1", "d2", "d3"),
+            "terms": word_list("a", "b", "c"),
             "doc_len": packed("B", 3, 2, 3), "df": packed("B", 1, 2, 2),
             # each term's first position, then its d-gaps: a [0], b [0, 1], c [1, 2]
             "positions": packed("B", 0, 0, 1, 1, 1), "tfs": packed("B", 2, 1, 1, 1, 3)}
@@ -497,7 +498,8 @@ class TestPersistence:
         index = build_index([Document("d1", "", "!"), Document("d2", "", "")])
         path = str(tmp_path / "index.json")
         save_index(index, path)
-        assert json.loads(Path(path).read_text())["positions"] == packed("B")
+        payload = json.loads(Path(path).read_text())
+        assert (payload["terms"], payload["positions"]) == (word_list(), packed("B"))
         assert load_index(path) == index
 
     def test_version_check(self, tmp_path):
@@ -517,11 +519,35 @@ class TestPersistence:
 
 def packed(code, *values):
     """_pack's output, written with struct: typecode, then base64 of the zlib
-    stream, at level 1, of the values' byte planes: byte k of value i, little
-    end first, at k * len(values) + i."""
+    stream, at level 1 with the Z_RLE strategy, of the values' byte planes:
+    byte k of value i, little end first, at k * len(values) + i."""
     width, data = struct.calcsize("<" + code), struct.pack(f"<{len(values)}{code}", *values)
     planes = bytes(data[i * width + k] for k in range(width) for i in range(len(values)))
-    return code + base64.b64encode(zlib.compress(planes, 1)).decode()
+    deflater = zlib.compressobj(1, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    return code + base64.b64encode(deflater.compress(planes) + deflater.flush()).decode()
+
+
+def word_list(*values):
+    """_pack_words's output: the UTF-8 byte count of the values joined by
+    newlines, a colon, then base64 of those bytes' zlib stream at level 1."""
+    data = "\n".join(values).encode("utf-8")
+    return f"{len(data)}:" + base64.b64encode(zlib.compress(data, 1)).decode()
+
+
+def test_pack_deflates_with_z_rle():
+    # 300 items of 1, 2, 3, 0 repeating: the default search matches the period-4
+    # pattern, Z_RLE only runs of one byte, so their streams differ
+    values = array("I", [1, 2, 3, 0] * 75)
+    stream = base64.b64decode(ranking._pack(values)[1:])
+    assert stream != zlib.compress(values.tobytes()[::4], 1)
+    assert zlib.decompress(stream) == bytes([1, 2, 3, 0] * 75)
+
+
+@pytest.mark.parametrize("values", [[], ["d1"], ["a", "b", "c"], ["d\u00e93", "\u6587", "A"]])
+def test_words_round_trip(values):
+    text = ranking._pack_words(values)
+    assert text == word_list(*values)
+    assert ranking._unpack_words("x", text) == values
 
 
 @pytest.mark.parametrize("top, code", [(0, "B"), (255, "B"), (256, "H"), (65535, "H"),
@@ -621,12 +647,16 @@ def test_pack_on_a_big_endian_host(monkeypatch, values):
 @st.composite
 def persisted_corpora(draw):
     """Corpora with 1-3 distinct lengths whose text sits in the title, the
-    body or both, over ids drawn from one small pool, so every build
-    reuses the same ids in another order."""
-    vocab = ["a", "b", "c", "d", "e"]
-    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    body or both, over ids drawn from one small pool, some not ASCII, so
+    every build reuses the same ids in another order; a document may hold
+    no token, and the analyzer may keep case, so "A" and "a" are two terms.
+    Returns the documents, a query and the analyzer."""
+    analyzer = draw(st.sampled_from([Analyzer(), Analyzer(lowercase=False)]))
+    vocab = ["a", "b", "c", "d", "e", "A", "Ab"]
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
     n = draw(st.integers(1, 20))
-    ids = draw(st.permutations([f"doc{i}" for i in range(20)]))[:n]
+    pool = [f"doc{i}" for i in range(17)] + ["d\u00e93", "\u6587\u66f8", "\U0001f600"]
+    ids = draw(st.permutations(pool))[:n]
     docs = []
     for did in ids:
         length = draw(st.sampled_from(lengths))
@@ -634,7 +664,7 @@ def persisted_corpora(draw):
         split = draw(st.integers(0, length))
         docs.append(Document(did, " ".join(words[:split]), " ".join(words[split:])))
     query = " ".join(draw(st.lists(st.sampled_from(vocab + ["oov"]), max_size=5)))
-    return docs, query
+    return docs, query, analyzer
 
 
 def _saved(index):
@@ -647,8 +677,8 @@ def _saved(index):
 @settings(max_examples=150, deadline=None)
 @given(persisted_corpora(), st.sampled_from([0.5, 10.0, 1000.0]), st.sampled_from([0.0, 0.4, 1.0]))
 def test_loaded_index_searches_like_the_built_one(corpus, mu, b):
-    docs, query = corpus
-    index = build_index(docs)
+    docs, query, analyzer = corpus
+    index = build_index(docs, analyzer)
     _, back = _saved(index)
     assert back == index
     for k in range(1, len(docs) + 3):
@@ -661,8 +691,8 @@ def test_loaded_index_searches_like_the_built_one(corpus, mu, b):
 @settings(max_examples=100, deadline=None)
 @given(persisted_corpora())
 def test_resaving_a_loaded_index_gives_the_same_bytes(corpus):
-    docs, _ = corpus
-    first, back = _saved(build_index(docs))
+    docs, _, analyzer = corpus
+    first, back = _saved(build_index(docs, analyzer))
     second, _ = _saved(back)
     assert first == second
 
