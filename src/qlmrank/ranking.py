@@ -247,22 +247,32 @@ def bm25_search(index: InvertedIndex, params: Bm25Params, query: str,
 
 def dirichlet_qlm_score(index: InvertedIndex, params: DirichletParams,
                         query_terms: list[str], doc_id: str) -> float:
-    """Dirichlet-smoothed query log likelihood:
-    sum over query tokens of ln((tf + mu * cf/total) / (dl + mu)).
-
-    Tokens absent from the whole collection are skipped (contribute 0)
-    rather than producing -inf; a mu out of range raises ValueError.
+    """Dirichlet-smoothed query log likelihood, the sum over query tokens of
+    ln((tf + s_t) / (dl + mu)) with s_t = mu * cf_t / total, in the
+    rank-equivalent form of Zhai and Lafferty (SIGIR 2001), c_t being term
+    t's count in the query:
+        (sum_t c_t ln s_t - (sum_t c_t) ln(dl + mu))
+          + sum of c_t (ln(tf + s_t) - ln s_t) over the terms d holds,
+    each sum added left to right in Counter order. Tokens absent from the
+    whole collection are skipped (contribute 0) rather than producing -inf;
+    a mu out of range raises ValueError.
     """
+    mu = params.mu
     dl = index.doc_len[index.position(doc_id)]
-    longest = max(index._docs_by_length) + params.mu
-    score = 0.0
+    longest = max(index._docs_by_length) + mu
+    base, tokens, gain = 0.0, 0, 0.0  # base is sum_t c_t ln s_t, tokens sum_t c_t
     for term, count in Counter(query_terms).items():
-        if index.cf(term) == 0:
+        if term not in index.postings:
             continue
+        smoothed = _smoothed(index, mu, term, longest)
+        log_s = math.log(smoothed)
+        base += count * log_s
+        tokens += count
         tf = index.term_frequency(term, doc_id)
-        p = (tf + _smoothed(index, params.mu, term, longest)) / (dl + params.mu)
-        score += count * math.log(p)
-    return score
+        if tf:
+            # ln(tf + s) - ln s, not log1p(tf / s): tf / s overflows for a subnormal s
+            gain += count * (math.log(tf + smoothed) - log_s)
+    return base - tokens * math.log(dl + mu) + gain
 
 
 def _smoothed(index: InvertedIndex, mu: float, term: str, longest: float) -> float:
@@ -285,91 +295,45 @@ def dirichlet_search(index: InvertedIndex, params: DirichletParams, query: str,
     large that a query term's smoothed probability underflows to 0 or
     overflows to inf raises ValueError.
 
-    One pass over the query terms' postings estimates every score in the
-    rank-equivalent form of Zhai and Lafferty (SIGIR 2001), with
-    s_t = mu * cf_t / total and c_t the count of term t in the query:
-        sum_t c_t ln s_t - (sum_t c_t) ln(dl + mu)
-          + sum of c_t (ln(tf + s_t) - ln s_t) over the terms d holds.
-    A document holding no query term scores by its length alone, so each
-    distinct length is one group. Only the documents and groups whose
-    estimate can reach the top k are scored exactly, and only the best
-    groups, enough to fill k and every group tied with the last one taken,
-    join the final ranking.
+    One pass over the postings, in Counter order, adds up each document's
+    gain, sum of c_t (ln(tf + s_t) - ln s_t) over the terms it holds; each
+    distinct length gets its prior, sum_t c_t ln s_t - (sum_t c_t) ln(dl + mu).
+    A score is prior + gain, the floats dirichlet_qlm_score adds. A document
+    holding no query term scores its length's prior, so each length is one
+    group; only the best groups, enough to fill k and every group tied with
+    the last one taken, join the final ranking.
     """
     check_value("k", k)
     mu = params.mu
     log = math.log
     lengths = index._docs_by_length
-    doc_len = index.doc_len
     longest = max(lengths) + mu
-    terms = []  # (count, s = mu * cf / total, positions, tfs) per query term in Counter order
-    for term, count in Counter(index.analyzer.tokenize(query)).items():
-        if term in index.postings:
-            terms.append((count, _smoothed(index, mu, term, longest), *index.postings[term]))
-
-    # Estimate, one step per posting. The gain is ln(tf + s) - ln s, not
-    # log1p(tf / s): tf / s overflows for a subnormal s.
-    log_dl = {dl: log(dl + mu) for dl in lengths}
-    tokens = sum(count for count, *_ in terms)
-    base = 0.0  # sum_t c_t ln s_t
-    magnitude = tokens * max(map(abs, log_dl.values()))
-    underflow = 0.0
+    base, tokens = 0.0, 0  # sum_t c_t ln s_t and sum_t c_t
     gains: dict[int, float] = {}  # by doc position, for the documents holding a query term
-    for count, smoothed, positions, tfs in terms:
+    for term, count in Counter(index.analyzer.tokenize(query)).items():
+        if term not in index.postings:
+            continue
+        smoothed = _smoothed(index, mu, term, longest)
         log_s = log(smoothed)
         base += count * log_s
+        tokens += count
+        positions, tfs = index.postings[term]
+        # ln(tf + s) - ln s, not log1p(tf / s): tf / s overflows for a subnormal s
         gain = {tf: count * (log(tf + smoothed) - log_s) for tf in set(tfs)}
-        magnitude += count * (2 * abs(log_s) + log(max(gain) + smoothed))  # max(gain): top tf
-        underflow += count * math.ulp(0.0) / (smoothed / longest)
         for pos, tf in zip(positions, tfs):
             gains[pos] = gains.get(pos, 0.0) + gain[tf]
-    estimate = {dl: base - tokens * ln for dl, ln in log_dl.items()}
-    estimates = [estimate[doc_len[pos]] + g for pos, g in gains.items()]
+    prior = {dl: base - tokens * log(dl + mu) for dl in lengths}
+    doc_len = index.doc_len
+    scores = [prior[doc_len[pos]] + g for pos, g in gains.items()]
 
-    # Floor. Let X(d) be d's score as the exact fold below computes it, E(d)
-    # its estimate, and R(d) the real sum both round (over the same floats
-    # s_t, tf + s_t and dl + mu). With m terms, unit roundoff u = 2**-53 and
-    # ln correct to 1 ulp, to first order in u:
-    #   |E(d) - R(d)| <= (m + 5) u M
-    #   |X(d) - R(d)| <= (m + 2) u M + 2 u C + U
-    # where C = sum_t c_t, M (magnitude) bounds the summed magnitudes of the
-    # addends of either sum for every document, and U (underflow) bounds
-    # what the fold loses where s_t / (dl + mu) is subnormal, so rounded by
-    # up to 2**-1075 absolute, not 2**-53 relative: ln of such a quotient q
-    # errs by at most 2**-1074 / q, and q >= s_t / (max dl + mu).
-    # So |E(d) - X(d)| <= delta = (2m + 7) u M + 2 u C + U for every d. If
-    # E_k is the k-th best estimate, k documents have exact scores at least
-    # E_k - delta, so a document or group with E < E_k - 2 delta scores below
-    # all k and cannot reach the top k. The margin is 2 delta, with the u
-    # terms eight times over.
-    floor = -math.inf
-    if len(gains) >= k:
-        margin = (len(terms) + 4) * 2**-48 * (magnitude + tokens) + 2 * underflow
-        floor = sorted(estimates)[-k] - margin
-    keep = [pos for pos, e in zip(gains, estimates) if e >= floor]
-    keep_len = [doc_len[pos] for pos in keep]
-    by_length = {dl: 0.0 for dl, e in estimate.items() if e >= floor}
-
-    # dirichlet_qlm_score's sum, one query term at a time in Counter order,
-    # for each kept document and for each kept length that a document in no
-    # posting can have (tf 0): every score is bit-identical to the oracle's
-    needed = by_length.keys() | set(keep_len)
-    scores = [0.0] * len(keep)
-    for count, smoothed, positions, tfs in terms:
-        absent = {dl: count * log(smoothed / (dl + mu)) for dl in needed}
-        by_length = {dl: s + absent[dl] for dl, s in by_length.items()}
-        tf_of = dict(zip(positions, tfs)).get
-        scores = [s + (count * log((tf + smoothed) / (dl + mu)) if (tf := tf_of(pos))
-                       else absent[dl])
-                  for s, pos, dl in zip(scores, keep, keep_len)]
-
+    # k documents score at least kth, so none scoring below it can rank
+    kth = sorted(scores)[-k] if len(scores) >= k else -math.inf
     doc_ids = index.doc_ids
-    shortlist = [(doc_ids[pos], s) for pos, s in zip(keep, scores)]
-    groups = sorted(((s, lengths[dl]) for dl, s in by_length.items()),
+    shortlist = [(doc_ids[pos], s) for pos, s in zip(gains, scores) if s >= kth]
+    groups = sorted(((s, lengths[dl]) for dl, s in prior.items() if s >= kth),
                     key=lambda group: -group[0])
     # a non-posting doc left out scores below `last`, and k others score at least `last`
-    taken = 0
-    last = None
+    taken, last = 0, None
     for s, group in groups:
         if taken >= k and s != last:
             break

@@ -29,20 +29,20 @@ from qlmrank.cli import main
 ZLIB_VERSION = "1.2.13"  # the zlib that wrote the index.json digests below
 GOLDEN = {
     "chain/bm25.trec": "3491db50c7021fcf284311af2382b3a1c6af90b7a9d40a77f62aa37210d71e51",
-    "chain/dirichlet.trec": "b99bfa76ddf654343fb68cd24da24064b5336690de126b005a803c1edbbcc3c0",
+    "chain/dirichlet.trec": "b36db01e049a69064ead65b934b41b1abfb3138226b1af836771e22d1ff53fa4",
     "chain/eval.tsv": "d1cc26fd96ea785edb5956ccee685a964e6fad7f2ce77624c3dc3f4934c1e44e",
     "chain/fewshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
     "chain/fewshot.trec": "739e865f7b3e97660a271f03fc244a44e5f12d0abb9508a3a1ca694a55b56422",
-    "chain/fused.trec": "ab809452d60e26c5f43b3b2411de3798c122c70ccba7b98b8182c7d9d5d6f527",
+    "chain/fused.trec": "ae33b976a453a2b8ab8623d5af2206d7fc2a91ad38b86cd7c43013460da0fdfd",
     "chain/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
     "chain/sig.txt": "f368f9ed545812d8a170ac8013bc1619409f9590a5098604ce0f9cf5db94874f",
     "chain/sweep.tsv": "cbd7eaac91d1c47a7b3f75e6832616fa4fc4d52bafaca69a515b47a684cc7b77",
     "chain/zeroshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
     "chain/zeroshot.trec": "739e865f7b3e97660a271f03fc244a44e5f12d0abb9508a3a1ca694a55b56422",
     "pipeline/eval.tsv": "f6a658dd90b589fc92d3b50caf01ea023ec8b1602b5241563b88a955a10f5835",
-    "pipeline/first_stage.trec": "c432987c6ec6410b513cb40f6607f91f74154e629ab245f601e057f47c27f515",
-    "pipeline/fused.trec": "6ba9b31bc78a64288b2549068b334c119908f1dc31d73be75fae976c7af6a0ac",
-    "pipeline/hybrid.trec": "19c4abab9026a138985a72d998df1b4a820f62c4e93631d1f7f43219ff2dd287",
+    "pipeline/first_stage.trec": "ad216c658effd869734fc74bc447fcf65e7d01b40b16c5dcd2a1dc4ca298d871",
+    "pipeline/fused.trec": "c8887b922c62ed8e2aed31ebb99bcc1b526b5781337670687ff5f354567023c0",
+    "pipeline/hybrid.trec": "44fdaa95c33651d872783f1c18c3538884f489a091818e505224b8fca6beda92",
     "pipeline/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
     "pipeline/provider_stats.json": "b7956378e2942dc81d528cee9164bb0408a66c1a922dbece549b452836039451",
     "pipeline/reranked.trec": "2958a93f6e672b9a40dada9b6d6a8f917d5922eb445f34ebefefc56748f3a249",

@@ -9,6 +9,7 @@ import tempfile
 import zlib
 from array import array
 from collections import Counter
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -373,7 +374,7 @@ def tie_heavy_corpora(draw):
 @st.composite
 def cancelling_corpora(draw):
     """Queries that repeat each term up to 20 times, documents made only of
-    query terms (where the estimate's ln s and gain terms cancel the most)
+    query terms (where the score's ln s terms and gains cancel the most)
     beside documents of other words, and duplicate documents, so that
     several documents tie at the k-th score."""
     query_terms = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
@@ -398,8 +399,9 @@ def assert_dirichlet_search_is_truncated_scoring(docs, query, mu):
         assert dirichlet_search(index, params, query, k) == full[:k]
 
 
-# mu = 1e-310 makes every s = mu * cf / total subnormal; at mu = 1e-307 some
-# tf / s overflow to inf and others do not
+# mu = 1e-310 makes every s = mu * cf / total subnormal, so the score's
+# c ln s terms, near -713 each, cancel against its gains the most; at
+# mu = 1e-307 some tf / s overflow to inf and others do not
 DIRICHLET_MUS = [1e-310, 1e-307, 1e-3, 0.5, 10.0, 1000.0]
 
 
@@ -418,6 +420,43 @@ def test_dirichlet_search_is_exhaustive_scoring_truncated(corpus, mu):
            Document("a04", "", "y y y y y y y y")], "a b"), 1e-307)
 def test_dirichlet_search_survives_cancellation_repeats_and_ties(corpus, mu):
     assert_dirichlet_search_is_truncated_scoring(*corpus, mu)
+
+
+def decimal_dirichlet(doc_tokens, all_docs_tokens, query_tokens, mu):
+    """brute_force_dirichlet's sum, sum over query tokens of ln((tf + s) / (dl + mu)),
+    at 40 digits from the same float s = mu * cf / total; and the sum of the
+    absolute values of dirichlet_qlm_score's addends, c ln s per query term,
+    (sum c) ln(dl + mu) and c (ln(tf + s) - ln s) per query term the document holds."""
+    total = sum(len(t) for t in all_docs_tokens)
+    dl = len(doc_tokens)
+    exact, addends, tokens = Decimal(0), 0.0, 0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for term, count in Counter(query_tokens).items():
+            cf = sum(toks.count(term) for toks in all_docs_tokens)
+            if cf == 0:
+                continue
+            s = mu * cf / total
+            tf = doc_tokens.count(term)
+            exact += count * ((tf + Decimal(s)) / (dl + Decimal(mu))).ln()
+            tokens += count
+            addends += count * (abs(math.log(s)) + abs(math.log(tf + s) - math.log(s)))
+    return exact, addends + tokens * abs(math.log(dl + mu))
+
+
+# each mu of DIRICHLET_MUS, the subnormal and overflowing ones included
+@pytest.mark.parametrize("mu", DIRICHLET_MUS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corpus=tie_heavy_corpora())
+def test_dirichlet_qlm_score_is_the_textbook_sum_to_rounding(corpus, mu):
+    docs, query = corpus
+    index = build_index(docs)
+    terms = index.analyzer.tokenize(query)
+    all_tokens = [tokenize(d.body) for d in docs]
+    for doc, doc_tokens in zip(docs, all_tokens):
+        score = dirichlet_qlm_score(index, DirichletParams(mu=mu), terms, doc.id)
+        exact, addends = decimal_dirichlet(doc_tokens, all_tokens, terms, mu)
+        assert abs(Decimal(score) - exact) <= Decimal(1e-12 * addends), (doc.id, score, exact)
 
 
 @settings(max_examples=150, deadline=None)
