@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import inspect
 import json
 import logging
 import marshal
@@ -33,7 +32,6 @@ import signal
 import sys
 import threading
 import typing
-from dataclasses import MISSING, is_dataclass
 from types import MappingProxyType, SimpleNamespace
 from typing import Literal
 
@@ -55,6 +53,11 @@ AUTH_TOKEN_ENV = "QLMRANK_AUTH_TOKEN"
 
 EXIT_USAGE, EXIT_DATA, EXIT_PROVIDER = 1, 2, 3
 
+# the fewest postings a search helper's block of queries must read. A helper costs 2.6-3.4
+# ms (fork, pipe, reap), as long as searching 4,000-5,700 postings takes (0.48-0.82 us each
+# on a 1,500-document index, 2 vCPU Xeon): a smaller block costs more than it can save
+_BLOCK_POSTINGS = 5_000
+
 # run's collector thresholds: a verb's objects mostly live until it ends, so a
 # young-generation pass every 700 allocations (the default) finds little to free
 GC_THRESHOLD = (200_000, 30, 30)
@@ -65,6 +68,10 @@ ANALYZER_KEYS = ("lowercase", "stopwords", "stem")
 PIPELINE_FLAGS = ("output_dir", "depth", "provider", "endpoint", "auth_token", "model_family",
                   "dataset", "rerank_alpha", "hybrid_alpha", "fewshot", "eval_k")
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+# the config sections that become their classes
+_SECTIONS = (corpus_io.Bm25Params, corpus_io.DirichletParams)
+
+MISSING = object()  # the default of a required keyword or config key
 
 
 class UsageError(Exception):
@@ -88,6 +95,16 @@ def _check_rule(name: str, value, spelled: str) -> None:
             check_value(name, value, spelled)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+
+
+def _keywords(run: typing.Callable) -> dict[str, object]:
+    """A run_* function's keywords -> their defaults, MISSING for one without,
+    as its code object and __defaults__ hold them: no run_* takes a
+    keyword-only parameter."""
+    code = run.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = run.__defaults__ or ()
+    return dict(zip(names, (MISSING,) * (len(names) - len(defaults)) + defaults))
 
 
 def _write_text(path: str | None, text: str) -> str:
@@ -139,8 +156,12 @@ def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], 
     from . import ranking
 
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
-    rankings = _search_on_every_cpu(functools.partial(search, inverted, params, k=k),
-                                    [query.text for query in query_list])
+    texts = [query.text for query in query_list]
+    # a search reads the postings of its query's distinct terms
+    postings = sum(inverted.df(term) for text in texts
+                   for term in set(inverted.analyzer.tokenize(text)))
+    rankings = _search_on_every_cpu(functools.partial(search, inverted, params, k=k), texts,
+                                    postings)
     run = Run(dict(zip([query.id for query in query_list], rankings)), tag=tag or ranker)
     corpus_io.write_run(run, out)
     logger.info("searched %d queries with %s -> %s", len(query_list), ranker, out)
@@ -148,10 +169,12 @@ def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], 
 
 
 def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]],
-                         texts: list[str]) -> list[list[tuple[str, float]]]:
+                         texts: list[str], postings: int) -> list[list[tuple[str, float]]]:
     """[search(text) for text in texts], the same lists or the same first error, from
     this process and one forked helper per further CPU it may run on, each searching
     one block of consecutive texts over the index as it is in memory, shared copy-on-write.
+    The searches read `postings` postings in all: there are no more blocks than leave
+    _BLOCK_POSTINGS of them to each.
 
     Forking is unsafe while another thread runs, so then this process searches alone.
     This process searches the first block. A helper sends back its block's lists in
@@ -162,7 +185,8 @@ def _search_on_every_cpu(search: typing.Callable[[str], list[tuple[str, float]]]
     helper could not start or died) is searched here in its turn, so the first text
     that raises raises here, as in the loop."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cpus = max(1, min(cpus or 1, len(texts))) if threading.active_count() == 1 else 1
+    cpus = (max(1, min(cpus or 1, len(texts), postings // _BLOCK_POSTINGS))
+            if threading.active_count() == 1 else 1)
     blocks = [texts[len(texts) * i // cpus:len(texts) * (i + 1) // cpus] for i in range(cpus)]
     helpers = {}  # block number -> (pid of its helper, read end of its pipe)
     parent = os.getpid()
@@ -361,15 +385,15 @@ def _checked(name: str, value, hint):
     if value is None and nullable:
         return None
     if not (type(value) in (int, float) if kind is float
-            else isinstance(value, dict) if kind is dict or is_dataclass(kind)
+            else isinstance(value, dict) if kind is dict or kind in _SECTIONS
             else type(value) is kind):
         raise UsageError(f"{name} must be {_JSON_TYPES.get(kind, 'an object')}"
                          f"{' or null' if nullable else ''}, got {json.dumps(value)}")
     if isinstance(value, dict):
-        keys = (typing.get_type_hints(kind) if is_dataclass(kind) else
+        keys = (typing.get_type_hints(kind) if kind in _SECTIONS else
                 {k: v for k, v in typing.get_type_hints(run_index).items() if k in ANALYZER_KEYS})
         value = {k: _checked(f"{name}.{k}", v, keys.get(k)) for k, v in value.items()}
-        return kind(**value) if is_dataclass(kind) else value
+        return kind(**value) if kind in _SECTIONS else value
     if (choices := _choices(hint)) and value not in choices:
         raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     _check_rule(name, value, name)
@@ -377,7 +401,7 @@ def _checked(name: str, value, hint):
 
 
 # config key -> (run_* function, keyword): every run_rerank keyword the pipeline leaves open
-VERB_KEYS = {**{name: (run_rerank, name) for name in inspect.signature(run_rerank).parameters
+VERB_KEYS = {**{name: (run_rerank, name) for name in _keywords(run_rerank)
                 if name not in ("run", "out", "tag", "stats_out")},
              "first_stage": (run_search, "ranker"), "eval_k": (run_eval, "k"),
              **{name: (run_sigtest, name) for name in ("alpha_level", "correction")}}
@@ -396,10 +420,8 @@ def config_keys() -> dict[str, tuple]:
     """Every pipeline config key -> (type, default), made on first use: PIPELINE_KEYS,
     then each VERB_KEYS entry's hint and default from its run_* signature."""
     hints = {run: typing.get_type_hints(run) for run, _ in VERB_KEYS.values()}
-    return {**PIPELINE_KEYS, **{
-        key: (hints[run][kw], MISSING if param.default is param.empty else param.default)
-        for key, (run, kw) in VERB_KEYS.items()
-        for param in [inspect.signature(run).parameters[kw]]}}
+    return {**PIPELINE_KEYS, **{key: (hints[run][kw], _keywords(run)[kw])
+                                for key, (run, kw) in VERB_KEYS.items()}}
 
 
 def load_config(path: str, overrides: dict | None = None) -> SimpleNamespace:
@@ -506,7 +528,7 @@ def _add_param(p: argparse.ArgumentParser, name: str, hint, default, help: str |
         p.add_argument("--no-" + flag[2:] if default else flag, dest=name, action="store_const",
                        const=not default, default=default, help=help)
     else:
-        required = default is inspect.Parameter.empty
+        required = default is MISSING
         p.add_argument(flag, type=_parse_alphas if hint == list[float] else _base_type(hint),
                        choices=_choices(hint), required=required,
                        default=None if required else default, help=help)
@@ -525,12 +547,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         if only not in (None, verb):
             continue
         hints = typing.get_type_hints(run)
-        for name, param in inspect.signature(run).parameters.items():
-            if param.kind is param.VAR_KEYWORD:
-                for key in PIPELINE_FLAGS:
-                    _add_param(p, key, config_keys()[key][0], None, None)
-            else:
-                _add_param(p, name, hints[name], param.default, _HELP.get(verb, {}).get(name))
+        for name, default in _keywords(run).items():
+            _add_param(p, name, hints[name], default, _HELP.get(verb, {}).get(name))
+        if run is run_pipeline:  # its **overrides
+            for key in PIPELINE_FLAGS:
+                _add_param(p, key, config_keys()[key][0], None, None)
     return parser
 
 

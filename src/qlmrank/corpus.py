@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -100,51 +99,101 @@ def words(text: str, lowercase: bool = True) -> list[str]:
     return text.encode("ascii", "replace").translate(table).decode("ascii").split()
 
 
-@dataclass(frozen=True)
-class Bm25Params:
+_set = object.__setattr__  # how a frozen value's __init__ sets its fields
+
+
+class _Record:
+    """The base of the package's value types, with what dataclasses would
+    generate, written once: __match_args__ names the fields in __init__'s
+    order; two values are equal when they are of one class and their fields
+    are equal, so a value never equals a tuple; repr is Name(field=value, ...).
+    Its fields can be assigned, so it is unhashable."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record whose __init__ sets each field with _set, and which no
+    assignment changes after: equal values hash equal."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Bm25Params(_Frozen):
+    __match_args__ = ("k1", "b")
     k1: float = 0.9
     b: float = 0.4
 
-    def __post_init__(self) -> None:
-        check_value("k1", self.k1)
-        check_value("b", self.b)
+    def __init__(self, k1: float = k1, b: float = b) -> None:
+        check_value("k1", k1)
+        check_value("b", b)
+        _set(self, "k1", k1)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class DirichletParams:
+class DirichletParams(_Frozen):
+    __match_args__ = ("mu",)
     mu: float = 1000.0
 
-    def __post_init__(self) -> None:
-        check_value("mu", self.mu)
+    def __init__(self, mu: float = mu) -> None:
+        check_value("mu", mu)
+        _set(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Frozen):
     """One corpus document. Title and body are stored verbatim."""
 
+    __match_args__ = ("id", "title", "body")
     id: str
     title: str
     body: str
 
-    def __post_init__(self) -> None:
-        check_words("document id", [self.id])
-        if not isinstance(self.title, str) or not isinstance(self.body, str):
-            raise FormatError(f"document {self.id!r}: title and body must be strings")
+    def __init__(self, id: str, title: str, body: str) -> None:
+        check_words("document id", [id])
+        if not isinstance(title, str) or not isinstance(body, str):
+            raise FormatError(f"document {id!r}: title and body must be strings")
+        _set(self, "id", id)
+        _set(self, "title", title)
+        _set(self, "body", body)
 
     def text(self) -> str:
         """Title and body joined for display/prompting; body alone if untitled."""
         return f"{self.title}\n{self.body}" if self.title else self.body
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Frozen):
+    __match_args__ = ("id", "text")
     id: str
     text: str
 
-    def __post_init__(self) -> None:
-        check_words("query id", [self.id])
-        if not isinstance(self.text, str) or not self.text:
-            raise FormatError(f"query {self.id!r}: text must be a non-empty string")
+    def __init__(self, id: str, text: str) -> None:
+        check_words("query id", [id])
+        if not isinstance(text, str) or not text:
+            raise FormatError(f"query {id!r}: text must be a non-empty string")
+        _set(self, "id", id)
+        _set(self, "text", text)
 
 
 class QrelSet:
@@ -214,8 +263,7 @@ def _top_k(pairs: list[tuple[str, float]], k: int) -> list[tuple[str, float]]:
     return _sort_ranking(pairs)[:k]
 
 
-@dataclass
-class Run:
+class Run(_Record):
     """Per-query ranked lists of (doc id, score).
 
     Entries are normalized on construction: within each query, doc ids are
@@ -225,21 +273,25 @@ class Run:
     read_run of its file.
     """
 
-    entries: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    __match_args__ = ("entries", "tag")
+    entries: dict[str, list[tuple[str, float]]]
     tag: str = "run"
 
-    def __post_init__(self) -> None:
+    # the default is never changed: entries is read, and the run holds a new dict
+    def __init__(self, entries: dict[str, list[tuple[str, float]]] = {},
+                 tag: str = tag) -> None:
         normalized = {}
-        for qid, pairs in self.entries.items():
+        for qid, pairs in entries.items():
             pairs = [(did, float(score)) for did, score in pairs]
             if not pairs:
                 continue
-            check_unique(list(map(itemgetter(0), pairs)), f"run {self.tag!r}, query {qid}: ")
+            check_unique(list(map(itemgetter(0), pairs)), f"run {tag!r}, query {qid}: ")
             if not all(map(math.isfinite, map(itemgetter(1), pairs))):
                 did = next(did for did, score in pairs if not math.isfinite(score))
-                raise FormatError(f"run {self.tag!r}, query {qid}, doc {did}: non-finite score")
+                raise FormatError(f"run {tag!r}, query {qid}, doc {did}: non-finite score")
             normalized[qid] = _sort_ranking(pairs)
         self.entries = normalized
+        self.tag = tag
 
     def query_ids(self) -> list[str]:
         return list(self.entries)

@@ -11,33 +11,46 @@ fraction so the package needs no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .corpus import QrelSet, Run, _sum_in_order, check_value
+from .corpus import QrelSet, Run, _Record, _sum_in_order, check_value
 
 
-@dataclass
-class EvalReport:
+class EvalReport(_Record):
     """Per-query metric values plus their arithmetic mean."""
 
+    __match_args__ = ("per_query", "mean", "k", "evaluated_query_count")
     per_query: dict[str, float]
     mean: float
     k: int
     evaluated_query_count: int
 
+    def __init__(self, per_query: dict[str, float], mean: float, k: int,
+                 evaluated_query_count: int) -> None:
+        self.per_query = per_query
+        self.mean = mean
+        self.k = k
+        self.evaluated_query_count = evaluated_query_count
 
-@dataclass
-class SigResult:
+
+class SigResult(_Record):
     """Paired two-tailed Student t-test outcome.
 
     degenerate marks the zero-variance, nonzero-mean case where t is
     unbounded; p is reported as 0 there.
     """
 
+    __match_args__ = ("t_statistic", "p_value", "df", "degenerate")
     t_statistic: float
     p_value: float
     df: int
     degenerate: bool = False
+
+    def __init__(self, t_statistic: float, p_value: float, df: int,
+                 degenerate: bool = degenerate) -> None:
+        self.t_statistic = t_statistic
+        self.p_value = p_value
+        self.df = df
+        self.degenerate = degenerate
 
 
 def _dcg(gains: list[int], k: int) -> float:
@@ -186,21 +199,32 @@ def paired_ttest(a: dict[str, float], b: dict[str, float]) -> SigResult:
 RUN_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass
-class SignificanceMatrix:
+class SignificanceMatrix(_Record):
     """Pairwise comparison outcome: which runs significantly beat which.
 
     beats[name] holds the letters of the runs that `name` outperforms with
-    corrected p <= alpha_level.
+    corrected p <= alpha_level; it is a new empty dict if not given.
     """
 
+    __match_args__ = ("names", "letters", "means", "beats", "k", "alpha_level", "correction")
     names: list[str]
     letters: dict[str, str]
     means: dict[str, float]
-    beats: dict[str, set[str]] = field(default_factory=dict)
+    beats: dict[str, set[str]]
     k: int = 10
     alpha_level: float = 0.05
     correction: str = "bonferroni"
+
+    def __init__(self, names: list[str], letters: dict[str, str], means: dict[str, float],
+                 beats: dict[str, set[str]] | None = None, k: int = k,
+                 alpha_level: float = alpha_level, correction: str = correction) -> None:
+        self.names = names
+        self.letters = letters
+        self.means = means
+        self.beats = {} if beats is None else beats
+        self.k = k
+        self.alpha_level = alpha_level
+        self.correction = correction
 
     def render(self) -> str:
         width = max(len(n) for n in self.names)

@@ -20,12 +20,11 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable
 
 from .corpus import (DEFAULT_DOC_MAX_CHARS, DEFAULT_MAX_WORKERS, Document, ProviderError, Query,
-                     Run, _sum_in_order, check_value, words)
+                     Run, _Frozen, _set, _sum_in_order, check_value, words)
 from .prompts import (
     FewShotExample,
     PromptTemplate,
@@ -51,16 +50,18 @@ class ProtocolError(ProviderError):
     """The endpoint answered, but not with a valid logprobs payload."""
 
 
-@dataclass(frozen=True)
-class LikelihoodRequest:
+class LikelihoodRequest(_Frozen):
     """Context (rendered prompt) and the continuation to be scored."""
 
+    __match_args__ = ("context", "continuation")
     context: str
     continuation: str
 
-    def __post_init__(self) -> None:
-        if not self.continuation:
+    def __init__(self, context: str, continuation: str) -> None:
+        if not continuation:
             raise ValueError("continuation must be non-empty")
+        _set(self, "context", context)
+        _set(self, "continuation", continuation)
 
 
 def make_request(context: str, continuation: str) -> LikelihoodRequest:
@@ -72,22 +73,22 @@ def make_request(context: str, continuation: str) -> LikelihoodRequest:
     return LikelihoodRequest(context=context, continuation=continuation)
 
 
-@dataclass(frozen=True)
-class LikelihoodResult:
+class LikelihoodResult(_Frozen):
     """Per-token log probabilities of the continuation, as tokenized by the
     provider. All values must be finite (providers floor -inf)."""
 
+    __match_args__ = ("tokens", "logprobs")
     tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.logprobs):
-            raise ProtocolError(
-                f"{len(self.tokens)} tokens but {len(self.logprobs)} logprobs"
-            )
-        for lp in self.logprobs:
+    def __init__(self, tokens: tuple[str, ...], logprobs: tuple[float, ...]) -> None:
+        if len(tokens) != len(logprobs):
+            raise ProtocolError(f"{len(tokens)} tokens but {len(logprobs)} logprobs")
+        for lp in logprobs:
             if not math.isfinite(lp):
                 raise ProtocolError(f"non-finite logprob {lp!r}")
+        _set(self, "tokens", tokens)
+        _set(self, "logprobs", logprobs)
 
 
 Provider = Callable[[LikelihoodRequest], LikelihoodResult]

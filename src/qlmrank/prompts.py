@@ -8,12 +8,12 @@ guidance triples.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import logging
-from dataclasses import asdict, dataclass
+import os
 
-from .corpus import DEFAULT_DOC_MAX_CHARS, Document, check_value, open_atomic, read_json
+from .corpus import (DEFAULT_DOC_MAX_CHARS, Document, _Frozen, _Record, _set, check_value,
+                     open_atomic, read_json)
 
 logger = logging.getLogger(__name__)
 
@@ -24,45 +24,55 @@ class CatalogError(ValueError):
     """Invalid prompt catalog contents."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(_Frozen):
     """A scoring prompt: system_prefix + body (with one {doc} slot) + suffix."""
 
+    __match_args__ = ("body", "system_prefix", "suffix")
     body: str
     system_prefix: str = ""
     suffix: str = ""
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(part, str) for part in (self.body, self.system_prefix, self.suffix)):
+    def __init__(self, body: str, system_prefix: str = system_prefix,
+                 suffix: str = suffix) -> None:
+        if not all(isinstance(part, str) for part in (body, system_prefix, suffix)):
             raise CatalogError("template body, system_prefix and suffix must be strings")
-        if self.body.count(DOC_PLACEHOLDER) != 1:
+        if body.count(DOC_PLACEHOLDER) != 1:
             raise CatalogError(
-                f"template body must contain {DOC_PLACEHOLDER} exactly once: {self.body!r}"
+                f"template body must contain {DOC_PLACEHOLDER} exactly once: {body!r}"
             )
+        _set(self, "body", body)
+        _set(self, "system_prefix", system_prefix)
+        _set(self, "suffix", suffix)
 
 
-@dataclass(frozen=True)
-class FewShotExample:
+class FewShotExample(_Frozen):
+    __match_args__ = ("document", "good_question", "bad_question")
     document: str
     good_question: str
     bad_question: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, document: str, good_question: str, bad_question: str) -> None:
         if not all(isinstance(text, str) and text
-                   for text in (self.document, self.good_question, self.bad_question)):
+                   for text in (document, good_question, bad_question)):
             raise CatalogError("few-shot example fields must all be non-empty strings")
+        _set(self, "document", document)
+        _set(self, "good_question", good_question)
+        _set(self, "bad_question", bad_question)
 
 
-@dataclass
-class PromptCatalog:
+class PromptCatalog(_Record):
     """Templates keyed by (model_family, dataset), plus optional per-dataset
     few-shot triples (exactly three when present)."""
 
+    __match_args__ = ("entries", "fewshot")
     entries: dict[tuple[str, str], PromptTemplate]
     fewshot: dict[str, list[FewShotExample]]
 
-    def __post_init__(self) -> None:
-        for dataset, triples in self.fewshot.items():
+    def __init__(self, entries: dict[tuple[str, str], PromptTemplate],
+                 fewshot: dict[str, list[FewShotExample]]) -> None:
+        self.entries = entries
+        self.fewshot = fewshot
+        for dataset, triples in fewshot.items():
             if len(triples) != 3:
                 raise CatalogError(
                     f"dataset {dataset!r}: few-shot list must have exactly 3 examples, "
@@ -112,24 +122,6 @@ def _parse_entry(obj: dict) -> tuple[tuple[str, str], PromptTemplate, list[FewSh
     return key, template, fewshot
 
 
-def _catalog_from_objects(objects: list[dict]) -> PromptCatalog:
-    entries: dict[tuple[str, str], PromptTemplate] = {}
-    fewshot: dict[str, list[FewShotExample]] = {}
-    for obj in objects:
-        key, template, triples = _parse_entry(obj)
-        if key in entries:
-            raise CatalogError(f"duplicate catalog key {key[0]}/{key[1]}")
-        entries[key] = template
-        if triples is not None:
-            dataset = key[1]
-            if dataset in fewshot and fewshot[dataset] != triples:
-                raise CatalogError(
-                    f"dataset {dataset!r}: conflicting few-shot lists across entries"
-                )
-            fewshot[dataset] = triples
-    return PromptCatalog(entries=entries, fewshot=fewshot)
-
-
 def load_catalog(path: str) -> PromptCatalog:
     """Load a catalog from a JSON array of entry objects.
 
@@ -139,8 +131,22 @@ def load_catalog(path: str) -> PromptCatalog:
     objects = read_json(path)
     if not isinstance(objects, list):
         raise CatalogError(f"{path}: catalog must be a JSON array of entries")
+    entries: dict[tuple[str, str], PromptTemplate] = {}
+    fewshot: dict[str, list[FewShotExample]] = {}
     try:
-        return _catalog_from_objects(objects)
+        for obj in objects:
+            key, template, triples = _parse_entry(obj)
+            if key in entries:
+                raise CatalogError(f"duplicate catalog key {key[0]}/{key[1]}")
+            entries[key] = template
+            if triples is not None:
+                dataset = key[1]
+                if dataset in fewshot and fewshot[dataset] != triples:
+                    raise CatalogError(
+                        f"dataset {dataset!r}: conflicting few-shot lists across entries"
+                    )
+                fewshot[dataset] = triples
+        return PromptCatalog(entries=entries, fewshot=fewshot)
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None
 
@@ -154,7 +160,9 @@ def save_catalog(catalog: PromptCatalog, path: str) -> None:
                      "system_prefix": template.system_prefix, "body": template.body,
                      "suffix": template.suffix}
         if dataset in catalog.fewshot and dataset not in emitted:
-            obj["fewshot"] = [asdict(t) for t in catalog.fewshot[dataset]]
+            obj["fewshot"] = [{"document": t.document, "good_question": t.good_question,
+                               "bad_question": t.bad_question}
+                              for t in catalog.fewshot[dataset]]
             emitted.add(dataset)
         objects.append(obj)
     with open_atomic(path) as f:
@@ -163,10 +171,10 @@ def save_catalog(catalog: PromptCatalog, path: str) -> None:
 
 
 def default_catalog() -> PromptCatalog:
-    """The catalog shipped with the package (one template per model
-    family and dataset, plus placeholder few-shot triples)."""
-    data = importlib.resources.files("qlmrank.data").joinpath("default_catalog.json")
-    return _catalog_from_objects(json.loads(data.read_text(encoding="utf-8")))
+    """The catalog shipped with the package, data/default_catalog.json beside
+    this module (one template per model family and dataset, plus placeholder
+    few-shot triples)."""
+    return load_catalog(os.path.join(os.path.dirname(__file__), "data", "default_catalog.json"))
 
 
 def _truncate_at_whitespace(text: str, limit: int) -> str:

@@ -19,11 +19,11 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 # Bm25Params, DirichletParams and words live in corpus, which every verb loads
-from .corpus import (Bm25Params, DirichletParams, Document, FormatError, _top_k, check_unique,
-                     check_value, check_words, open_atomic, read_json, words)
+from .corpus import (Bm25Params, DirichletParams, Document, FormatError, _Frozen, _Record, _set,
+                     _top_k, check_unique, check_value, check_words, open_atomic, read_json,
+                     words)
 
 INDEX_FORMAT_VERSION = 6
 # level 6 makes a 1.5k-document index about 1% smaller and its save some 5 ms
@@ -48,8 +48,7 @@ def _s_stem(word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class Analyzer:
+class Analyzer(_Frozen):
     """Deterministic tokenizer. A token is a maximal run of ASCII [a-z0-9]
     after str.lower() (of [A-Za-z0-9] in the text as given, with lowercase
     off); every other code point separates tokens, as in `words`.
@@ -58,9 +57,16 @@ class Analyzer:
     default; lowercasing is on.
     """
 
+    __match_args__ = ("lowercase", "stopwords", "stem")
     lowercase: bool = True
     stopwords: frozenset[str] = frozenset()
     stem: bool = False
+
+    def __init__(self, lowercase: bool = lowercase, stopwords: frozenset[str] = stopwords,
+                 stem: bool = stem) -> None:
+        _set(self, "lowercase", lowercase)
+        _set(self, "stopwords", stopwords)
+        _set(self, "stem", stem)
 
     def tokenize(self, text: str) -> list[str]:
         tokens = words(text, self.lowercase)
@@ -93,8 +99,7 @@ class Analyzer:
         )
 
 
-@dataclass
-class InvertedIndex:
+class InvertedIndex(_Record):
     """Postings plus the document lengths BM25 and Dirichlet QLM need.
 
     A document is named by its position in doc_ids; doc_len holds its
@@ -114,10 +119,20 @@ class InvertedIndex:
     total_terms == sum(doc_len) and avgdl == total_terms / n_docs.
     """
 
+    __match_args__ = ("doc_ids", "doc_len", "postings", "analyzer")
     doc_ids: list[str]
     doc_len: array  # array('I'), by position
     postings: Mapping[str, tuple[array, array]]  # term -> (positions, tfs), both array('I')
-    analyzer: Analyzer = field(default_factory=Analyzer)
+    analyzer: Analyzer
+
+    # an Analyzer is immutable, so one default serves every index
+    def __init__(self, doc_ids: list[str], doc_len: array,
+                 postings: Mapping[str, tuple[array, array]],
+                 analyzer: Analyzer = Analyzer()) -> None:
+        self.doc_ids = doc_ids
+        self.doc_len = doc_len
+        self.postings = postings
+        self.analyzer = analyzer
 
     @property
     def n_docs(self) -> int:
@@ -152,6 +167,8 @@ class InvertedIndex:
             raise KeyError(f"unknown doc id {doc_id!r}") from None
 
     def df(self, term: str) -> int:
+        if isinstance(self.postings, _Postings):  # counted, not decoded
+            return self.postings.df(term)
         positions, _ = self.postings.get(term, ((), ()))
         return len(positions)
 
@@ -521,6 +538,11 @@ class _Postings(Mapping):
             plist = self._decoded[term] = (
                 array("I", itertools.accumulate(self._gaps[start:end])), self._tfs[start:end])
         return plist
+
+    def df(self, term: str) -> int:
+        """len(self[term][0]), or 0 for a term it does not hold, without decoding the term."""
+        slot = self._slot.get(term)
+        return 0 if slot is None else self._bounds[slot + 1] - self._bounds[slot]
 
     def __contains__(self, term: object) -> bool:
         return term in self._slot

@@ -189,6 +189,7 @@ SLOW_SEARCH = """
 import os, sys, time
 from qlmrank import cli, ranking
 os.sched_getaffinity = lambda pid: {0, 1}
+cli._BLOCK_POSTINGS = 1  # a helper for each CPU, however few postings its block reads
 parent, search, pids = os.getpid(), ranking.bm25_search, sys.argv.pop(1)
 def slow(*args, **kwargs):
     if os.getpid() != parent:
@@ -215,7 +216,13 @@ cli.run()
 
 class TestSearchOnEveryCpu:
     """search splits its queries over the CPUs the process may use, in helpers
-    forked from it: the bytes written and the error raised are the one-process ones."""
+    forked from it: the bytes written and the error raised are the one-process ones.
+    Each CPU gets a block here, however few postings it reads, unless a test says
+    otherwise."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_any_size(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_POSTINGS", 1)
 
     @pytest.fixture
     def indexed(self, tmp_path):
@@ -234,7 +241,8 @@ class TestSearchOnEveryCpu:
     def search_in_subprocess(args, pin):
         code = ("import os, sys\n" + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                                      if pin else "")
-                + "from qlmrank.cli import main\nsys.exit(main(sys.argv[1:]))")
+                + "from qlmrank import cli\ncli._BLOCK_POSTINGS = 1\n"
+                + "sys.exit(cli.main(sys.argv[1:]))")
         return subprocess.run([sys.executable, "-c", code, "search", *args],
                               capture_output=True, text=True)
 
@@ -285,7 +293,8 @@ class TestSearchOnEveryCpu:
                 return repr(exc)
         with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                create=True):
-            assert outcome(cli._search_on_every_cpu) == outcome(
+            assert outcome(lambda search, texts: cli._search_on_every_cpu(
+                search, texts, len(texts))) == outcome(
                 lambda search, texts: [search(text) for text in texts])
         assert_no_child_left()
 
@@ -404,6 +413,37 @@ class TestSearchOnEveryCpu:
             assert time.monotonic() < deadline
             time.sleep(0.02)
         assert not out.exists()
+
+
+def search_forks(monkeypatch, cpus, *argv):
+    """How many helpers the search verb forks, run with argv on `cpus` CPUs."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    may_use_cpus(monkeypatch, cpus)
+    assert run_cli("search", *argv) == 0
+    assert_no_child_left()
+    return len(forks)
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_a_tiny_search_stays_in_this_process(dataset, monkeypatch, cpus):
+    # 3 queries over 5 documents read 10 postings: about 45 us here, 3.6 ms with a helper
+    index = dataset["dir"] / "index.json"
+    assert run_cli("index", "--corpus", dataset["corpus"], "--out", index) == 0
+    assert search_forks(monkeypatch, cpus, "--index", index, "--queries", dataset["queries"],
+                        "--out", dataset["dir"] / "run.trec") == 0
+
+
+def test_the_benchs_smallest_search_still_splits(tmp_path, monkeypatch):
+    # rerank-remote's first stage: 40 queries over 1,000 seed-0 documents read 25,883 postings
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    subprocess.run([sys.executable, os.path.join(bench, "datagen.py"), "--seed", "0",
+                    "--docs", "1000", "--queries", "40", "--out", tmp_path], check=True,
+                   stdout=subprocess.DEVNULL)
+    index = tmp_path / "index.json"
+    assert run_cli("index", "--corpus", tmp_path / "corpus.jsonl", "--out", index) == 0
+    assert search_forks(monkeypatch, 2, "--index", index, "--queries", tmp_path / "queries.jsonl",
+                        "--out", tmp_path / "run.trec") == 1
 
 
 class TestRerankAndFuse:
@@ -1663,14 +1703,17 @@ class TestMalformedInput:
 
 
 def _loaded_after(code, *argv):
-    """The qlmrank.* modules and the lazily imported standard modules that a
-    fresh interpreter has loaded after running `code` with sys.argv[1:] = argv."""
+    """The qlmrank.* modules, the lazily imported standard modules and the
+    modules no verb may load (dataclasses, inspect, ast and dis cost start-up
+    time) that a fresh interpreter has loaded after running `code` with
+    sys.argv[1:] = argv."""
     src = os.path.dirname(os.path.dirname(qlmrank.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nprint(sorted(m for m in sys.modules if m.startswith("
-         "('qlmrank.', 'http.client', 'ssl', 'concurrent.futures', 'statistics'))))",
+         "('qlmrank.', 'http.client', 'ssl', 'concurrent.futures', 'statistics', "
+         "'dataclasses', 'inspect', 'ast', 'dis'))))",
          *map(str, argv)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])  # after any report the verb printed
@@ -1709,7 +1752,7 @@ def test_each_verb_imports_only_what_it_runs(dataset, request, verb):
     loaded = _loaded_after("import sys, qlmrank.cli\nassert qlmrank.cli.main(sys.argv[1:]) == 0",
                            verb.removesuffix("-remote"), *argv[verb])
     expected = BASE + (["qlmrank.ranking"] if verb in ("index", "search", "pipeline") else [])
-    expected += (["qlmrank.data", "qlmrank.likelihood", "qlmrank.prompts"]
+    expected += (["qlmrank.likelihood", "qlmrank.prompts"]
                  if verb in ("rerank", "rerank-remote", "pipeline") else [])
     expected += ["http.client", "ssl"] if verb == "rerank-remote" else []
     expected += ["statistics"] if verb in ("sigtest", "pipeline") else []

@@ -2,13 +2,12 @@
 pipeline config block lists every config key with its default, and its
 index.json example is what save_index writes."""
 
-import dataclasses
 import inspect
 import json
 import re
 from pathlib import Path
 
-from qlmrank.cli import ANALYZER_KEYS, config_keys, load_config, run_index
+from qlmrank.cli import ANALYZER_KEYS, MISSING, config_keys, load_config, run_index
 from qlmrank.corpus import Document
 from qlmrank.ranking import build_index, save_index
 
@@ -44,7 +43,7 @@ def test_config_block_holds_every_key_and_default(tmp_path, monkeypatch):
     section = README.read_text(encoding="utf-8").split("### One-shot pipeline", 1)[1]
     block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     required = [key for key, (_, default) in config_keys().items()
-                if default is dataclasses.MISSING]
+                if default is MISSING]
     assert set(list(block)[:6]) == set(required)  # "the first six are required"
     # a config of the required keys alone loads with every other key at its default
     monkeypatch.chdir(tmp_path)
@@ -53,8 +52,10 @@ def test_config_block_holds_every_key_and_default(tmp_path, monkeypatch):
     Path("config.json").write_text(json.dumps({k: block[k] for k in required}), encoding="utf-8")
     config = load_config("config.json")
     loaded = dict(vars(config))
-    loaded.update(bm25=dataclasses.asdict(config.bm25),
-                  dirichlet=dataclasses.asdict(config.dirichlet),
+    # a section's fields, in order, are its __match_args__
+    loaded.update(bm25={name: getattr(config.bm25, name) for name in config.bm25.__match_args__},
+                  dirichlet={name: getattr(config.dirichlet, name)
+                             for name in config.dirichlet.__match_args__},
                   # an absent analyzer key takes run_index's default
                   analyzer={name: inspect.signature(run_index).parameters[name].default
                             for name in ANALYZER_KEYS} | config.analyzer)

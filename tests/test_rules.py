@@ -2,7 +2,6 @@
 function that takes such a parameter checks it there, with the table's
 wording, and every name in the table is a parameter the CLI takes."""
 
-import dataclasses
 import inspect
 import re
 
@@ -70,6 +69,6 @@ def test_every_rule_names_a_parameter():
     # a run_* keyword, a pipeline config key, or a key of a config section
     keywords = {name for run in cli.VERBS.values() for name in inspect.signature(run).parameters}
     config = set(cli.config_keys())
-    sections = {field.name for params in (Bm25Params, DirichletParams)
-                for field in dataclasses.fields(params)}
+    sections = {name for params in (Bm25Params, DirichletParams)
+                for name in params.__match_args__}
     assert set(RULES) <= keywords | config | sections | set(cli.ANALYZER_KEYS)
