@@ -1044,7 +1044,7 @@ class TestMalformedInput:
 
     make_config = TestPipeline.make_config
 
-    INDEX = {"format_version": 6, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
+    INDEX = {"format_version": 7, "analyzer": {"lowercase": True, "stopwords": [], "stem": False},
              "doc_ids": word_list("d1", "d2"), "terms": word_list("apple"),
              "doc_len": packed("B", 1, 2), "df": packed("B", 2), "positions": packed("B", 0, 1),
              "tfs": packed("B", 1, 2)}
@@ -1065,6 +1065,7 @@ class TestMalformedInput:
         "v4": ({**INDEX, "format_version": 4}, "unsupported index format version 4"),
         "v5": ({**INDEX, "format_version": 5, "doc_ids": ["d1", "d2"], "terms": ["apple"]},
                "unsupported index format version 5"),
+        "v6": ({**INDEX, "format_version": 6}, "unsupported index format version 6"),
         "postings-array": ({**INDEX, "positions": [0, 1]},
                            "positions must be a packed array string, got [0, 1]"),
         "doc-len-array": ({**INDEX, "doc_len": [["d1", 1], ["d2", 2]]},
@@ -1171,6 +1172,13 @@ class TestMalformedInput:
                                "positions of 'apple' must ascend and be below 2"),
         "gaps-sum-past-2**32": ({**INDEX, "positions": packed("I", 1, 2**32 - 1)},
                                 "positions of 'apple' must ascend and be below 2"),
+        # postings lie by df, ties in terms order: fig [1], pear [2], apple [0, 1]; pear,
+        # first in neither order, holds the bad position
+        "position-of-a-middle-term": ({**INDEX, "terms": word_list("apple", "fig", "pear"),
+                                       "doc_len": packed("B", 2, 2), "df": packed("B", 2, 1, 1),
+                                       "positions": packed("B", 1, 2, 0, 1),
+                                       "tfs": packed("B", 1, 1, 1, 1)},
+                                      "positions of 'pear' must ascend and be below 2"),
         "not-zlib": ({**INDEX, "positions": "B" + base64.b64encode(b"\0\1").decode()},
                      "positions is not a zlib stream: "),
         "zlib-truncated": ({**INDEX, "positions": "B" + base64.b64encode(

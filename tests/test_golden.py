@@ -34,7 +34,7 @@ GOLDEN = {
     "chain/fewshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
     "chain/fewshot.trec": "739e865f7b3e97660a271f03fc244a44e5f12d0abb9508a3a1ca694a55b56422",
     "chain/fused.trec": "ae33b976a453a2b8ab8623d5af2206d7fc2a91ad38b86cd7c43013460da0fdfd",
-    "chain/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
+    "chain/index.json": "14b22febc8016f987f86513ec1f7a7ba2c26f871713df3bdb0d182d2dc5a8f6a",
     "chain/sig.txt": "f368f9ed545812d8a170ac8013bc1619409f9590a5098604ce0f9cf5db94874f",
     "chain/sweep.tsv": "cbd7eaac91d1c47a7b3f75e6832616fa4fc4d52bafaca69a515b47a684cc7b77",
     "chain/zeroshot.json": "1f3cb33d06b4935dbacc32c79cda14e2a8fbff3c752e2ca028edd4a8794df58f",
@@ -43,14 +43,14 @@ GOLDEN = {
     "pipeline/first_stage.trec": "ad216c658effd869734fc74bc447fcf65e7d01b40b16c5dcd2a1dc4ca298d871",
     "pipeline/fused.trec": "c8887b922c62ed8e2aed31ebb99bcc1b526b5781337670687ff5f354567023c0",
     "pipeline/hybrid.trec": "44fdaa95c33651d872783f1c18c3538884f489a091818e505224b8fca6beda92",
-    "pipeline/index.json": "9a5a76511b6615a3927b87309fbe0aaa656fe26b819456455ff3095886dd3371",
+    "pipeline/index.json": "14b22febc8016f987f86513ec1f7a7ba2c26f871713df3bdb0d182d2dc5a8f6a",
     "pipeline/provider_stats.json": "b7956378e2942dc81d528cee9164bb0408a66c1a922dbece549b452836039451",
     "pipeline/reranked.trec": "2958a93f6e672b9a40dada9b6d6a8f917d5922eb445f34ebefefc56748f3a249",
     "pipeline/significance.txt": "b6f257c746b8acde0d172ecc0b91c6f39758a428512e6ba271011d47663c22d9",
 }
 INFLATED = {
-    "chain/index.json": "d5c4853b5818d99b7d3cf326c5406fc035e63214bcc13c603b460c05e1546ab3",
-    "pipeline/index.json": "d5c4853b5818d99b7d3cf326c5406fc035e63214bcc13c603b460c05e1546ab3",
+    "chain/index.json": "89ffb32c408f0b2b841dc789b9bbe2fee7f7133be28d8be89f8a5773908de91d",
+    "pipeline/index.json": "89ffb32c408f0b2b841dc789b9bbe2fee7f7133be28d8be89f8a5773908de91d",
 }
 # index.json's zlib-packed fields: the arrays, a typecode and then base64, and the
 # word lists, a byte count and a colon and then base64

@@ -518,19 +518,25 @@ class TestPersistence:
             assert bm25_search(back, Bm25Params(), query, k=3) == \
                    bm25_search(c3_index, Bm25Params(), query, k=3)
 
-    def test_file_layout(self, c3_index, tmp_path):
-        # terms sorted, each list and array packed, postings concatenated in terms order
+    def test_file_layout(self, tmp_path):
+        # terms sorted, each list and array packed, postings concatenated by df, ties
+        # in terms order: c (df 1), a (2), d (2), b (3)
+        index = build_index([Document("d1", "", "b a a d"), Document("d2", "", "a b"),
+                             Document("d3", "", "b c c c d")])
         path = tmp_path / "index.json"
-        save_index(c3_index, str(path))
+        save_index(index, str(path))
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert {k: v for k, v in payload.items() if k != "analyzer"} == {
-            "format_version": 6, "doc_ids": word_list("d1", "d2", "d3"),
-            "terms": word_list("a", "b", "c"),
-            "doc_len": packed("B", 3, 2, 3), "df": packed("B", 1, 2, 2),
-            # each term's first position, then its d-gaps: a [0], b [0, 1], c [1, 2]
-            "positions": packed("B", 0, 0, 1, 1, 1), "tfs": packed("B", 2, 1, 1, 1, 3)}
+            "format_version": 7, "doc_ids": word_list("d1", "d2", "d3"),
+            "terms": word_list("a", "b", "c", "d"),
+            "doc_len": packed("B", 4, 2, 5), "df": packed("B", 2, 3, 1, 2),
+            # each term's first position, then its d-gaps: c [2], a [0, 1], d [0, 2],
+            # b [0, 1, 2]
+            "positions": packed("B", 2, 0, 1, 0, 2, 0, 1, 1),
+            "tfs": packed("B", 3, 2, 1, 1, 1, 1, 1, 1)}
+        assert load_index(str(path)) == index
 
     def test_empty_documents_round_trip(self, tmp_path):
         # no term at all: every array but doc_len is empty
@@ -600,6 +606,14 @@ def test_pack_takes_the_narrowest_typecode(top, code):
     assert zeros == values.count(0)
 
 
+@pytest.mark.parametrize("top", [255, 65535, 2**32 - 1])
+def test_unpack_assembles_the_items_chunk_by_chunk(monkeypatch, top):
+    # 7 items in chunks of 2: the last chunk is short, and zeros lie in three chunks
+    monkeypatch.setattr(ranking, "_CHUNK", 2)
+    values = array("I", [top, 0, 1, 0, 0, top // 3, 7])
+    assert ranking._unpack("x", ranking._pack(values), len(values)) == (values, 3)
+
+
 def test_wide_arrays_pack_smaller_as_planes():
     # d-gaps below 1,500 in H: every high byte is 0 to 5
     rng = random.Random(3)
@@ -651,7 +665,8 @@ def test_gaps_round_trip_at_each_width_boundary(tmp_path, gap, code):
                           postings=postings)
     path = tmp_path / "index.json"
     save_index(index, str(path))
-    assert json.loads(path.read_text())["positions"] == packed(code, 0, gap, 1, gap, gap)
+    # by df, ties in terms order: one, first, next
+    assert json.loads(path.read_text())["positions"] == packed(code, gap, 0, gap, 1, gap)
     assert load_index(str(path)) == index
 
 
@@ -680,7 +695,11 @@ def test_pack_on_a_big_endian_host(monkeypatch, values):
     native = _BigEndianArray("I", values)
     assert native.tobytes() != array("I", values).tobytes()  # the simulation swaps
     assert ranking._pack(native) == little
-    assert ranking._unpack("x", little, len(values)) == (native, values.count(0))
+    # _unpack writes the planes into the items' memory, which the simulation's
+    # tobytes cannot stand in for: there each item's bytes must be big-endian
+    unpacked, zeros = ranking._unpack("x", little, len(values))
+    assert bytes(memoryview(unpacked)) == struct.pack(f">{len(values)}I", *values)
+    assert zeros == values.count(0)
 
 
 @st.composite
