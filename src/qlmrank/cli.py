@@ -98,11 +98,8 @@ def _check_rule(name: str, value, spelled: str) -> None:
 
 
 def _keywords(run: typing.Callable) -> dict[str, object]:
-    """A run_* function's keywords -> their defaults, MISSING for one without,
-    as its code object and __defaults__ hold them: no run_* takes a
-    keyword-only parameter."""
-    code = run.__code__
-    names = code.co_varnames[:code.co_argcount]
+    """A run_* function's keywords -> their defaults, MISSING for one without."""
+    names = corpus_io._parameters(run)
     defaults = run.__defaults__ or ()
     return dict(zip(names, (MISSING,) * (len(names) - len(defaults)) + defaults))
 
@@ -157,7 +154,8 @@ def _search(inverted: ranking.InvertedIndex, query_list: list[corpus_io.Query], 
 
     search = ranking.bm25_search if ranker == "bm25" else ranking.dirichlet_search
     texts = [query.text for query in query_list]
-    # a search reads the postings of its query's distinct terms
+    # a search reads the postings of its query's distinct terms; counting them decodes them
+    # here, once, before any helper forks, so every helper shares them
     postings = sum(inverted.df(term) for text in texts
                    for term in set(inverted.analyzer.tokenize(text)))
     rankings = _search_on_every_cpu(functools.partial(search, inverted, params, k=k), texts,

@@ -102,15 +102,27 @@ def words(text: str, lowercase: bool = True) -> list[str]:
 _set = object.__setattr__  # how a frozen value's __init__ sets its fields
 
 
+def _parameters(function: Callable) -> tuple[str, ...]:
+    """The names of a function's parameters, in order, as its code object holds
+    them: no value type's __init__ and no verb takes a keyword-only one."""
+    code = function.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
 class _Record:
     """The base of the package's value types, with what dataclasses would
-    generate, written once: __match_args__ names the fields in __init__'s
-    order; two values are equal when they are of one class and their fields
-    are equal, so a value never equals a tuple; repr is Name(field=value, ...).
-    Its fields can be assigned, so it is unhashable."""
+    generate, written once: __match_args__ names the fields, the parameters
+    after self of the class's own __init__; two values are equal when they are
+    of one class and their fields are equal, so a value never equals a tuple;
+    repr is Name(field=value, ...). Its fields can be assigned, so it is
+    unhashable."""
 
     __slots__ = ()
     __match_args__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in vars(cls):  # else its base's fields are its own
+            cls.__match_args__ = _parameters(cls.__init__)[1:]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -142,7 +154,6 @@ class _Frozen(_Record):
 
 
 class Bm25Params(_Frozen):
-    __match_args__ = ("k1", "b")
     k1: float = 0.9
     b: float = 0.4
 
@@ -154,7 +165,6 @@ class Bm25Params(_Frozen):
 
 
 class DirichletParams(_Frozen):
-    __match_args__ = ("mu",)
     mu: float = 1000.0
 
     def __init__(self, mu: float = mu) -> None:
@@ -165,7 +175,6 @@ class DirichletParams(_Frozen):
 class Document(_Frozen):
     """One corpus document. Title and body are stored verbatim."""
 
-    __match_args__ = ("id", "title", "body")
     id: str
     title: str
     body: str
@@ -184,7 +193,6 @@ class Document(_Frozen):
 
 
 class Query(_Frozen):
-    __match_args__ = ("id", "text")
     id: str
     text: str
 
@@ -273,7 +281,6 @@ class Run(_Record):
     read_run of its file.
     """
 
-    __match_args__ = ("entries", "tag")
     entries: dict[str, list[tuple[str, float]]]
     tag: str = "run"
 

@@ -18,7 +18,6 @@ from .corpus import QrelSet, Run, _Record, _sum_in_order, check_value
 class EvalReport(_Record):
     """Per-query metric values plus their arithmetic mean."""
 
-    __match_args__ = ("per_query", "mean", "k", "evaluated_query_count")
     per_query: dict[str, float]
     mean: float
     k: int
@@ -39,7 +38,6 @@ class SigResult(_Record):
     unbounded; p is reported as 0 there.
     """
 
-    __match_args__ = ("t_statistic", "p_value", "df", "degenerate")
     t_statistic: float
     p_value: float
     df: int
@@ -206,7 +204,6 @@ class SignificanceMatrix(_Record):
     corrected p <= alpha_level; it is a new empty dict if not given.
     """
 
-    __match_args__ = ("names", "letters", "means", "beats", "k", "alpha_level", "correction")
     names: list[str]
     letters: dict[str, str]
     means: dict[str, float]

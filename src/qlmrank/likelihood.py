@@ -53,7 +53,6 @@ class ProtocolError(ProviderError):
 class LikelihoodRequest(_Frozen):
     """Context (rendered prompt) and the continuation to be scored."""
 
-    __match_args__ = ("context", "continuation")
     context: str
     continuation: str
 
@@ -77,7 +76,6 @@ class LikelihoodResult(_Frozen):
     """Per-token log probabilities of the continuation, as tokenized by the
     provider. All values must be finite (providers floor -inf)."""
 
-    __match_args__ = ("tokens", "logprobs")
     tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
 

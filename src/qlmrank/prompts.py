@@ -27,7 +27,6 @@ class CatalogError(ValueError):
 class PromptTemplate(_Frozen):
     """A scoring prompt: system_prefix + body (with one {doc} slot) + suffix."""
 
-    __match_args__ = ("body", "system_prefix", "suffix")
     body: str
     system_prefix: str = ""
     suffix: str = ""
@@ -46,7 +45,6 @@ class PromptTemplate(_Frozen):
 
 
 class FewShotExample(_Frozen):
-    __match_args__ = ("document", "good_question", "bad_question")
     document: str
     good_question: str
     bad_question: str
@@ -64,7 +62,6 @@ class PromptCatalog(_Record):
     """Templates keyed by (model_family, dataset), plus optional per-dataset
     few-shot triples (exactly three when present)."""
 
-    __match_args__ = ("entries", "fewshot")
     entries: dict[tuple[str, str], PromptTemplate]
     fewshot: dict[str, list[FewShotExample]]
 

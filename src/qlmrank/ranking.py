@@ -58,7 +58,6 @@ class Analyzer(_Frozen):
     default; lowercasing is on.
     """
 
-    __match_args__ = ("lowercase", "stopwords", "stem")
     lowercase: bool = True
     stopwords: frozenset[str] = frozenset()
     stem: bool = False
@@ -120,7 +119,6 @@ class InvertedIndex(_Record):
     total_terms == sum(doc_len) and avgdl == total_terms / n_docs.
     """
 
-    __match_args__ = ("doc_ids", "doc_len", "postings", "analyzer")
     doc_ids: list[str]
     doc_len: array  # array('I'), by position
     postings: Mapping[str, tuple[array, array]]  # term -> (positions, tfs), both array('I')
@@ -168,8 +166,6 @@ class InvertedIndex(_Record):
             raise KeyError(f"unknown doc id {doc_id!r}") from None
 
     def df(self, term: str) -> int:
-        if isinstance(self.postings, _Postings):  # counted, not decoded
-            return self.postings.df(term)
         positions, _ = self.postings.get(term, ((), ()))
         return len(positions)
 
@@ -432,13 +428,17 @@ def _pack(values: array) -> str:
     planes smaller and faster than the default search."""
     top = max(values, default=0)
     code = next(code for code, width in _WIDTHS.items() if top < 1 << 8 * width)
-    if sys.byteorder == "big":
-        values = array(values.typecode, values)
-        values.byteswap()
     data, size = values.tobytes(), values.itemsize
-    planes = b"".join(data[k::size] for k in range(_WIDTHS[code]))
+    planes = b"".join(data[offset::size] for offset in _plane_offsets(_WIDTHS[code], size))
     deflater = zlib.compressobj(ZLIB_LEVEL, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
     return code + base64.b64encode(deflater.compress(planes) + deflater.flush()).decode("ascii")
+
+
+def _plane_offsets(width: int, size: int) -> list[int]:
+    """Where planes 0 to width - 1 lie in each item of `size` bytes: plane k holds
+    each item's k-th lowest byte, the k-th in memory on a little-endian host, the
+    k-th from the end on a big-endian one."""
+    return [k if sys.byteorder == "little" else size - 1 - k for k in range(width)]
 
 
 def _pack_words(values: list[str]) -> str:
@@ -466,16 +466,13 @@ def _unpack(name: str, value: object, count: int) -> tuple[array, int]:
     n, view = len(data) // width, memoryview(data)
     unpacked, zeros = array("I", [0]) * n, 0
     size = unpacked.itemsize
-    # plane k holds each item's k-th lowest byte: the k-th in memory on a
-    # little-endian host, the k-th from the end on a big-endian one
-    offsets = [k if sys.byteorder == "little" else size - 1 - k for k in range(width)]
     with memoryview(unpacked).cast("B") as items:
         # the planes go to the items' bytes one chunk of items at a time: a bytearray's
         # strided copy is a tight loop in C, a memoryview's is one memcpy call a byte
         for start in range(0, n, _CHUNK):
             end = min(start + _CHUNK, n)
             chunk, ored = bytearray((end - start) * size), 0
-            for k, offset in enumerate(offsets):
+            for k, offset in enumerate(_plane_offsets(width, size)):
                 plane = view[k * n + start:k * n + end]
                 chunk[offset::size] = plane
                 ored |= int.from_bytes(plane, "little")
@@ -557,11 +554,6 @@ class _Postings(Mapping):
             plist = self._decoded[term] = (
                 array("I", itertools.accumulate(self._gaps[start:end])), self._tfs[start:end])
         return plist
-
-    def df(self, term: str) -> int:
-        """len(self[term][0]), or 0 for a term it does not hold, without decoding the term."""
-        slot = self._slot.get(term)
-        return 0 if slot is None else self._bounds[slot + 1] - self._bounds[slot]
 
     def __contains__(self, term: object) -> bool:
         return term in self._slot

@@ -277,6 +277,28 @@ class TestSearchOnEveryCpu:
         assert len(set(by)) == 3
         assert_no_child_left()
 
+    def test_the_helpers_inherit_every_query_terms_postings_decoded(
+            self, indexed, tmp_path, monkeypatch):
+        # a term two blocks' queries hold is decoded once, before the first fork, not in each
+        loaded, decoded_at_fork, load_index, fork = [], [], ranking.load_index, os.fork
+
+        def load(path):
+            loaded.append(load_index(path))
+            return loaded[-1]
+
+        def forking():
+            decoded_at_fork.append(set(loaded[0].postings._decoded))
+            return fork()
+        monkeypatch.setattr(ranking, "load_index", load)
+        monkeypatch.setattr(os, "fork", forking)
+        may_use_cpus(monkeypatch, 2)
+        assert run_cli("search", *indexed, "--out", tmp_path / "run.trec") == 0
+        [index] = loaded
+        terms = {term for query in corpus.load_queries(indexed[3])
+                 for term in index.analyzer.tokenize(query.text) if term in index.postings}
+        assert len(terms) > 3 and decoded_at_fork == [terms]
+        assert_no_child_left()
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(texts=st.lists(st.sampled_from("abcdefgh"), max_size=30), cpus=st.integers(1, 5),
            failing=st.sets(st.sampled_from("abcdefgh")))

@@ -116,6 +116,11 @@ class TestLoadQrels:
         qrels = load_qrels(str(path))
         assert qrels.grade("q1", "d1") == 2
 
+    def test_query_ids_in_file_order(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("q2\td1\t1\nq10\td1\t0\nq2\td2\t2\nq1\td3\t1\n", encoding="utf-8")
+        assert load_qrels(str(path)).query_ids() == ["q2", "q10", "q1"]
+
     def test_negative_grade_rejected(self, tmp_path):
         path = tmp_path / "qrels.tsv"
         path.write_text("q1\td1\t-1\n", encoding="utf-8")

@@ -176,6 +176,12 @@ class TestStudentT:
         with pytest.raises(ValueError, match="t must be a number"):
             student_t_two_tailed_p(math.nan, 5)
 
+    def test_continued_fraction_that_does_not_converge_raises(self):
+        # at a = b = 1e6 the fraction needs far more than its 300 steps
+        with pytest.raises(ArithmeticError, match=r"^incomplete beta did not converge for "
+                                                  r"a=1000000\.0, b=1000000\.0, x=0\.5$"):
+            evaluation._betacf(1e6, 1e6, 0.5)
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.integers(1, 7000), st.floats(-60, 60), st.floats(-60, 60))
     def test_tail_is_a_symmetric_falling_probability(self, df, t, u):

@@ -5,6 +5,7 @@ import gc
 import http.client
 import json
 import shutil
+import socketserver
 import ssl
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 from http_stub import StubHandler, serving
+from qlmrank import likelihood
 from qlmrank.corpus import Document, Query, Run
 from qlmrank.likelihood import (
     LikelihoodRequest,
@@ -150,6 +152,41 @@ def test_unreachable_endpoint():
     provider = RemoteProvider("http://127.0.0.1:1", timeout=0.5)
     with pytest.raises(TransportError):
         provider(REQUEST)
+
+
+class ReadAndCloseHandler(socketserver.StreamRequestHandler):
+    """Reads one whole request, then closes the connection without a byte of
+    answer, counting connections; a close with the request unread would reset
+    it instead."""
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        self.rfile.readline()  # the request line
+        self.rfile.read(int(http.client.parse_headers(self.rfile)["Content-Length"]))
+
+
+@pytest.fixture
+def read_and_close_server():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), ReadAndCloseHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections = 0
+    with serving(server):
+        yield server
+
+
+@pytest.mark.parametrize("attempts", [1, 3])
+def test_fresh_connection_dropped_unanswered_is_one_failed_attempt(read_and_close_server,
+                                                                 monkeypatch, attempts):
+    # only a reused socket is reopened at once: a fresh one failing is the server's fault
+    monkeypatch.setattr(likelihood, "ATTEMPTS", attempts)
+    provider = RemoteProvider(f"http://127.0.0.1:{read_and_close_server.server_address[1]}")
+    with pytest.raises(TransportError, match=rf" unreachable after {attempts} attempts: Remote "
+                                             r"end closed connection without response$"):
+        provider(REQUEST)
+    provider.close()
+    assert read_and_close_server.connections == attempts
 
 
 def test_identical_requests_identical_results(stub_server):
